@@ -54,14 +54,6 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _check_formula_cuts(spec: GroupSpec, literals) -> None:
-    for lit in literals:
-        if lit.alpha is not None and lit.alpha.s > spec.K:
-            raise ParseError(
-                f"cut{lit.alpha.s} exceeds the number of blocks ({spec.K})", 0
-            )
-
-
 def _cmd_analyze(args) -> int:
     report = analyze_group(parse_spec(args.spec))
     data = report.to_json_dict()
@@ -97,7 +89,6 @@ def _cmd_hsub(args) -> int:
 def _build_conjunction(args) -> Conjunction:
     spec = parse_spec(args.spec)
     literals = parse_formula(args.formula)
-    _check_formula_cuts(spec, literals)
     params = parse_params(spec, args.params or "")
     return Conjunction(spec, literals, params)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .convex import ConvexCut, in_coset, in_subgroup
@@ -59,6 +60,8 @@ class LiteralType(str, Enum):
 
 
 _CMP_OK = {"<": (-1,), "<=": (-1, 0), "=": (0,), ">=": (0, 1), ">": (1,)}
+# the comparison that holds after swapping its two sides
+_CMP_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
 
 
 @dataclass(frozen=True)
@@ -161,6 +164,19 @@ class Conjunction:
                 f"term references parameter a{top} but the bank has "
                 f"{len(self.params)} entries"
             )
+        for lit in self.literals:
+            if lit.alpha is not None and lit.alpha.s > self.group.K:
+                raise PreconditionError(
+                    f"cut{lit.alpha.s} exceeds the number of blocks "
+                    f"({self.group.K})"
+                )
+
+    @cached_property
+    def term_values(self) -> tuple[Element, ...]:
+        """The value of each literal's term over the bank, in literal order."""
+        return tuple(
+            term_value(l.term, self.params, self.group) for l in self.literals
+        )
 
 
 def classify(lit: Literal) -> LiteralType:
@@ -183,25 +199,32 @@ def term_value(term: Term, params: Sequence[Element], group: GroupSpec) -> Eleme
     return out
 
 
-def evaluate(lit: Literal, x: Element, params: Sequence[Element]) -> bool:
-    t = term_value(lit.term, params, x.spec)
-    kx = scale(lit.k, x)
+def _holds(lit: Literal, x: Element, t: Element) -> bool:
+    """Truth of the literal at x, given the value t of its term.  The one
+    place that decides what a literal means."""
+    kx = x if lit.k == 1 else scale(lit.k, x)
+    if lit.kind is LitKind.ORD:
+        return compare(kx, t).value in _CMP_OK[lit.cmp]
+    if lit.kind is LitKind.NEQ:
+        return compare(kx, t) is not Ordering.EQ
     d = sub(kx, t)
     if lit.kind is LitKind.CONG:
         return in_coset(d, lit.alpha, lit.m)
     if lit.kind is LitKind.NCONG:
         return not in_coset(d, lit.alpha, lit.m)
-    if lit.kind is LitKind.ORD:
-        return compare(kx, t).value in _CMP_OK[lit.cmp]
     if lit.kind is LitKind.INGRP:
         return in_subgroup(d, lit.alpha)
-    if lit.kind is LitKind.NEQ:
-        return compare(kx, t) is not Ordering.EQ
     return not in_subgroup(d, lit.alpha)
 
 
+def evaluate(lit: Literal, x: Element, params: Sequence[Element]) -> bool:
+    return _holds(lit, x, term_value(lit.term, params, x.spec))
+
+
 def evaluate_conj(conj: Conjunction, x: Element) -> bool:
-    return all(evaluate(lit, x, conj.params) for lit in conj.literals)
+    return all(
+        _holds(lit, x, t) for lit, t in zip(conj.literals, conj.term_values)
+    )
 
 
 def conjoin(a: Conjunction, b: Conjunction) -> Conjunction:

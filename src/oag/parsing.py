@@ -38,6 +38,7 @@ from fractions import Fraction
 from .convex import ConvexCut
 from .errors import ParseError
 from .formulas import (
+    _CMP_FLIP,
     Literal,
     Term,
     cong,
@@ -400,7 +401,7 @@ def _parse_comparison(tk: _Tokens, negated: bool) -> Literal:
     if lk is None:
         # flip so x sits on the left
         k, t = rk, lt
-        cmp = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}[cmp]
+        cmp = _CMP_FLIP[cmp]
     else:
         k, t = lk, rt
     if negated:

@@ -38,7 +38,13 @@ from .formulas import (
 )
 from .groups import Element, GroupSpec, PSPAN, RAT, add, scale, unit_element
 from .numutil import factorize, is_prime
-from .solver import SolveResult, SolveStatus, oracle_search, solve
+from .solver import (
+    SolveResult,
+    SolveStatus,
+    oracle_search,
+    solve,
+    solve_k_subsets,
+)
 
 
 @dataclass(frozen=True)
@@ -149,11 +155,16 @@ class VerificationReport:
                     "eta": list(p.eta),
                     "status": p.status,
                     "witness": None if p.witness is None else str(p.witness),
+                    "confirmed": p.confirmed,
                 }
                 for p in self.paths
             ],
             "structural": {"sp_lemma": self.sp_lemma, "convex_rows": self.convex_rows},
             "seed": self.seed,
+            "total_paths": self.total_paths,
+            "sampled": self.sampled,
+            "unknowns": list(self.unknowns),
+            "verified": self.verified,
         }
 
 
@@ -161,16 +172,13 @@ def _row_check(
     pattern: InpPattern, index: int, cross_check_radius: int | None
 ) -> RowVerdict:
     row = pattern.rows[index]
-    if row.k > len(row.columns):
-        return RowVerdict(index, row.k, "true")  # vacuous
     cols = [pattern.instantiate(index, j) for j in range(len(row.columns))]
     pair_results = []
     saw_sat = False
     saw_unknown = False
     cross_ok: bool | None = None
-    for subset in itertools.combinations(range(len(cols)), row.k):
-        merged = reduce(conjoin, (cols[j] for j in subset))
-        res = solve(merged)
+    # more arity than columns leaves no subset: vacuously "true"
+    for subset, merged, res in solve_k_subsets(cols, row.k):
         pair_results.append((subset, res))
         if res.status is SolveStatus.SAT:
             saw_sat = True

@@ -34,13 +34,16 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import reduce
+from typing import Iterator, Sequence
 
 from .errors import NotReducibleError
 from .formulas import (
+    _CMP_FLIP,
     Conjunction,
     LitKind,
     conjoin,
+    evaluate,
     evaluate_conj,
     normalize_type_I,
     term_value,
@@ -67,18 +70,9 @@ from .numutil import (
     int_above,
     int_below,
     residue_mod,
-    valuation_at_least,
 )
 
 _CERT_ENUM_CAP = 4096
-_CMP_VALUES = {"<": (-1,), "<=": (-1, 0), "=": (0,), ">=": (0, 1), ">": (1,)}
-
-
-def _in_coset_fast(d: "Element", s: int, m: int) -> bool:
-    return all(
-        block_divisible(b, v, m)
-        for b, v in zip(d.spec.blocks[:s], d.coords[:s])
-    )
 
 
 class SolveStatus(str, Enum):
@@ -264,6 +258,7 @@ def solve(conj: Conjunction, *, candidate_budget: int = 20000) -> SolveResult:
     pin: tuple[Element, int] | None = None
     coord_pins: dict[int, tuple[object, int]] = {}
     has_diseq = False
+    terms = conj.term_values
 
     for idx, lit in enumerate(conj.literals):
         if lit.kind is LitKind.CONG:
@@ -291,11 +286,11 @@ def solve(conj: Conjunction, *, candidate_budget: int = 20000) -> SolveResult:
                           term_value(piece.term, bank, group), idx)
                 )
         elif lit.kind is LitKind.ORD:
-            t = term_value(lit.term, conj.params, group)
+            t = terms[idx]
             k, cmp = lit.k, lit.cmp
             if k < 0:
                 k, t = -k, neg(t)
-                cmp = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}[cmp]
+                cmp = _CMP_FLIP[cmp]
             if cmp == "=":
                 if not is_divisible(t, k):
                     return _unsat(
@@ -316,7 +311,7 @@ def solve(conj: Conjunction, *, candidate_budget: int = 20000) -> SolveResult:
             else:
                 highs.append(_Bound(t, k, cmp == "<", idx))
         elif lit.kind is LitKind.INGRP:
-            t = term_value(lit.term, conj.params, group)
+            t = terms[idx] if lit.k > 0 else neg(terms[idx])
             for i in range(lit.alpha.s):
                 q = block_divide(group.blocks[i], t.coords[i], abs(lit.k))
                 if q is None:
@@ -327,13 +322,6 @@ def solve(conj: Conjunction, *, candidate_budget: int = 20000) -> SolveResult:
                             literals=(idx,),
                             note="k*x pinned to a value outside the block",
                         )
-                    )
-                if lit.k < 0:
-                    block = group.blocks[i]
-                    q = (
-                        tuple((b, -c) for b, c in q)
-                        if block.kind == "GP"
-                        else -q
                     )
                 prev = coord_pins.get(i)
                 if prev is not None and prev[0] != q:
@@ -355,7 +343,7 @@ def solve(conj: Conjunction, *, candidate_budget: int = 20000) -> SolveResult:
             return SolveResult(SolveStatus.SAT, witness=x)
         failing = tuple(
             i for i, lit in enumerate(conj.literals)
-            if not evaluate_conj(Conjunction(group, (lit,), conj.params), x)
+            if not evaluate(lit, x, conj.params)
         )
         return _unsat(
             CertEntry(
@@ -366,11 +354,9 @@ def solve(conj: Conjunction, *, candidate_budget: int = 20000) -> SolveResult:
         )
 
     # -- phase 3: per-slot congruence solving -------------------------------
-    all_terms: list[Element] = []
-    for lit in conj.literals:
-        all_terms.append(term_value(lit.term, conj.params, group))
-    for c in congs:
-        all_terms.append(c.value)
+    all_terms = list(terms) + [c.value for c in congs]
+    # the coordinate pins alone, zero elsewhere
+    pinned = _assemble(group, [], coord_pins, {}, None) if coord_pins else None
 
     slots: list[_Slot] = []
     try:
@@ -378,27 +364,9 @@ def solve(conj: Conjunction, *, candidate_budget: int = 20000) -> SolveResult:
             block = group.blocks[i]
             here = [c for c in congs if c.alpha_s > i]
             if i in coord_pins:
-                pv = coord_pins[i][0]
                 for c in here:
-                    if block.kind == "Z":
-                        ok = (pv - c.value.coords[i]) % (c.p**c.e) == 0
-                    elif block.kind == "Q":
-                        ok = True
-                    elif block.kind == "ZLOC":
-                        ok = block.p != c.p or _val_ok(
-                            pv - c.value.coords[i], c.p, c.e
-                        )
-                    else:
-                        ok = block.p != c.p or all(
-                            _val_ok(
-                                span_coefficient(pv, b)
-                                - span_coefficient(c.value.coords[i], b),
-                                c.p,
-                                c.e,
-                            )
-                            for b in _span_support([pv, c.value.coords[i]])
-                        )
-                    if not ok:
+                    d = sub(pinned, c.value).coords[i]
+                    if not block_divisible(block, d, c.p**c.e):
                         raise _SlotConflict(
                             CertEntry(
                                 kind="pin-congruence-conflict",
@@ -497,13 +465,6 @@ def solve(conj: Conjunction, *, candidate_budget: int = 20000) -> SolveResult:
         group, slots, coord_pins, lows, highs
     ) if have_ords else (None, False)
 
-    def check(x: Element | None):
-        if x is None:
-            return None
-        if evaluate_conj(conj, x):
-            return SolveResult(SolveStatus.SAT, witness=x)
-        return None
-
     seen: set = set()
     tried = 0
 
@@ -513,7 +474,9 @@ def solve(conj: Conjunction, *, candidate_budget: int = 20000) -> SolveResult:
             return None
         seen.add(x)
         tried += 1
-        return check(x)
+        if evaluate_conj(conj, x):
+            return SolveResult(SolveStatus.SAT, witness=x)
+        return None
 
     for par in conj.params:
         res = try_candidate(par)
@@ -573,17 +536,6 @@ def solve(conj: Conjunction, *, candidate_budget: int = 20000) -> SolveResult:
             "coordinate; outside the complete fragment"
         )
     return _unknown("witness assembly failed outside the complete fragment")
-
-
-def _val_ok(value, p: int, e: int) -> bool:
-    return valuation_at_least(Fraction(value), p, e)
-
-
-def _span_support(values: Iterable) -> set[int]:
-    out: set[int] = set()
-    for v in values:
-        out.update(b for b, _ in v)
-    return out
 
 
 def _assemble(
@@ -751,15 +703,17 @@ def oracle_search(
     max_support: int = 3,
     candidate_budget: int = 100000,
 ) -> Element | None:
-    """Independent brute-force witness hunt.
+    """Brute-force witness hunt, independent of the search in solve.
 
     Enumerates integer combinations of a generator set (the parameters, one
     fresh basis unit per span coordinate, and p-divisions of divisible
     generators up to p^2) with coefficients bounded by the radius and
     support bounded by max_support, in a fixed deterministic order.  Returns
-    the first combination the evaluator accepts, or None.  Incomplete by
-    design; meant to corroborate SAT answers and to hunt counterexamples to
-    UNSAT answers.
+    the first combination that satisfies the conjunction, or None.  It
+    shares the literal evaluator with solve but neither its candidates nor
+    their order.
+    Incomplete by design; meant to corroborate SAT answers and to hunt
+    counterexamples to UNSAT answers.
     """
     group = conj.group
     gens: list[Element] = []
@@ -777,11 +731,10 @@ def oracle_search(
     for block in group.blocks:
         if block.p is not None:
             fresh_primes.add(block.p)
-    term_values = [term_value(l.term, conj.params, group) for l in conj.literals]
     for i, block in enumerate(group.blocks):
         if block.kind == "GP":
             support = set()
-            for t in term_values:
+            for t in conj.term_values:
                 support.update(b for b, _ in t.coords[i])
             fresh = max(support, default=-1) + 1
             push(unit_element(group, i, basis=fresh))
@@ -791,35 +744,8 @@ def oracle_search(
                 if is_divisible(g, p**d):
                     push(divide_exact(g, p**d))
 
-    # precomputed literal data lets the hot loop skip term evaluation
-    lit_data = [
-        (lit, term_value(lit.term, conj.params, group))
-        for lit in conj.literals
-    ]
-
-    def accepts(x: Element) -> bool:
-        for lit, t in lit_data:
-            kx = x if lit.k == 1 else scale(lit.k, x)
-            d = sub(kx, t)
-            if lit.kind is LitKind.CONG:
-                ok = _in_coset_fast(d, lit.alpha.s, lit.m)
-            elif lit.kind is LitKind.NCONG:
-                ok = not _in_coset_fast(d, lit.alpha.s, lit.m)
-            elif lit.kind is LitKind.ORD:
-                c = compare(kx, t).value
-                ok = c in _CMP_VALUES[lit.cmp]
-            elif lit.kind is LitKind.INGRP:
-                ok = all(v == 0 or v == () for v in d.coords[: lit.alpha.s])
-            elif lit.kind is LitKind.NEQ:
-                ok = compare(kx, t) is not Ordering.EQ
-            else:
-                ok = not all(v == 0 or v == () for v in d.coords[: lit.alpha.s])
-            if not ok:
-                return False
-        return True
-
     zero = group.zero()
-    if accepts(zero):
+    if evaluate_conj(conj, zero):
         return zero
 
     coeffs = [c for a in range(1, radius + 1) for c in (a, -a)]
@@ -834,9 +760,20 @@ def oracle_search(
                 x = scaled[combo[0]][cs[0]]
                 for j, ci in zip(combo[1:], cs[1:]):
                     x = x + scaled[j][ci]
-                if accepts(x):
+                if evaluate_conj(conj, x):
                     return x
     return None
+
+
+def solve_k_subsets(
+    formulas: Sequence[Conjunction], k: int
+) -> Iterator[tuple[tuple[int, ...], Conjunction, SolveResult]]:
+    """Conjoin and solve every k-subset of the formulas, lazily, in
+    lexicographic order of index tuples; yields (indices, conjunction,
+    verdict).  Yields nothing when k exceeds the number of formulas."""
+    for subset in itertools.combinations(range(len(formulas)), k):
+        merged = reduce(conjoin, (formulas[j] for j in subset))
+        yield subset, merged, solve(merged)
 
 
 def check_k_inconsistent(
@@ -844,19 +781,14 @@ def check_k_inconsistent(
 ) -> bool | None:
     """Whether every k-subset of the given formulas is jointly UNSAT.
 
-    True requires an UNSAT verdict on every subset; any SAT subset gives
-    False; otherwise an undecided subset propagates as None (unknown).
+    True requires an UNSAT verdict on every subset (vacuously so when k
+    exceeds the number of formulas); any SAT subset gives False; otherwise
+    an undecided subset propagates as None (unknown).
     """
     if k < 1:
         raise ValueError("the arity must be a positive integer")
-    if k > len(formulas):
-        return True
     saw_unknown = False
-    for subset in itertools.combinations(formulas, k):
-        merged = subset[0]
-        for extra in subset[1:]:
-            merged = conjoin(merged, extra)
-        res = solve(merged)
+    for _, _, res in solve_k_subsets(formulas, k):
         if res.status is SolveStatus.SAT:
             return False
         if res.status is SolveStatus.UNKNOWN:

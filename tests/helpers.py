@@ -10,11 +10,17 @@ from oag import (
     PLOCAL,
     PSPAN,
     RAT,
+    Conjunction,
     ConvexCut,
     Element,
     GroupSpec,
     Term,
     cong,
+    in_group,
+    ncong,
+    neq,
+    not_in_group,
+    ord_lit,
 )
 
 PRIMES = (2, 3, 5)
@@ -77,3 +83,47 @@ def random_cong_literal(rng: random.Random, spec: GroupSpec, n_params: int):
     for _ in range(rng.randint(1, min(3, n_params))):
         coeffs[rng.randrange(n_params)] = rng.randint(-3, 3) or 1
     return cong(k, m, alpha, Term.of(coeffs))
+
+
+def random_term(rng: random.Random, n_params: int) -> Term:
+    coeffs = {}
+    for _ in range(rng.randint(1, min(3, n_params))):
+        coeffs[rng.randrange(n_params)] = rng.randint(-3, 3) or 1
+    return Term.of(coeffs)
+
+
+def random_literal(rng: random.Random, spec: GroupSpec, n_params: int):
+    """A literal of any of the six kinds over the first n_params bank
+    entries, with a cut anywhere in 0..K."""
+    kind = rng.randrange(6)
+    k = rng.choice([1, 2, 3, -1, -2, 4])
+    term = random_term(rng, n_params)
+    alpha = ConvexCut(rng.randint(0, spec.K))
+    m = rng.choice([1, 2, 3, 4, 6, 8, 9])
+    if kind == 0:
+        return cong(k, m, alpha, term)
+    if kind == 1:
+        return ncong(k, m, alpha, term)
+    if kind == 2:
+        return ord_lit(k, rng.choice(["<", "<=", "=", ">=", ">"]), term)
+    if kind == 3:
+        return in_group(k, alpha, term)
+    if kind == 4:
+        return neq(k, term)
+    return not_in_group(k, alpha, term)
+
+
+def random_conjunctions(seed: int, count: int) -> list[Conjunction]:
+    """Seeded conjunctions over at most 3 blocks with 1-3 parameters and
+    1-3 literals drawn from all six kinds."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        spec = random_spec(rng, max_blocks=3)
+        params = tuple(random_element(rng, spec) for _ in range(rng.randint(1, 3)))
+        lits = tuple(
+            random_literal(rng, spec, len(params))
+            for _ in range(rng.randint(1, 3))
+        )
+        out.append(Conjunction(spec, lits, params))
+    return out

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from oag.cli import main
 
@@ -149,6 +150,23 @@ def test_pattern_optimal_verify(capsys):
     assert data["group"] == "lex(Q, Gp(2), Gp(3))"
     assert data["report"]["depth"] == 3
     assert data["report"]["structural"] == {"sp_lemma": True, "convex_rows": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pattern", "optimal", "--spec", "lex(Q, Gp(2)^2)", "--grid", "2"),
+        ("pattern", "chain", "--p", "3", "--depth", "3", "--width", "2",
+         "--path-budget", "5"),
+    ],
+)
+def test_pattern_json_reports_verdict(capsys, argv):
+    code, data = run_json(capsys, *argv, "--verify")
+    report = data["report"]
+    assert report["verified"] is (code == 0)
+    assert report["unknowns"] == []
+    assert report["sampled"] is (report["total_paths"] > len(report["paths"]))
+    assert all(p["confirmed"] for p in report["paths"])
 
 
 def test_pattern_optimal_rejects_bad_spec(capsys):

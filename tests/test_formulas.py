@@ -8,6 +8,7 @@ from oag import (
     Conjunction,
     LiteralType,
     NotReducibleError,
+    PreconditionError,
     Term,
     classify,
     cong,
@@ -25,6 +26,7 @@ from oag import (
     parse_spec,
     reduce_k_prime,
     scale,
+    solve,
     term_value,
     unit_normalize,
 )
@@ -33,6 +35,34 @@ from helpers import random_element, random_spec, random_cong_literal
 
 G = parse_spec("lex(Q, Gp(2))")
 A0 = parse_element(G, "(0 | b0)")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda cut: in_group(1, cut, Term.of({0: 1})),
+        lambda cut: cong(1, 2, cut, Term.of({0: 1})),
+        lambda cut: not_in_group(1, cut, Term.of({0: 1})),
+    ],
+)
+def test_conjunction_rejects_cut_past_the_blocks(make):
+    # G has K = 2 blocks, so cut 2 (the zero subgroup) is the last cut
+    solve(Conjunction(G, (make(ConvexCut(2)),), (A0,)))
+    with pytest.raises(PreconditionError, match="cut5"):
+        Conjunction(G, (make(ConvexCut(5)),), (A0,))
+    with pytest.raises(PreconditionError):
+        Conjunction(G, (make(ConvexCut(3)),), (A0,))
+
+
+def test_term_values_follow_literal_order():
+    lits = (
+        ord_lit(1, "<", Term.of({0: 2})),
+        neq(1, Term.of({})),
+        cong(1, 2, ConvexCut(1), Term.of({0: -1})),
+    )
+    c = Conjunction(G, lits, (A0,))
+    assert c.term_values == tuple(term_value(l.term, (A0,), G) for l in lits)
+    assert c.term_values is c.term_values  # computed once
 
 
 def test_evaluate_trivial_congruence():

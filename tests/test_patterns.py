@@ -185,13 +185,29 @@ def test_verification_report_json_schema():
     gen = gen_chain_pattern(2, 2, 2)
     rep = verify(gen.pattern, 10, seed=5)
     data = rep.to_json_dict()
-    assert set(data) == {"depth", "rows", "paths", "structural", "seed"}
+    assert set(data) == {
+        "depth", "rows", "paths", "structural", "seed",
+        "total_paths", "sampled", "unknowns", "verified",
+    }
     assert data["seed"] == 5
+    assert data["total_paths"] == 4 and data["sampled"] is False
+    assert data["unknowns"] == [] and data["verified"] is True
     assert set(data["structural"]) == {"sp_lemma", "convex_rows"}
     for row in data["rows"]:
         assert {"index", "k", "verdict"} <= set(row)
     for path in data["paths"]:
-        assert set(path) == {"eta", "status", "witness"}
+        assert set(path) == {"eta", "status", "witness", "confirmed"}
+        assert path["confirmed"] is True
+
+
+def test_verification_report_json_shows_failed_verdict():
+    g = GroupSpec((PSPAN(2),))
+    template = (cong(1, 2, ConvexCut(1), Term.of({0: 1})),)
+    col = (unit_element(g, 0),)
+    pattern = InpPattern(g, (PatternRow(template, (col, col), 2),))
+    data = verify(pattern, 100).to_json_dict()
+    assert data["verified"] is False
+    assert data["rows"][0]["verdict"] == "false"
 
 
 def test_path_sampling_is_seeded_and_deterministic():

@@ -1,0 +1,64 @@
+"""Regression guard: pinned digests of solver verdicts, oracle results and
+CLI pattern output on a seeded corpus.
+
+A refactor that keeps the semantics keeps these digests.  A change that is
+meant to alter verdicts, witnesses, certificates or oracle results must
+update the pinned values and say why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+from oag import oracle_search, solve
+from oag.cli import main
+
+from helpers import random_conjunctions
+
+CORPUS_SEED = 11
+CORPUS_SIZE = 600
+ORACLE_STRIDE = 10
+ORACLE_BUDGET = 300
+
+SOLVE_DIGEST = "ccb61c85ee49ec8b2264e5304292fb5cc62bc244a4cfb8a65da63cdbd9f50ae3"
+ORACLE_DIGEST = "699e0b6ea92455949b0e339798fdb8950c1e02f19438e5abc32d67087a784689"
+CLI_DIGEST = "a185b0fe8760a2295cc86f9879571aaa7bf72ff931af6e7b8152c24f06083f0c"
+
+# report fields added after the digest was pinned; dropped before hashing so
+# the digest covers exactly the fields every version emits
+_LATER_REPORT_KEYS = ("verified", "total_paths", "sampled", "unknowns")
+
+
+def _digest(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_solver_and_oracle_digests():
+    corpus = random_conjunctions(CORPUS_SEED, CORPUS_SIZE)
+    solved = [solve(conj).to_json_dict() for conj in corpus]
+    found = [
+        oracle_search(conj, 1, candidate_budget=ORACLE_BUDGET)
+        for conj in corpus[::ORACLE_STRIDE]
+    ]
+    oracle = [None if x is None else str(x) for x in found]
+    assert _digest(solved) == SOLVE_DIGEST
+    assert _digest(oracle) == ORACLE_DIGEST
+
+
+def test_cli_pattern_digest():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([
+            "pattern", "optimal", "--spec", "lex(Q, Gp(2)^2)", "--grid", "2",
+            "--verify", "--cross-check", "1", "--json", "--details",
+        ])
+    assert code == 0
+    data = json.loads(buf.getvalue())
+    report = data["report"]
+    for key in _LATER_REPORT_KEYS:
+        report.pop(key, None)
+    for path in report["paths"]:
+        path.pop("confirmed", None)
+    assert _digest(data) == CLI_DIGEST

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 
 from oag import (
     ConvexCut,
@@ -50,6 +51,37 @@ def test_incongruent_pair_unsat_with_certificate():
     assert entry.kind == "congruence-conflict"
     assert entry.modulus == 2 and entry.excluded == (0, 1)
     assert oracle_search(c, 3) is None
+
+
+@pytest.mark.parametrize(
+    "spec, k, params, modulus, status",
+    [
+        ("lex(Z)", 1, "(3) ; (0)", 2, SolveStatus.UNSAT),
+        ("lex(Z)", -1, "(4) ; (4)", 8, SolveStatus.SAT),
+        ("lex(Q)", 1, "(1/3) ; (0)", 2, SolveStatus.SAT),
+        ("lex(Zloc(2))", 1, "(3) ; (0)", 2, SolveStatus.UNSAT),
+        ("lex(Zloc(3))", 1, "(3) ; (0)", 2, SolveStatus.SAT),
+        ("lex(Gp(2))", 1, "(b1) ; (0)", 2, SolveStatus.UNSAT),
+        ("lex(Gp(3))", 1, "(b1) ; (0)", 2, SolveStatus.SAT),
+        ("lex(Gp(2))", -2, "(2*b1) ; (b1)", 2, SolveStatus.SAT),
+    ],
+)
+def test_coordinate_pin_against_congruence(spec, k, params, modulus, status):
+    g = parse_spec(spec)
+    c = conj_of(
+        g,
+        f"ing[cut1]({k}x, 1*a0) & cong[{modulus}, cut1](1x, 1*a1)",
+        params,
+    )
+    res = solve(c)
+    assert res.status is status
+    if status is SolveStatus.SAT:
+        assert evaluate_conj(c, res.witness)
+    else:
+        (entry,) = res.certificate
+        assert entry.kind == "pin-congruence-conflict"
+        assert entry.coordinate == 0 and entry.modulus == modulus
+        assert entry.literals == (0, 1)
 
 
 def test_solver_witness_always_evaluates():
