@@ -24,14 +24,13 @@ import sys
 
 from .convex import analyze as analyze_group
 from .convex import hsub
-from .errors import OagError, ParseError
+from .errors import NotReducibleError, OagError, ParseError
 from .formulas import (
     Conjunction,
     LitKind,
     format_literal,
     normalize_type_I,
 )
-from .errors import NotReducibleError
 from .groups import GroupSpec
 from .parsing import parse_element, parse_formula, parse_params, parse_spec
 from .patterns import GeneratedPattern, gen_chain_pattern, gen_optimal_pattern, verify
@@ -41,13 +40,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_UNKNOWN = 3
-
-
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("OAG_SEED", "0"))
-    except ValueError:
-        return 0
 
 
 def _emit_json(payload: dict) -> None:
@@ -176,7 +168,7 @@ def _cmd_normalize(args) -> int:
 
 def _pattern_payload(gen: GeneratedPattern, report, details: bool) -> dict:
     payload = {
-        "group": str(gen.group),
+        "group": str(gen.pattern.group),
         "meta": {
             k: v for k, v in sorted(gen.meta.items())
             if isinstance(v, (int, str, list))
@@ -264,7 +256,7 @@ def _cmd_pattern_optimal(args) -> int:
     spec = parse_spec(args.spec)
     primes, mults = _split_optimal_spec(spec)
     gen = gen_optimal_pattern(primes, mults, args.grid)
-    assert gen.group == spec
+    assert gen.pattern.group == spec
     return _finish_pattern(args, gen)
 
 
@@ -289,7 +281,8 @@ def _add_pattern_common(sub: argparse.ArgumentParser) -> None:
         help="include per-pair solver results and certificates in row JSON",
     )
     sub.add_argument("--json", action="store_true")
-    sub.add_argument("--seed", type=int, default=_default_seed())
+    # a string default goes through type=int, so a bad OAG_SEED exits 2
+    sub.add_argument("--seed", type=int, default=os.environ.get("OAG_SEED", "0"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,10 +349,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
+    except (OagError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -97,7 +97,7 @@ class GroupSpec:
         return len(self.blocks)
 
     def zero(self) -> "Element":
-        return Element(self, tuple(_zero_value(b) for b in self.blocks))
+        return _raw_element(self, tuple(_zero_value(b) for b in self.blocks))
 
     def __str__(self) -> str:
         parts: list[str] = []
@@ -411,7 +411,7 @@ def divide_exact(a: Element, n: int) -> Element:
         if q is None:
             raise NotDivisibleError(f"element is not divisible by {n}")
         coords.append(q)
-    return Element(a.spec, tuple(coords))
+    return _raw_element(a.spec, tuple(coords))
 
 
 def _format_fraction(q) -> str:

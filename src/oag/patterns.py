@@ -276,7 +276,6 @@ class GeneratedPattern:
     """A pattern together with its construction data and the closed-form
     path witnesses the construction predicts."""
 
-    group: GroupSpec
     pattern: InpPattern
     witness_of: Callable[[Sequence[int]], Element]
     meta: dict
@@ -333,7 +332,7 @@ def gen_chain_pattern(p: int, depth: int, width: int) -> GeneratedPattern:
         "width": width,
         "alpha": {i: alpha[i].s for i in alpha},
     }
-    return GeneratedPattern(group, pattern, witness_of, meta)
+    return GeneratedPattern(pattern, witness_of, meta)
 
 
 def gen_optimal_pattern(
@@ -426,7 +425,7 @@ def gen_optimal_pattern(
         "grid": grid,
         "depth": len(rows),
     }
-    return GeneratedPattern(group, pattern, witness_of, meta)
+    return GeneratedPattern(pattern, witness_of, meta)
 
 
 # --- structural checks ------------------------------------------------------

@@ -5,45 +5,55 @@ has been checked by the literal evaluator; UNSAT answers always come with a
 certificate.  Anything the procedure cannot settle is reported UNKNOWN,
 never guessed.
 
-Shape of the decision:
+Shape of the decision: ``solve`` runs the phases below in order over one
+``_Problem`` record, and a phase that settles the answer raises ``_Decided``.
 
-1.  Positive congruence literals are rewritten to coefficient 1 and
-    prime-power modulus.  Their meaning then splits coordinatewise, and on
+1.  ``_normalize`` sorts the literals by role.  Positive congruence literals
+    are rewritten to coefficient 1 and prime-power modulus, order literals
+    become bounds on x, equalities pin x and subgroup-coset literals pin
+    single coordinates.  A literal that no x satisfies, or two pins that
+    disagree, give UNSAT.
+2.  ``_decide_pinned``: an equality pin determines x, so the conjunction
+    reduces to evaluation (SAT) or refutation (UNSAT).
+3.  ``_solve_slots``: a normalized congruence splits coordinatewise, and on
     each block coordinate only finitely many basis coefficients are
-    constrained (the union of the parameter supports plus one fresh basis
-    symbol).  Each such slot carries congruences with a single prime, so its
-    solution set is one residue class modulo the largest prime power, or
-    empty; empty slots yield an UNSAT certificate listing the exhausted
-    residues.
-2.  Equalities and subgroup-coset literals pin the variable (or single
-    coordinates) exactly, which either refutes or reduces to evaluation.
-3.  Order literals are intersected as bounds in the divisible hull via
-    cross-multiplied comparisons.  An empty bound interval is UNSAT.  When
-    the most significant coordinate has strict rational slack between the
-    bounds, a witness is assembled from the slot residues with that
-    coordinate placed strictly inside the gap; this covers every
-    conjunction whose order constraints live in a most significant
-    divisible coordinate (the fragment all pattern constructions use).
-4.  Negated literals are handled by bounded enumeration of residue bumps;
-    if no candidate satisfies the conjunction the answer is UNKNOWN.
+    constrained (the union of the term supports plus one fresh basis
+    symbol).  ``_solve_slot`` solves each such slot to one residue class per
+    prime and combines the classes by CRT; an empty class yields an UNSAT
+    certificate listing the exhausted residues.  A pinned coordinate has no
+    slot; its pin must meet every congruence there.
+4.  ``_intersect_bounds``: order bounds are intersected in the divisible
+    hull via cross-multiplied comparisons.  An empty interval is UNSAT;
+    equal bounds force x, which ``_decide_pinned`` decides.
+5.  ``_place_coordinate0``: when the most significant coordinate has strict
+    rational slack between the bounds, it is placed strictly inside the gap;
+    this covers every conjunction whose order constraints live in a most
+    significant divisible coordinate (the fragment all pattern
+    constructions use).
+6.  ``_candidates`` yields the parameters, zero, the bound points and the
+    element assembled from the slot residues and the placement; for negated
+    literals, or order bounds without a placement, it goes on with a
+    bounded enumeration of residue moves.  The first candidate the
+    evaluator accepts is the witness; if there is none the answer is
+    UNKNOWN, with the reason.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from typing import Iterator, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 from .errors import NotReducibleError
 from .formulas import (
     _CMP_FLIP,
     Conjunction,
     LitKind,
+    _holds,
     conjoin,
-    evaluate,
     evaluate_conj,
     normalize_type_I,
     term_value,
@@ -126,8 +136,19 @@ class SolveResult:
         }
 
 
-def _unsat(*entries: CertEntry) -> SolveResult:
-    return SolveResult(SolveStatus.UNSAT, certificate=tuple(entries))
+class _Decided(Exception):
+    """Raised by the phase that settles the answer."""
+
+    def __init__(self, result: SolveResult):
+        self.result = result
+
+
+def _refute(
+    kind: str, literals: tuple[int, ...], note: str = "", **where
+) -> NoReturn:
+    """Settle the answer as UNSAT with a one-entry certificate."""
+    entry = CertEntry(kind, literals=literals, note=note, **where)
+    raise _Decided(SolveResult(SolveStatus.UNSAT, certificate=(entry,)))
 
 
 def _unknown(reason: str) -> SolveResult:
@@ -153,12 +174,25 @@ class _Bound:
     src: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Slot:
     coord: int
     basis: int | None  # span basis index; None on scalar blocks
-    modulus: int = 1
-    residue: int = 0
+    modulus: int
+    residue: int
+
+
+@dataclass
+class _Problem:
+    """A conjunction's literals sorted by role (see ``_normalize``)."""
+
+    conj: Conjunction
+    congs: list[_Cong] = field(default_factory=list)
+    lows: list[_Bound] = field(default_factory=list)
+    highs: list[_Bound] = field(default_factory=list)
+    pin: tuple[Element, int] | None = None  # (x, source literal)
+    coord_pins: dict[int, tuple[object, int]] = field(default_factory=dict)
+    has_diseq: bool = False
 
 
 def _bound_cmp(b1: _Bound, b2: _Bound) -> Ordering:
@@ -181,361 +215,334 @@ def _tightest(bounds: list[_Bound], want_max: bool) -> _Bound | None:
     return best
 
 
-def _coord0_fraction(t: Element, k: int) -> Fraction | None:
-    """Coordinate-0 value of t/k as a rational; None on span blocks."""
-    if t.spec.blocks[0].kind == "GP":
-        return None
-    return Fraction(t.coords[0]) / k
-
-
-class _SlotConflict(Exception):
-    def __init__(self, entry: CertEntry):
-        self.entry = entry
-
-
-def _solve_prime_slot(
-    coord: int,
-    basis: int | None,
-    constraints: list[tuple[int, int, Fraction | int, int]],
-) -> tuple[int, int]:
-    """Solve congruences (p, e, target, src) sharing one prime on a slot.
-
-    Returns (modulus, residue).  The solution set of such a system is a
-    single residue class modulo p^max(e) or empty; on conflict raises with
-    a certificate enumerating the excluded residues.
-    """
-    p = constraints[0][0]
-    e_max = max(e for _, e, _, _ in constraints)
-    m = p**e_max
-    base = None
-    for pp, e, tgt, _src in constraints:
-        if e == e_max:
-            base = residue_mod(tgt, m)
-            break
-    assert base is not None
-    for _pp, e, tgt, _src in constraints:
-        if (base - residue_mod(tgt, p**e)) % (p**e) != 0:
-            excluded = tuple(range(m)) if m <= _CERT_ENUM_CAP else None
-            raise _SlotConflict(
-                CertEntry(
-                    kind="congruence-conflict",
-                    coordinate=coord,
-                    basis=basis,
-                    modulus=m,
-                    excluded=excluded,
-                    literals=tuple(sorted({c[3] for c in constraints})),
-                    note="no residue satisfies all congruences on this slot",
-                )
-            )
-    return m, base
-
-
-def _merge_int_slot(
-    coord: int, constraints: list[tuple[int, int, int, int]]
-) -> tuple[int, int]:
-    """Combine per-prime classes on an integer coordinate by CRT."""
-    by_prime: dict[int, list[tuple[int, int, int, int]]] = {}
-    for c in constraints:
-        by_prime.setdefault(c[0], []).append(c)
-    m, r = 1, 0
-    for p in sorted(by_prime):
-        mp, rp = _solve_prime_slot(coord, None, by_prime[p])
-        r = crt_pair(r, m, rp, mp)
-        m *= mp
-    return m, r
-
-
 def solve(conj: Conjunction, *, candidate_budget: int = 20000) -> SolveResult:
     """Decide a conjunction; see the module docstring for the procedure."""
-    group = conj.group
-    K = group.K
-
-    # -- phase 1: normalize congruences, sort literals by role -------------
-    bank = list(conj.params)
-    congs: list[_Cong] = []
-    lows: list[_Bound] = []
-    highs: list[_Bound] = []
-    pin: tuple[Element, int] | None = None
-    coord_pins: dict[int, tuple[object, int]] = {}
-    has_diseq = False
-    terms = conj.term_values
-
-    for idx, lit in enumerate(conj.literals):
-        if lit.kind is LitKind.CONG:
-            try:
-                res = normalize_type_I(lit, tuple(bank), group)
-            except NotReducibleError:
-                return _unsat(
-                    CertEntry(
-                        kind="congruence-term-not-reducible",
-                        literals=(idx,),
-                        note=(
-                            "k*x is always p-divisible above the cut but the "
-                            "term is not; the literal is unsatisfiable"
-                        ),
-                    )
-                )
-            bank = list(res.params)
-            for piece in res.literals:
-                pf = factorize(piece.m)
-                if not pf:
-                    continue  # vacuous modulus-1 literal
-                (p, e), = pf.items()
-                congs.append(
-                    _Cong(p, e, piece.alpha.s,
-                          term_value(piece.term, bank, group), idx)
-                )
-        elif lit.kind is LitKind.ORD:
-            t = terms[idx]
-            k, cmp = lit.k, lit.cmp
-            if k < 0:
-                k, t = -k, neg(t)
-                cmp = _CMP_FLIP[cmp]
-            if cmp == "=":
-                if not is_divisible(t, k):
-                    return _unsat(
-                        CertEntry(
-                            kind="equality-indivisible",
-                            literals=(idx,),
-                            note=f"k*x = t has no solution: t is not divisible by {k}",
-                        )
-                    )
-                v = divide_exact(t, k)
-                if pin is not None and pin[0] != v:
-                    return _unsat(
-                        CertEntry(kind="pin-conflict", literals=(pin[1], idx))
-                    )
-                pin = (v, idx)
-            elif cmp in (">", ">="):
-                lows.append(_Bound(t, k, cmp == ">", idx))
-            else:
-                highs.append(_Bound(t, k, cmp == "<", idx))
-        elif lit.kind is LitKind.INGRP:
-            t = terms[idx] if lit.k > 0 else neg(terms[idx])
-            for i in range(lit.alpha.s):
-                q = block_divide(group.blocks[i], t.coords[i], abs(lit.k))
-                if q is None:
-                    return _unsat(
-                        CertEntry(
-                            kind="coset-pin-indivisible",
-                            coordinate=i,
-                            literals=(idx,),
-                            note="k*x pinned to a value outside the block",
-                        )
-                    )
-                prev = coord_pins.get(i)
-                if prev is not None and prev[0] != q:
-                    return _unsat(
-                        CertEntry(
-                            kind="pin-conflict",
-                            coordinate=i,
-                            literals=(prev[1], idx),
-                        )
-                    )
-                coord_pins[i] = (q, idx)
-        else:
-            has_diseq = True
-
-    # -- phase 2: fully pinned conjunctions reduce to evaluation -----------
-    if pin is not None:
-        x = pin[0]
-        if evaluate_conj(conj, x):
-            return SolveResult(SolveStatus.SAT, witness=x)
-        failing = tuple(
-            i for i, lit in enumerate(conj.literals)
-            if not evaluate(lit, x, conj.params)
-        )
-        return _unsat(
-            CertEntry(
-                kind="pin-refuted",
-                literals=failing,
-                note="the equality literal determines x uniquely",
-            )
-        )
-
-    # -- phase 3: per-slot congruence solving -------------------------------
-    all_terms = list(terms) + [c.value for c in congs]
-    # the coordinate pins alone, zero elsewhere
-    pinned = _assemble(group, [], coord_pins, {}, None) if coord_pins else None
-
-    slots: list[_Slot] = []
     try:
-        for i in range(K):
-            block = group.blocks[i]
-            here = [c for c in congs if c.alpha_s > i]
-            if i in coord_pins:
-                for c in here:
-                    d = sub(pinned, c.value).coords[i]
-                    if not block_divisible(block, d, c.p**c.e):
-                        raise _SlotConflict(
-                            CertEntry(
-                                kind="pin-congruence-conflict",
-                                coordinate=i,
-                                modulus=c.p**c.e,
-                                literals=(coord_pins[i][1], c.src),
-                            )
-                        )
-                continue
-            if block.kind == "Q":
-                slots.append(_Slot(i, None))
-                continue
-            if block.kind == "Z":
-                cs = [(c.p, c.e, c.value.coords[i], c.src) for c in here]
-                if cs:
-                    m, r = _merge_int_slot(i, cs)
-                    slots.append(_Slot(i, None, m, r))
-                else:
-                    slots.append(_Slot(i, None))
-                continue
-            if block.kind == "ZLOC":
-                cs = [
-                    (c.p, c.e, c.value.coords[i], c.src)
-                    for c in here
-                    if c.p == block.p
-                ]
-                if cs:
-                    m, r = _solve_prime_slot(i, None, cs)
-                    slots.append(_Slot(i, None, m, r))
-                else:
-                    slots.append(_Slot(i, None))
-                continue
-            # span block: one slot per constrained basis symbol plus a fresh one
-            support = set()
-            for t in all_terms:
-                support.update(b for b, _ in t.coords[i])
-            fresh = max(support, default=-1) + 1
-            local = [c for c in here if c.p == block.p]
-            for b in sorted(support) + [fresh]:
-                cs = [
-                    (c.p, c.e, span_coefficient(c.value.coords[i], b), c.src)
-                    for c in local
-                ]
-                if cs:
-                    m, r = _solve_prime_slot(i, b, cs)
-                    slots.append(_Slot(i, b, m, r))
-                else:
-                    slots.append(_Slot(i, b))
-    except _SlotConflict as sc:
-        return _unsat(sc.entry)
-
-    # -- phase 4: order bounds ----------------------------------------------
-    low = _tightest(lows, want_max=True)
-    high = _tightest(highs, want_max=False)
-    if low is not None and high is not None:
-        c = _bound_cmp(low, high)
-        if c is Ordering.GT:
-            return _unsat(
-                CertEntry(
-                    kind="order-bounds-empty",
-                    literals=(low.src, high.src),
-                    note="the lower bound exceeds the upper bound",
-                )
+        prob = _normalize(conj)
+        if prob.pin is not None:
+            _decide_pinned(
+                conj, prob.pin[0], None, "the equality literal determines x uniquely"
             )
-        if c is Ordering.EQ:
-            if low.strict or high.strict:
-                return _unsat(
-                    CertEntry(
-                        kind="order-bounds-empty",
-                        literals=(low.src, high.src),
-                        note="equal bounds with a strict side",
-                    )
-                )
-            if not is_divisible(low.t, low.k):
-                return _unsat(
-                    CertEntry(
-                        kind="order-pin-indivisible",
-                        literals=(low.src, high.src),
-                        note="x is forced to a hull point outside the group",
-                    )
-                )
-            x = divide_exact(low.t, low.k)
-            if evaluate_conj(conj, x):
-                return SolveResult(SolveStatus.SAT, witness=x)
-            return _unsat(
-                CertEntry(
-                    kind="pin-refuted",
-                    literals=(low.src, high.src),
-                    note="equal order bounds force x uniquely",
-                )
-            )
-
-    # -- phase 5: candidate assembly and evaluation --------------------------
-    have_ords = bool(lows or highs)
-    placement, tie = _place_coordinate0(
-        group, slots, coord_pins, lows, highs
-    ) if have_ords else (None, False)
-
-    seen: set = set()
-    tried = 0
-
-    def try_candidate(x: Element | None):
-        nonlocal tried
-        if x is None or x in seen:
-            return None
-        seen.add(x)
-        tried += 1
+        slots = _solve_slots(prob)
+        _intersect_bounds(prob)
+    except _Decided as decided:
+        return decided.result
+    have_ords = bool(prob.lows or prob.highs)
+    placement = _place_coordinate0(prob, slots) if have_ords else None
+    explore = prob.has_diseq or (have_ords and placement is None)
+    for x in _candidates(prob, slots, placement, explore, candidate_budget):
         if evaluate_conj(conj, x):
             return SolveResult(SolveStatus.SAT, witness=x)
-        return None
-
-    for par in conj.params:
-        res = try_candidate(par)
-        if res:
-            return res
-    res = try_candidate(group.zero())
-    if res:
-        return res
-    for b in lows + highs:
-        if is_divisible(b.t, b.k):
-            res = try_candidate(divide_exact(b.t, b.k))
-            if res:
-                return res
-
-    base = _assemble(group, slots, coord_pins, {}, placement)
-    res = try_candidate(base)
-    if res:
-        return res
-
-    if has_diseq or tie or (have_ords and placement is None):
-        alt_placements: list = [placement]
-        if placement is not None and group.blocks[0].kind == "Q":
-            alt_placements += [placement + 1, placement + Fraction(1, 3)]
-        vary = [s for s in slots if s.coord != 0 or placement is None]
-        moves = [1, 2]
-        exhausted = False
-        for count in (1, 2):
-            if exhausted:
-                break
-            for combo in itertools.combinations(range(len(vary)), count):
-                if exhausted:
-                    break
-                for mv in itertools.product(moves, repeat=count):
-                    if tried >= candidate_budget:
-                        exhausted = True
-                        break
-                    overrides = {
-                        (vary[j].coord, vary[j].basis): vary[j].residue
-                        + mv[n] * vary[j].modulus
-                        for n, j in enumerate(combo)
-                    }
-                    for pl in alt_placements:
-                        res = try_candidate(
-                            _assemble(group, slots, coord_pins, overrides, pl)
-                        )
-                        if res:
-                            return res
-
-    # -- phase 6: classify the failure ---------------------------------------
-    if has_diseq:
+    if prob.has_diseq:
         return _unknown(
             "negated literals present; bounded enumeration found no witness"
         )
-    if have_ords and (placement is None or tie):
+    if have_ords and placement is None:
         return _unknown(
             "order constraints leave no strict slack in the most significant "
             "coordinate; outside the complete fragment"
         )
     return _unknown("witness assembly failed outside the complete fragment")
+
+
+def _normalize(conj: Conjunction) -> _Problem:
+    """Phase 1: sort the literals by role, refuting those no x satisfies."""
+    group = conj.group
+    prob = _Problem(conj)
+    bank = conj.params
+    for idx, (lit, t) in enumerate(zip(conj.literals, conj.term_values)):
+        if lit.kind is LitKind.CONG:
+            try:
+                res = normalize_type_I(lit, bank, group)
+            except NotReducibleError:
+                _refute(
+                    "congruence-term-not-reducible",
+                    (idx,),
+                    "k*x is always p-divisible above the cut but the term is "
+                    "not; the literal is unsatisfiable",
+                )
+            bank = res.params
+            for piece in res.literals:
+                pf = factorize(piece.m)
+                if pf:  # a modulus-1 piece is vacuous
+                    (p, e), = pf.items()
+                    prob.congs.append(_Cong(
+                        p, e, piece.alpha.s, term_value(piece.term, bank, group), idx
+                    ))
+        elif lit.kind is LitKind.ORD:
+            k, cmp = lit.k, lit.cmp
+            if k < 0:
+                k, t, cmp = -k, neg(t), _CMP_FLIP[cmp]
+            if cmp in (">", ">="):
+                prob.lows.append(_Bound(t, k, cmp == ">", idx))
+            elif cmp != "=":
+                prob.highs.append(_Bound(t, k, cmp == "<", idx))
+            elif not is_divisible(t, k):
+                _refute(
+                    "equality-indivisible",
+                    (idx,),
+                    f"k*x = t has no solution: t is not divisible by {k}",
+                )
+            else:
+                v = divide_exact(t, k)
+                if prob.pin is not None and prob.pin[0] != v:
+                    _refute("pin-conflict", (prob.pin[1], idx))
+                prob.pin = (v, idx)
+        elif lit.kind is LitKind.INGRP:
+            if lit.k < 0:
+                t = neg(t)
+            for i in range(lit.alpha.s):
+                q = block_divide(group.blocks[i], t.coords[i], abs(lit.k))
+                if q is None:
+                    _refute(
+                        "coset-pin-indivisible",
+                        (idx,),
+                        "k*x pinned to a value outside the block",
+                        coordinate=i,
+                    )
+                prev = prob.coord_pins.get(i)
+                if prev is not None and prev[0] != q:
+                    _refute("pin-conflict", (prev[1], idx), coordinate=i)
+                prob.coord_pins[i] = (q, idx)
+        else:
+            prob.has_diseq = True
+    return prob
+
+
+def _decide_pinned(
+    conj: Conjunction, x: Element, cited: tuple[int, ...] | None, note: str
+) -> NoReturn:
+    """x is forced: SAT if it satisfies the conjunction, otherwise UNSAT
+    citing `cited`, or the literals x fails when `cited` is None."""
+    if evaluate_conj(conj, x):
+        raise _Decided(SolveResult(SolveStatus.SAT, witness=x))
+    if cited is None:
+        cited = tuple(
+            i
+            for i, (lit, t) in enumerate(zip(conj.literals, conj.term_values))
+            if not _holds(lit, x, t)
+        )
+    _refute("pin-refuted", cited, note)
+
+
+def _solve_slots(prob: _Problem) -> list[_Slot]:
+    """Phase 3: the residue class of every slot, in coordinate order."""
+    group = prob.conj.group
+    terms = prob.conj.term_values + tuple(c.value for c in prob.congs)
+    # the coordinate pins alone, zero elsewhere
+    pinned = (
+        _assemble(group, [], prob.coord_pins, {}, None) if prob.coord_pins else None
+    )
+    slots: list[_Slot] = []
+    for i, block in enumerate(group.blocks):
+        here = [c for c in prob.congs if c.alpha_s > i]
+        if i in prob.coord_pins:
+            for c in here:
+                d = sub(pinned, c.value).coords[i]
+                if not block_divisible(block, d, c.p**c.e):
+                    _refute(
+                        "pin-congruence-conflict",
+                        (prob.coord_pins[i][1], c.src),
+                        coordinate=i,
+                        modulus=c.p**c.e,
+                    )
+            continue
+        # Zloc(p) and Gp(p) are q-divisible for every prime q != p, and Q for
+        # every prime, so only Z and the block's own prime carry residues
+        here = [c for c in here if block.kind == "Z" or c.p == block.p]
+        if block.kind != "GP":
+            slots.append(_solve_slot(i, None, here))
+            continue
+        # span block: one slot per constrained basis symbol plus a fresh one
+        support = set()
+        for t in terms:
+            support.update(b for b, _ in t.coords[i])
+        fresh = max(support, default=-1) + 1
+        slots.extend(_solve_slot(i, b, here) for b in sorted(support) + [fresh])
+    return slots
+
+
+def _solve_slot(coord: int, basis: int | None, constraints: list[_Cong]) -> _Slot:
+    """Solve the congruences on one slot.
+
+    Per prime the solution set is a single residue class modulo the largest
+    prime power, or empty; empty refutes with a certificate enumerating the
+    excluded residues.  The classes of distinct primes combine by CRT.
+    """
+    m, r = 1, 0
+    for p in sorted({c.p for c in constraints}):
+        cs = [c for c in constraints if c.p == p]
+        targets = [
+            (c.e, c.value.coords[coord] if basis is None
+             else span_coefficient(c.value.coords[coord], basis))
+            for c in cs
+        ]
+        e_max = max(e for e, _ in targets)
+        mp = p**e_max
+        rp = next(residue_mod(tgt, mp) for e, tgt in targets if e == e_max)
+        if any((rp - residue_mod(tgt, p**e)) % p**e for e, tgt in targets):
+            _refute(
+                "congruence-conflict",
+                tuple(sorted({c.src for c in cs})),
+                "no residue satisfies all congruences on this slot",
+                coordinate=coord,
+                basis=basis,
+                modulus=mp,
+                excluded=tuple(range(mp)) if mp <= _CERT_ENUM_CAP else None,
+            )
+        r = crt_pair(r, m, rp, mp)
+        m *= mp
+    return _Slot(coord, basis, m, r)
+
+
+def _intersect_bounds(prob: _Problem) -> None:
+    """Phase 4: the tightest bounds must leave room for x."""
+    low = _tightest(prob.lows, want_max=True)
+    high = _tightest(prob.highs, want_max=False)
+    if low is None or high is None:
+        return
+    cited = (low.src, high.src)
+    c = _bound_cmp(low, high)
+    if c is Ordering.GT:
+        _refute("order-bounds-empty", cited, "the lower bound exceeds the upper bound")
+    if c is Ordering.EQ:
+        if low.strict or high.strict:
+            _refute("order-bounds-empty", cited, "equal bounds with a strict side")
+        if not is_divisible(low.t, low.k):
+            _refute(
+                "order-pin-indivisible",
+                cited,
+                "x is forced to a hull point outside the group",
+            )
+        _decide_pinned(
+            prob.conj,
+            divide_exact(low.t, low.k),
+            cited,
+            "equal order bounds force x uniquely",
+        )
+
+
+def _candidates(
+    prob: _Problem,
+    slots: list[_Slot],
+    placement,
+    explore: bool,
+    budget: int,
+) -> Iterator[Element]:
+    """Distinct candidate witnesses, in a fixed order.
+
+    First the parameters, zero, the points of divisible bounds and the
+    element assembled from the slots.  With `explore`, then residue moves
+    of one and of two slots by one or two moduli, each under every
+    alternative coordinate-0 placement; the moves stop once `budget`
+    distinct candidates have been produced.
+    """
+    group = prob.conj.group
+    seen: set[Element] = set()
+
+    def assemble(overrides, pl):
+        return _assemble(group, slots, prob.coord_pins, overrides, pl)
+
+    def fixed():
+        yield from prob.conj.params
+        yield group.zero()
+        for b in prob.lows + prob.highs:
+            if is_divisible(b.t, b.k):
+                yield divide_exact(b.t, b.k)
+        yield assemble({}, placement)
+
+    def moves():
+        if not explore:
+            return
+        alt_placements = [placement]
+        if placement is not None and group.blocks[0].kind == "Q":
+            alt_placements += [placement + 1, placement + Fraction(1, 3)]
+        vary = [s for s in slots if s.coord != 0 or placement is None]
+        for count in (1, 2):
+            for combo in itertools.combinations(vary, count):
+                for steps in itertools.product((1, 2), repeat=count):
+                    if len(seen) >= budget:
+                        return
+                    overrides = {
+                        (s.coord, s.basis): s.residue + n * s.modulus
+                        for s, n in zip(combo, steps)
+                    }
+                    for pl in alt_placements:
+                        yield assemble(overrides, pl)
+
+    for x in itertools.chain(fixed(), moves()):
+        if x is not None and x not in seen:
+            seen.add(x)
+            yield x
+
+
+def _place_coordinate0(prob: _Problem, slots: list[_Slot]):
+    """Choose a coordinate-0 value strictly between the order bounds so that
+    every comparison is decided at the most significant coordinate.
+
+    Called only when an order bound exists.  Returns None when no strict
+    slack could be certified.
+    """
+    if 0 in prob.coord_pins:
+        return None
+    block = prob.conj.group.blocks[0]
+    lows, highs = prob.lows, prob.highs
+    slot0 = next((s for s in slots if s.coord == 0 and s.basis in (None, 0)), None)
+    m = slot0.modulus if slot0 else 1
+    r = slot0.residue if slot0 else 0
+
+    if block.kind != "GP":
+        lo = max((Fraction(b.t.coords[0]) / b.k for b in lows), default=None)
+        hi = min((Fraction(b.t.coords[0]) / b.k for b in highs), default=None)
+        if lo is not None and hi is not None and lo >= hi:
+            return None
+        if block.kind == "Q":
+            if lo is None:
+                return hi - 1
+            if hi is None:
+                return lo + 1
+            return (lo + hi) / 2
+        if block.kind == "Z":
+            if lo is None:
+                return r + m * ((int_below(hi) - r) // m)
+            n = r + m * (-((r - int_above(lo)) // m))
+            return n if hi is None or n < hi else None
+        # ZLOC: x0 = r + m*z with z any p-local rational in the open gap
+        zlo = None if lo is None else (lo - r) / m
+        zhi = None if hi is None else (hi - r) / m
+        z = _local_rational_between(block.p, zlo, zhi)
+        return None if z is None else Fraction(r) + m * z
+
+    # span block most significant: adjust the b0 coefficient, enclosing the
+    # fixed irrational contribution and the bound values numerically; the
+    # final candidate is still verified exactly by the evaluator.
+    fixed_pairs = tuple(
+        sorted(
+            (s.basis, Fraction(s.residue))
+            for s in slots
+            if s.coord == 0 and s.basis not in (None, 0) and s.residue
+        )
+    )
+    for bits in (64, 128, 256, 512):
+        lo_enc = None
+        for b in lows:
+            pairs = tuple((i, c / b.k) for i, c in b.t.coords[0])
+            _, bhi = span_enclosure(pairs, bits)
+            lo_enc = bhi if lo_enc is None or bhi > lo_enc else lo_enc
+        hi_enc = None
+        for b in highs:
+            pairs = tuple((i, c / b.k) for i, c in b.t.coords[0])
+            blo, _ = span_enclosure(pairs, bits)
+            hi_enc = blo if hi_enc is None or blo < hi_enc else hi_enc
+        flo, fhi = span_enclosure(fixed_pairs, bits)
+        zlo = None if lo_enc is None else (lo_enc - flo - r) / m
+        zhi = None if hi_enc is None else (hi_enc - fhi - r) / m
+        if zlo is not None and zhi is not None and zlo >= zhi:
+            continue
+        z = _local_rational_between(block.p, zlo, zhi)
+        if z is not None:
+            return Fraction(r) + m * z
+    return None
 
 
 def _assemble(
@@ -578,99 +585,6 @@ def _assemble(
         return Element(group, tuple(coords))
     except ValueError:
         return None
-
-
-def _place_coordinate0(
-    group: GroupSpec,
-    slots: list[_Slot],
-    coord_pins: dict[int, tuple[object, int]],
-    lows: list[_Bound],
-    highs: list[_Bound],
-):
-    """Choose a coordinate-0 value strictly between the order bounds so that
-    every comparison is decided at the most significant coordinate.
-
-    Returns (placement, tie): placement None when no strict slack could be
-    certified; tie True when the rational parts of the bounds coincide.
-    """
-    if 0 in coord_pins:
-        return None, True
-    block = group.blocks[0]
-    slot0 = next((s for s in slots if s.coord == 0 and s.basis in (None, 0)), None)
-    m = slot0.modulus if slot0 else 1
-    r = slot0.residue if slot0 else 0
-
-    if block.kind != "GP":
-        lo = None
-        for b in lows:
-            f = _coord0_fraction(b.t, b.k)
-            lo = f if lo is None or f > lo else lo
-        hi = None
-        for b in highs:
-            f = _coord0_fraction(b.t, b.k)
-            hi = f if hi is None or f < hi else hi
-        if lo is not None and hi is not None and lo >= hi:
-            return None, True
-        if block.kind == "Q":
-            if lo is None and hi is None:
-                return Fraction(0), False
-            if lo is None:
-                return hi - 1, False
-            if hi is None:
-                return lo + 1, False
-            return (lo + hi) / 2, False
-        if block.kind == "Z":
-            if lo is None and hi is None:
-                return r, False
-            if lo is None:
-                n = r + m * ((int_below(hi) - r) // m)
-                return n, False
-            n = r + m * (-((r - int_above(lo)) // m))
-            if n < int_above(lo):
-                n += m
-            if hi is not None and not n < hi:
-                return None, True
-            return n, False
-        # ZLOC: x0 = r + m*z with z any p-local rational in the open gap
-        if lo is None and hi is None:
-            return Fraction(r), False
-        zlo = None if lo is None else (lo - r) / m
-        zhi = None if hi is None else (hi - r) / m
-        z = _local_rational_between(block.p, zlo, zhi)
-        if z is None:
-            return None, True
-        return Fraction(r) + m * z, False
-
-    # span block most significant: adjust the b0 coefficient, enclosing the
-    # fixed irrational contribution and the bound values numerically; the
-    # final candidate is still verified exactly by the evaluator.
-    fixed_pairs = tuple(
-        sorted(
-            (s.basis, Fraction(s.residue))
-            for s in slots
-            if s.coord == 0 and s.basis not in (None, 0) and s.residue
-        )
-    )
-    for bits in (64, 128, 256, 512):
-        lo_enc = None
-        for b in lows:
-            pairs = tuple((i, c / b.k) for i, c in b.t.coords[0])
-            _, bhi = span_enclosure(pairs, bits)
-            lo_enc = bhi if lo_enc is None or bhi > lo_enc else lo_enc
-        hi_enc = None
-        for b in highs:
-            pairs = tuple((i, c / b.k) for i, c in b.t.coords[0])
-            blo, _ = span_enclosure(pairs, bits)
-            hi_enc = blo if hi_enc is None or blo < hi_enc else hi_enc
-        flo, fhi = span_enclosure(fixed_pairs, bits)
-        zlo = None if lo_enc is None else (lo_enc - flo - r) / m
-        zhi = None if hi_enc is None else (hi_enc - fhi - r) / m
-        if zlo is not None and zhi is not None and zlo >= zhi:
-            continue
-        z = _local_rational_between(block.p, zlo, zhi)
-        if z is not None:
-            return Fraction(r) + m * z, False
-    return None, True
 
 
 def _local_rational_between(

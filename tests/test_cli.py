@@ -196,3 +196,15 @@ def test_seed_env_var(capsys, monkeypatch):
         ["pattern", "chain", "--p", "2", "--depth", "1", "--width", "1"]
     )
     assert args.seed == 9
+
+
+def test_seed_env_var_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("OAG_SEED", "abc")
+    from oag import cli
+
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(
+            ["pattern", "chain", "--p", "2", "--depth", "1", "--width", "1"]
+        )
+    assert exc.value.code == 2

@@ -144,7 +144,9 @@ def test_divide_round_trip_random():
         n = rng.randint(1, 12)
         a = scale(n, random_element(rng, spec))
         assert is_divisible(a, n)
-        assert scale(n, divide_exact(a, n)) == a
+        q = divide_exact(a, n)
+        assert scale(n, q) == a
+        assert q.coords == Element(spec, q.coords).coords  # already canonical
 
 
 def test_divisibility_closed_under_addition():

@@ -45,10 +45,10 @@ def test_repeated_column_fails_row_check():
 
 def test_optimal_pattern_single_prime():
     gen = gen_optimal_pattern([2], [2], 3)
-    assert str(gen.group) == "lex(Q, Gp(2)^2)"
+    assert str(gen.pattern.group) == "lex(Q, Gp(2)^2)"
     rep = verify(gen.pattern, 100)
     assert rep.verified
-    assert rep.depth == 3 == dp_rank_bound(gen.group)
+    assert rep.depth == 3 == dp_rank_bound(gen.pattern.group)
     assert len(rep.paths) == 27
     for p in rep.paths:
         assert p.status == "SAT" and p.confirmed
@@ -57,9 +57,9 @@ def test_optimal_pattern_single_prime():
 
 def test_optimal_pattern_two_primes():
     gen = gen_optimal_pattern([2, 3], [1, 1], 3)
-    assert str(gen.group) == "lex(Q, Gp(2), Gp(3))"
+    assert str(gen.pattern.group) == "lex(Q, Gp(2), Gp(3))"
     rep = verify(gen.pattern, 100)
-    assert rep.verified and rep.depth == 3 == dp_rank_bound(gen.group)
+    assert rep.verified and rep.depth == 3 == dp_rank_bound(gen.pattern.group)
     assert len(rep.paths) == 27
     for p in rep.paths:
         assert p.witness == gen.witness_of(p.eta)
@@ -70,13 +70,13 @@ def test_optimal_depth_meets_bound_various_shapes():
         gen = gen_optimal_pattern(primes, mults, 2)
         rep = verify(gen.pattern, 64)
         assert rep.verified
-        assert rep.depth == 1 + sum(mults) == dp_rank_bound(gen.group)
+        assert rep.depth == 1 + sum(mults) == dp_rank_bound(gen.pattern.group)
 
 
 def test_optimal_interval_row_alone_two_inconsistent():
     gen = gen_optimal_pattern([2], [1], 3)
     interval = gen.pattern.rows[-1]
-    pattern = InpPattern(gen.group, (interval,))
+    pattern = InpPattern(gen.pattern.group, (interval,))
     rep = verify(pattern, 100)
     assert rep.rows[0].verdict == "true"
     assert all(p.status == "SAT" for p in rep.paths)
@@ -118,7 +118,7 @@ def test_chain_witness_satisfies_path():
 def test_chain_hsub_strictly_interleaves():
     p, depth, width = 2, 3, 3
     gen = gen_chain_pattern(p, depth, width)
-    g = gen.group
+    g = gen.pattern.group
     K = g.K
 
     def coord_e(i):

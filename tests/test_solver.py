@@ -36,20 +36,64 @@ def test_single_literal_sat_witnessed_by_parameter():
     assert res.witness == parse_element(G, "(0 | b0)")
 
 
-def test_incongruent_pair_unsat_with_certificate():
-    g = parse_spec("lex(Q, Gp(2), Gp(2))")
-    # c0 - c1 = (0 | b0 | 0) is not in G_cut2 + 2G
-    c = conj_of(
-        g,
-        "cong[2, cut2](1x, 1*a0) & cong[2, cut2](1x, 1*a1)",
-        "(0 | b0 | 0) ; (0 | 0 | 0)",
-    )
+_PAIR = "cong[{0}, cut{2}](1x, 1*a0) & cong[{1}, cut{2}](1x, 1*a1)"
+
+
+@pytest.mark.parametrize(
+    "spec, formula, params, witness, conflict",
+    [
+        # Gp(p): one slot per basis symbol; c0 - c1 = (0 | b0 | 0) is not in
+        # G_cut2 + 2G
+        pytest.param(
+            "lex(Q, Gp(2), Gp(2))", _PAIR.format(2, 2, 2),
+            "(0 | b0 | 0) ; (0 | 0 | 0)", None,
+            dict(coordinate=1, basis=0, modulus=2, excluded=(0, 1)),
+            id="gp-basis-slot",
+        ),
+        # Z: classes at distinct primes combine by CRT
+        pytest.param(
+            "lex(Z)", _PAIR.format(2, 3, 1), "(1) ; (2)", "(5)", None,
+            id="z-crt",
+        ),
+        # Z: a class mod 4 against a class mod 2 of the same prime
+        pytest.param(
+            "lex(Z)", _PAIR.format(4, 2, 1), "(1) ; (0)", None,
+            dict(coordinate=0, basis=None, modulus=4, excluded=(0, 1, 2, 3)),
+            id="z-prime-power",
+        ),
+        pytest.param(
+            "lex(Zloc(2))", _PAIR.format(2, 2, 1), "(1) ; (0)", None,
+            dict(coordinate=0, basis=None, modulus=2, excluded=(0, 1)),
+            id="zloc-own-prime",
+        ),
+        # Zloc(p) at a foreign prime and Q are divisible: vacuous slots
+        pytest.param(
+            "lex(Zloc(3))", _PAIR.format(2, 2, 1), "(1) ; (0)", "(1)", None,
+            id="zloc-foreign-prime",
+        ),
+        pytest.param(
+            "lex(Q)", _PAIR.format(2, 2, 1), "(1) ; (0)", "(1)", None,
+            id="q",
+        ),
+    ],
+)
+def test_incongruent_pair_unsat_with_certificate(
+    spec, formula, params, witness, conflict
+):
+    g = parse_spec(spec)
+    c = conj_of(g, formula, params)
     res = solve(c)
+    if witness is not None:
+        assert res.status is SolveStatus.SAT
+        assert res.witness == parse_element(g, witness)
+        assert evaluate_conj(c, res.witness)
+        return
     assert res.status is SolveStatus.UNSAT
-    assert res.certificate
-    entry = res.certificate[0]
+    (entry,) = res.certificate
     assert entry.kind == "congruence-conflict"
-    assert entry.modulus == 2 and entry.excluded == (0, 1)
+    assert entry.literals == (0, 1)
+    for name, value in conflict.items():
+        assert getattr(entry, name) == value
     assert oracle_search(c, 3) is None
 
 
@@ -169,6 +213,20 @@ def test_disequality_enumeration():
     c2 = conj_of(G, "!cong[2, cut2](1x, 1*a0)", "(0 | b0)")
     res2 = solve(c2)
     assert res2.status is SolveStatus.SAT
+
+
+def test_candidate_budget_bounds_the_enumeration():
+    # 0 and the parameter 2 fail the disequalities and the congruence pins
+    # the residue, so the witness 4 is the third distinct candidate
+    c = conj_of(
+        parse_spec("lex(Z)"), "!1x = 0 & !1x = 1*a0 & cong[2, cut1](1x, 0)", "(2)"
+    )
+    res = solve(c, candidate_budget=2)
+    assert res.status is SolveStatus.UNKNOWN
+    assert res.reason.startswith("negated literals present")
+    res = solve(c, candidate_budget=3)
+    assert res.status is SolveStatus.SAT
+    assert res.witness == parse_element(c.group, "(4)")
 
 
 def test_contradictory_disequality_is_unknown_not_unsat():
