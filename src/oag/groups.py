@@ -201,6 +201,10 @@ class Element:
     def __ge__(self, other):
         return compare(self, other) is not Ordering.LT
 
+    def __hash__(self) -> int:
+        # equal elements share their spec, so the coords alone decide
+        return hash(self.coords)
+
     def is_zero(self) -> bool:
         return all(_block_is_zero(v) for v in self.coords)
 
@@ -234,7 +238,7 @@ def unit_element(spec: GroupSpec, coord: int, value=1, basis: int = 0) -> Elemen
 
 
 def _check_same_spec(a: Element, b: Element) -> None:
-    if a.spec != b.spec:
+    if a.spec is not b.spec and a.spec != b.spec:
         raise SpecMismatchError("elements belong to different group specs")
 
 
@@ -242,14 +246,24 @@ def _block_is_zero(v: BlockValue) -> bool:
     return v == 0 or v == ()
 
 
-def _span_add(x: SpanPairs, y: SpanPairs) -> SpanPairs:
+def _span_add(x: SpanPairs, y: SpanPairs, sign: int = 1) -> SpanPairs:
+    """x + sign*y for canonical spans and sign = +-1; an empty side is
+    passed through."""
+    if not y:
+        return x
+    if sign < 0:
+        y = tuple((i, -c) for i, c in y)
+    if not x:
+        return y
     acc = dict(x)
     for idx, c in y:
-        acc[idx] = acc.get(idx, Fraction(0)) + c
+        acc[idx] = acc[idx] + c if idx in acc else c
     return tuple(sorted((i, c) for i, c in acc.items() if c))
 
 
 def _span_scale(k, x: SpanPairs) -> SpanPairs:
+    if k == 1 or not x:
+        return x
     if k == 0:
         return ()
     return tuple((i, c * k) for i, c in x)
@@ -262,10 +276,19 @@ def span_coefficient(v: SpanPairs, basis: int) -> Fraction:
     return Fraction(0)
 
 
+# The kernel below relies on the canonical form (ints on Z, Fractions
+# elsewhere, sorted zero-free span pairs): a zero coordinate (0, Fraction(0)
+# or ()) is falsy, and the other side of a sum with it is already the
+# canonical result, so it is passed through with no arithmetic.
+
+
 def add(a: Element, b: Element) -> Element:
     _check_same_spec(a, b)
     coords = tuple(
-        _span_add(x, y) if block.kind == "GP" else x + y
+        x if not y
+        else y if not x
+        else _span_add(x, y) if block.kind == "GP"
+        else x + y
         for block, x, y in zip(a.spec.blocks, a.coords, b.coords)
     )
     return _raw_element(a.spec, coords)
@@ -273,7 +296,9 @@ def add(a: Element, b: Element) -> Element:
 
 def neg(a: Element) -> Element:
     coords = tuple(
-        _span_scale(-1, x) if block.kind == "GP" else -x
+        x if not x
+        else _span_scale(-1, x) if block.kind == "GP"
+        else -x
         for block, x in zip(a.spec.blocks, a.coords)
     )
     return _raw_element(a.spec, coords)
@@ -282,7 +307,10 @@ def neg(a: Element) -> Element:
 def sub(a: Element, b: Element) -> Element:
     _check_same_spec(a, b)
     coords = tuple(
-        _span_add(x, _span_scale(-1, y)) if block.kind == "GP" else x - y
+        x if not y
+        else _span_add(x, y, -1) if block.kind == "GP"
+        else x - y if x
+        else -y
         for block, x, y in zip(a.spec.blocks, a.coords, b.coords)
     )
     return _raw_element(a.spec, coords)
@@ -292,7 +320,9 @@ def scale(k: int, a: Element) -> Element:
     if not isinstance(k, int):
         raise TypeError("scale takes an integer multiplier")
     coords = tuple(
-        _span_scale(k, x) if block.kind == "GP" else x * k
+        x if not x or k == 1
+        else _span_scale(k, x) if block.kind == "GP"
+        else x * k
         for block, x in zip(a.spec.blocks, a.coords)
     )
     return _raw_element(a.spec, coords)
@@ -351,7 +381,7 @@ def compare(a: Element, b: Element) -> Ordering:
         if block.kind == "GP":
             if x == y:
                 continue
-            s = _span_sign(_span_add(x, _span_scale(-1, y)))
+            s = _span_sign(_span_add(x, y, -1))
         else:
             if x == y:
                 continue
@@ -362,10 +392,10 @@ def compare(a: Element, b: Element) -> Ordering:
 
 def block_divisible(block: BlockKind, value: BlockValue, n: int) -> bool:
     """Whether the block value is n-divisible inside its block."""
+    if not value or block.kind == "Q":
+        return True
     if block.kind == "Z":
         return value % n == 0
-    if block.kind == "Q":
-        return True
     if block.kind == "ZLOC":
         e = _prime_power_in(n, block.p)
         return valuation_at_least(value, block.p, e)

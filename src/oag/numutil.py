@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from itertools import compress
+from math import isqrt, log
 
 
 def is_prime(n: int) -> bool:
@@ -28,12 +29,24 @@ def nth_prime(k: int) -> int:
     """The k-th prime, 1-based: nth_prime(1) == 2."""
     if k < 1:
         raise ValueError("prime index must be >= 1")
-    while len(_PRIMES) < k:
-        c = _PRIMES[-1] + 2
-        while not is_prime(c):
-            c += 2
-        _PRIMES.append(c)
+    if len(_PRIMES) < k:
+        # Rosser's bound p_k < k (ln k + ln ln k) holds for k >= 6; the
+        # doubling covers smaller k
+        limit = int(k * (log(k) + log(log(k)))) + 1 if k >= 6 else 16
+        while len(_PRIMES) < k:
+            _PRIMES[:] = _primes_up_to(limit)
+            limit *= 2
     return _PRIMES[k - 1]
+
+
+def _primes_up_to(n: int) -> list[int]:
+    """Every prime <= n, by a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return list(compress(range(n + 1), sieve))
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -76,15 +89,18 @@ def frac_valuation(q: Fraction | int, p: int) -> int | None:
 
 
 def valuation_at_least(q: Fraction | int, p: int, e: int) -> bool:
-    v = frac_valuation(q, p)
-    return v is None or v >= e
+    if not q:
+        return True
+    if e >= 0 and q.denominator % p:
+        # v_p(q) is v_p of the numerator alone
+        return q.numerator % p**e == 0
+    return frac_valuation(q, p) >= e
 
 
 def residue_mod(c: Fraction | int, m: int) -> int:
     """The residue of a rational with denominator coprime to m, in [0, m)."""
-    if m == 1:
+    if m == 1 or not c:
         return 0
-    c = Fraction(c)
     return (c.numerator * pow(c.denominator, -1, m)) % m
 
 

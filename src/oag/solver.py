@@ -354,9 +354,7 @@ def _solve_slots(prob: _Problem) -> list[_Slot]:
             slots.append(_solve_slot(i, None, here))
             continue
         # span block: one slot per constrained basis symbol plus a fresh one
-        support = set()
-        for t in terms:
-            support.update(b for b, _ in t.coords[i])
+        support = {b for t in terms for b, _ in t.coords[i]}
         fresh = max(support, default=-1) + 1
         slots.extend(_solve_slot(i, b, here) for b in sorted(support) + [fresh])
     return slots
@@ -665,15 +663,25 @@ def oracle_search(
     coeffs = [c for a in range(1, radius + 1) for c in (a, -a)]
     scaled = [[scale(c, g) for c in coeffs] for g in gens]
     tried = 0
+    # left-fold sums over combo[:-1], keyed by their coefficients; combinations
+    # yields combos sharing a prefix contiguously, so one prefix is cached
+    prefix_combo, prefix_sums = None, {}
     for support in range(1, min(max_support, len(gens)) + 1):
         for combo in itertools.combinations(range(len(gens)), support):
+            if combo[:-1] != prefix_combo:
+                prefix_combo, prefix_sums = combo[:-1], {}
+            last = scaled[combo[-1]]
             for cs in itertools.product(range(len(coeffs)), repeat=support):
                 tried += 1
                 if tried > candidate_budget:
                     return None
-                x = scaled[combo[0]][cs[0]]
-                for j, ci in zip(combo[1:], cs[1:]):
-                    x = x + scaled[j][ci]
+                head = cs[:-1]
+                if head and head not in prefix_sums:
+                    x = scaled[combo[0]][head[0]]
+                    for j, ci in zip(combo[1:-1], head[1:]):
+                        x = x + scaled[j][ci]
+                    prefix_sums[head] = x
+                x = prefix_sums[head] + last[cs[-1]] if head else last[cs[-1]]
                 if evaluate_conj(conj, x):
                     return x
     return None

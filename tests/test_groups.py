@@ -24,6 +24,14 @@ from oag import (
     sub,
     unit_element,
 )
+from oag.groups import _zero_value
+from oag.numutil import (
+    frac_valuation,
+    is_prime,
+    nth_prime,
+    residue_mod,
+    valuation_at_least,
+)
 from helpers import random_element, random_spec
 
 
@@ -203,3 +211,96 @@ def test_element_canonical_span_form():
     g = GroupSpec((PSPAN(2),))
     a = Element(g, ({2: Fraction(1), 1: Fraction(0)},))
     assert a.coords[0] == ((2, Fraction(1)),)
+
+
+def _sparsify(a, mask):
+    """a with the coordinates whose mask bit is clear set to zero."""
+    return Element(a.spec, tuple(
+        v if mask >> i & 1 else _zero_value(b)
+        for i, (b, v) in enumerate(zip(a.spec.blocks, a.coords))
+    ))
+
+
+def _assert_canonical(r):
+    ref = Element(r.spec, r.coords)
+    assert r.coords == ref.coords
+    for block, x, y in zip(r.spec.blocks, r.coords, ref.coords):
+        assert type(x) is type(y)
+        if block.kind == "GP":
+            assert [i for i, _ in x] == sorted({i for i, _ in x})
+            assert all(type(c) is Fraction and c for _, c in x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec_and_elements(count=2), st.integers(0, 31), st.integers(0, 31),
+       st.integers(-6, 6))
+def test_kernel_results_canonical_in_value_and_type(data, ma, mb, k):
+    spec, (a, b) = data
+    zero = spec.zero()
+    for x in (a, _sparsify(a, ma), zero):
+        for y in (b, _sparsify(b, mb), zero, x):
+            _assert_canonical(add(x, y))
+            _assert_canonical(sub(x, y))
+        _assert_canonical(neg(x))
+        _assert_canonical(scale(k, x))
+        _assert_canonical(scale(1, x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec_and_elements(count=2), st.integers(1, 12))
+def test_equal_elements_hash_equal(data, n):
+    spec, (a, b) = data
+    routes = [
+        Element(spec, a.coords),
+        add(sub(a, b), b),
+        sub(add(a, b), b),
+        neg(neg(a)),
+        scale(1, a),
+        add(a, spec.zero()),
+        sub(a, spec.zero()),
+        divide_exact(scale(n, a), n),
+        parse_element(spec, str(a)),
+    ]
+    for r in routes:
+        assert r == a
+        assert hash(r) == hash(a)
+    assert len({a, *routes}) == 1
+
+
+def test_equal_coords_in_different_specs_are_unequal():
+    pairs = [
+        (GroupSpec((INT,)), GroupSpec((RAT,)), (1,)),
+        (GroupSpec((RAT,)), GroupSpec((PLOCAL(2),)), (Fraction(1, 3),)),
+        (GroupSpec((PSPAN(2),)), GroupSpec((PSPAN(3),)), (((1, Fraction(1)),),)),
+    ]
+    for g, h, coords in pairs:
+        a, b = Element(g, coords), Element(h, coords)
+        assert a.coords == b.coords
+        assert a != b
+        assert len({a, b}) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(0, 3), st.integers(1, 60),
+       st.sampled_from([2, 3, 5, 7]), st.integers(-4, 6))
+def test_valuation_at_least_matches_frac_valuation(num, j, den, p, e):
+    # denominators both coprime to p and divisible by p^j
+    q = Fraction(num, p**j * den)
+    v = frac_valuation(q, p)
+    assert valuation_at_least(q, p, e) == (v is None or v >= e)
+    assert valuation_at_least(num, p, e) == valuation_at_least(Fraction(num), p, e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(1, 500))
+def test_residue_mod_int_matches_fraction(n, m):
+    assert residue_mod(n, m) == residue_mod(Fraction(n), m)
+    assert type(residue_mod(n, m)) is int
+
+
+def test_nth_prime():
+    assert nth_prime(10000) == 104729
+    first = [n for n in range(nth_prime(2000) + 1) if is_prime(n)]
+    assert first == [nth_prime(k) for k in range(1, 2001)]
+    with pytest.raises(ValueError):
+        nth_prime(0)

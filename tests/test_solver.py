@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +11,9 @@ from oag import (
     Term,
     check_k_inconsistent,
     cong,
+    divide_exact,
     evaluate_conj,
+    is_divisible,
     oracle_search,
     parse_element,
     parse_formula,
@@ -20,7 +23,8 @@ from oag import (
     solve,
     unit_element,
 )
-from helpers import random_element, random_spec, random_cong_literal
+from oag.numutil import factorize
+from helpers import random_conjunctions, random_element, random_spec, random_cong_literal
 
 G = parse_spec("lex(Q, Gp(2))")
 
@@ -312,3 +316,71 @@ def test_solve_unsatisfiable_composite_coefficient():
     assert res.status is SolveStatus.UNSAT
     assert res.certificate[0].kind == "congruence-term-not-reducible"
     assert oracle_search(c, 3) is None
+
+
+def _reference_oracle(conj, radius, max_support=3, candidate_budget=100000):
+    """The oracle search re-adding every candidate from scratch: the
+    reference the prefix-sum cache of oracle_search must reproduce."""
+    group = conj.group
+    gens = []
+
+    def push(e):
+        if not e.is_zero() and e not in gens:
+            gens.append(e)
+
+    for par in conj.params:
+        push(par)
+    fresh_primes = set()
+    for lit in conj.literals:
+        if lit.m:
+            fresh_primes.update(factorize(lit.m))
+    for block in group.blocks:
+        if block.p is not None:
+            fresh_primes.add(block.p)
+    for i, block in enumerate(group.blocks):
+        if block.kind == "GP":
+            support = set()
+            for t in conj.term_values:
+                support.update(b for b, _ in t.coords[i])
+            push(unit_element(group, i, basis=max(support, default=-1) + 1))
+    for g in list(gens):
+        for p in sorted(fresh_primes):
+            for d in (1, 2):
+                if is_divisible(g, p**d):
+                    push(divide_exact(g, p**d))
+    zero = group.zero()
+    if evaluate_conj(conj, zero):
+        return zero
+    coeffs = [c for a in range(1, radius + 1) for c in (a, -a)]
+    scaled = [[scale(c, g) for c in coeffs] for g in gens]
+    tried = 0
+    for support in range(1, min(max_support, len(gens)) + 1):
+        for combo in itertools.combinations(range(len(gens)), support):
+            for cs in itertools.product(range(len(coeffs)), repeat=support):
+                tried += 1
+                if tried > candidate_budget:
+                    return None
+                x = scaled[combo[0]][cs[0]]
+                for j, ci in zip(combo[1:], cs[1:]):
+                    x = x + scaled[j][ci]
+                if evaluate_conj(conj, x):
+                    return x
+    return None
+
+
+def test_oracle_matches_reference_search():
+    found = 0
+    for conj in random_conjunctions(23, 60):
+        x = oracle_search(conj, 2, candidate_budget=1000)
+        assert x == _reference_oracle(conj, 2, candidate_budget=1000)
+        found += x is not None
+    assert 0 < found < 60
+    # every witness needs a1, a2 and a3 with odd coefficients: support 3,
+    # reached after the combos starting with a0 (other prefixes) are tried
+    c = conj_of(
+        parse_spec("lex(Gp(2)^3)"),
+        "cong[2, cut3](1x, 1*a1 + 1*a2 + 1*a3)",
+        "(b1 | 0 | 0) ; (b0 | 0 | 0) ; (0 | b0 | 0) ; (0 | 0 | b0)",
+    )
+    x = oracle_search(c, 2)
+    assert x is not None and x == _reference_oracle(c, 2)
