@@ -4,15 +4,12 @@ abelian groups, with a congruence-literal solver and inp-pattern machinery."""
 from .convex import (
     AnalysisReport,
     ConvexCut,
-    SortElement,
     analyze,
-    bracket_membership,
     collapse_sorts,
     dp_rank_bound,
     hsub,
     in_coset,
     in_subgroup,
-    project_into,
     singular_primes,
     sorts,
     strongly_dependent,

@@ -12,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError
-from .groups import (
-    BlockKind,
-    Element,
-    GroupSpec,
-    _zero_value,
-    block_divisible,
-)
+from .groups import BlockKind, Element, GroupSpec, block_divisible
 
 
 @dataclass(frozen=True, order=True)
@@ -35,22 +29,9 @@ class ConvexCut:
         return f"coords>={self.s}"
 
 
-@dataclass(frozen=True)
-class SortElement:
-    """A named convex subgroup inside the sort of a prime."""
-
-    p: int
-    cut: ConvexCut
-
-
 def _check_cut(spec: GroupSpec, cut: ConvexCut) -> None:
     if not 0 <= cut.s <= spec.K:
         raise PreconditionError(f"cut {cut.s} out of range for K={spec.K}")
-
-
-def subgroup_contains(c1: ConvexCut, c2: ConvexCut) -> bool:
-    """Whether the subgroup named by c1 contains the one named by c2."""
-    return c1.s <= c2.s
 
 
 def in_subgroup(x: Element, cut: ConvexCut) -> bool:
@@ -84,28 +65,6 @@ def hsub(a: Element, n: int) -> ConvexCut:
         if not block_divisible(block, v, n):
             return ConvexCut(i + 1)
     return ConvexCut(a.spec.K)
-
-
-def project_into(a: Element, target: ConvexCut, p: int) -> Element:
-    """Zero the coordinates above the target cut.
-
-    Requires every coordinate above the cut to be p-divisible; then the
-    result a' lies in the target subgroup, a - a' is in pG, and
-    hsub(a', p) == hsub(a, p).
-    """
-    _check_cut(a.spec, target)
-    if not subgroup_contains(target, hsub(a, p)):
-        raise PreconditionError("hsub(a, p) does not lie inside the target cut")
-    if not in_coset(a, target, p):
-        raise PreconditionError(
-            "coordinates above the cut are not p-divisible; projection would "
-            "change the residue mod pG"
-        )
-    coords = [
-        _zero_value(b) if i < target.s else v
-        for i, (b, v) in enumerate(zip(a.spec.blocks, a.coords))
-    ]
-    return Element(a.spec, tuple(coords))
 
 
 def _block_fully_divisible(block: BlockKind, n: int) -> bool:
@@ -163,20 +122,6 @@ def singular_primes(g: GroupSpec) -> set[int]:
     rationals have finite index quotients for every prime.
     """
     return {b.p for b in g.blocks if b.kind == "GP"}
-
-
-def bracket_membership(x: Element, alpha: SortElement, n: int) -> bool:
-    """Membership in the intersection of (larger sort subgroup) + nG over all
-    sorts strictly above alpha; vacuously true at the top sort."""
-    g = x.spec
-    sort_cuts = sorts(g, n)
-    if alpha.cut not in sort_cuts:
-        raise PreconditionError(f"cut {alpha.cut.s} is not a sort value for n={n}")
-    return all(
-        in_coset(x, c, n)
-        for c in sort_cuts
-        if c.s < alpha.cut.s  # strictly larger subgroup
-    )
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,7 @@ from .groups import (
     Element,
     GroupSpec,
     Ordering,
-    _zero_value,
-    block_divide,
+    _quotient,
     compare,
     scale,
     sub,
@@ -292,18 +291,13 @@ def derive_reduction_hint(
     """
     p, _ = _prime_power(lit.m)
     t = term_value(lit.term, params, group)
-    if not in_coset(t, lit.alpha, p):
+    a_prime = _quotient(t, p, lit.alpha.s)
+    if a_prime is None:
         raise NotReducibleError(
             "term is not p-divisible above the cut; the literal has constant "
             "truth value false"
         )
-    coords = []
-    for i, (block, v) in enumerate(zip(group.blocks, t.coords)):
-        if i < lit.alpha.s:
-            coords.append(block_divide(block, v, p))
-        else:
-            coords.append(_zero_value(block))
-    return Element(group, tuple(coords))
+    return a_prime
 
 
 def reduce_k_prime(

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 from .errors import NotDivisibleError, SpecMismatchError
@@ -97,6 +98,12 @@ class GroupSpec:
         return len(self.blocks)
 
     def zero(self) -> "Element":
+        return self._zero
+
+    @cached_property
+    def _zero(self) -> "Element":
+        # built once per spec; cached_property writes the instance dict
+        # directly, so it works on the frozen dataclass
         return _raw_element(self, tuple(_zero_value(b) for b in self.blocks))
 
     def __str__(self) -> str:
@@ -141,7 +148,7 @@ def _norm_span(value) -> SpanPairs:
 
 def _norm_block_value(block: BlockKind, value) -> BlockValue:
     if block.kind == "Z":
-        f = Fraction(value) if not isinstance(value, int) else Fraction(value)
+        f = Fraction(value)
         if f.denominator != 1:
             raise ValueError(f"Z coordinate must be an integer, got {value!r}")
         return int(f)
@@ -431,17 +438,27 @@ def is_divisible(a: Element, n: int) -> bool:
     )
 
 
+def _quotient(a: Element, n: int, upto: int) -> Element | None:
+    """The coordinates of a below `upto` divided by n, the rest zero; None
+    when one of the divided coordinates is not n-divisible in its block."""
+    coords = []
+    for block, v in zip(a.spec.blocks[:upto], a.coords[:upto]):
+        q = block_divide(block, v, n)
+        if q is None:
+            return None
+        coords.append(q)
+    coords.extend(a.spec.zero().coords[upto:])
+    return _raw_element(a.spec, tuple(coords))
+
+
 def divide_exact(a: Element, n: int) -> Element:
     """The unique y with scale(n, y) == a; raises NotDivisibleError otherwise."""
     if n < 1:
         raise ValueError("divisor must be a positive integer")
-    coords = []
-    for block, v in zip(a.spec.blocks, a.coords):
-        q = block_divide(block, v, n)
-        if q is None:
-            raise NotDivisibleError(f"element is not divisible by {n}")
-        coords.append(q)
-    return _raw_element(a.spec, tuple(coords))
+    q = _quotient(a, n, a.spec.K)
+    if q is None:
+        raise NotDivisibleError(f"element is not divisible by {n}")
+    return q
 
 
 def _format_fraction(q) -> str:

@@ -373,11 +373,7 @@ def _parse_lin(tk: _Tokens) -> tuple[int | None, Term | None]:
     save = tk.i
     kind, val, pos = tk.peek()
     if kind == "num" or val in ("-", "+"):
-        try:
-            k = _parse_int(tk)
-        except ParseError:
-            tk.i = save
-            raise
+        k = _parse_int(tk)
         if tk.peek()[1] == "x":
             tk.next()
             if k == 0:

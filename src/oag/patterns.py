@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, Sequence
 
-from .convex import ConvexCut, hsub, sorts, subgroup_contains
+from .convex import ConvexCut, hsub, sorts
 from .errors import PreconditionError
 from .formulas import (
     Conjunction,
@@ -464,7 +464,7 @@ def check_sp_lemma(pattern: InpPattern) -> bool:
         if p1 != p2:
             continue
         # orient so the first subgroup is contained in the second
-        if subgroup_contains(a2, a1):
+        if a2.s <= a1.s:
             lo_e, lo_a, hi_e, hi_a = e1, a1, e2, a2
         else:
             lo_e, lo_a, hi_e, hi_a = e2, a2, e1, a1

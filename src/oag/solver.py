@@ -62,11 +62,10 @@ from .groups import (
     Element,
     GroupSpec,
     Ordering,
+    _quotient,
     block_divide,
     block_divisible,
     compare,
-    divide_exact,
-    is_divisible,
     neg,
     scale,
     span_coefficient,
@@ -277,14 +276,14 @@ def _normalize(conj: Conjunction) -> _Problem:
                 prob.lows.append(_Bound(t, k, cmp == ">", idx))
             elif cmp != "=":
                 prob.highs.append(_Bound(t, k, cmp == "<", idx))
-            elif not is_divisible(t, k):
-                _refute(
-                    "equality-indivisible",
-                    (idx,),
-                    f"k*x = t has no solution: t is not divisible by {k}",
-                )
             else:
-                v = divide_exact(t, k)
+                v = _quotient(t, k, group.K)
+                if v is None:
+                    _refute(
+                        "equality-indivisible",
+                        (idx,),
+                        f"k*x = t has no solution: t is not divisible by {k}",
+                    )
                 if prob.pin is not None and prob.pin[0] != v:
                     _refute("pin-conflict", (prob.pin[1], idx))
                 prob.pin = (v, idx)
@@ -406,7 +405,8 @@ def _intersect_bounds(prob: _Problem) -> None:
     if c is Ordering.EQ:
         if low.strict or high.strict:
             _refute("order-bounds-empty", cited, "equal bounds with a strict side")
-        if not is_divisible(low.t, low.k):
+        x = _quotient(low.t, low.k, prob.conj.group.K)
+        if x is None:
             _refute(
                 "order-pin-indivisible",
                 cited,
@@ -414,7 +414,7 @@ def _intersect_bounds(prob: _Problem) -> None:
             )
         _decide_pinned(
             prob.conj,
-            divide_exact(low.t, low.k),
+            x,
             cited,
             "equal order bounds force x uniquely",
         )
@@ -445,8 +445,7 @@ def _candidates(
         yield from prob.conj.params
         yield group.zero()
         for b in prob.lows + prob.highs:
-            if is_divisible(b.t, b.k):
-                yield divide_exact(b.t, b.k)
+            yield _quotient(b.t, b.k, group.K)
         yield assemble({}, placement)
 
     def moves():
@@ -653,8 +652,9 @@ def oracle_search(
     for g in list(gens):
         for p in sorted(fresh_primes):
             for d in (1, 2):
-                if is_divisible(g, p**d):
-                    push(divide_exact(g, p**d))
+                q = _quotient(g, p**d, group.K)
+                if q is not None:
+                    push(q)
 
     zero = group.zero()
     if evaluate_conj(conj, zero):

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -208,3 +211,26 @@ def test_seed_env_var_not_an_integer(capsys, monkeypatch):
             ["pattern", "chain", "--p", "2", "--depth", "1", "--width", "1"]
         )
     assert exc.value.code == 2
+
+
+def _readme_cli_lines():
+    """The `oag ...` lines of the README's `## CLI` block, continuations
+    joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    return [
+        line for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("oag ")
+    ]
+
+
+def test_readme_cli_examples_exit_0(capsys):
+    lines = _readme_cli_lines()
+    assert lines
+    for line in lines:
+        bare = re.sub(r"\s*\[(--[^\]]*)\]", "", line)
+        full = re.sub(r"\[(--[^\]]*)\]", r"\1", line)
+        for example in (bare, full):
+            argv = shlex.split(example)[1:]
+            code, _, err = run(capsys, *argv)
+            assert code == 0, (example, err)

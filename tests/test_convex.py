@@ -1,24 +1,15 @@
 import random
 
-import pytest
-
 from oag import (
-    PLOCAL,
-    PSPAN,
     ConvexCut,
-    GroupSpec,
-    PreconditionError,
-    SortElement,
     add,
     analyze,
-    bracket_membership,
     collapse_sorts,
     dp_rank_bound,
     hsub,
     in_coset,
     parse_element,
     parse_spec,
-    project_into,
     scale,
     singular_primes,
     sorts,
@@ -102,54 +93,6 @@ def test_hsub_invariant_mod_p_shifts():
         p = rng.choice((2, 3, 5))
         a, g = random_element(rng, spec), random_element(rng, spec)
         assert hsub(add(a, scale(p, g)), p) == hsub(a, p)
-
-
-def test_project_into_identity_when_inside():
-    a = parse_element(G3, "(0 | 0 | b1)")
-    assert project_into(a, ConvexCut(2), 2) == a
-
-
-def test_project_into_example():
-    a = parse_element(G3, "(1/2 | 2*b0 | b1)")
-    out = project_into(a, ConvexCut(1), 2)
-    assert out == parse_element(G3, "(0 | 2*b0 | b1)")
-    assert hsub(out, 2) == hsub(a, 2)
-
-
-def test_project_into_precondition():
-    a = parse_element(G3, "(0 | b0 | 0)")
-    with pytest.raises(PreconditionError):
-        project_into(a, ConvexCut(2), 2)
-
-
-def test_project_into_preserves_hsub_random():
-    rng = random.Random(19)
-    done = 0
-    while done < 80:
-        spec = random_spec(rng)
-        p = rng.choice((2, 3, 5))
-        t = rng.randint(0, spec.K)
-        a = random_element(rng, spec)
-        # force p-divisibility above the cut so the projection is legal
-        coords = list(a.coords)
-        for i in range(t):
-            from oag.groups import _span_scale
-
-            if spec.blocks[i].kind == "GP":
-                coords[i] = _span_scale(p, coords[i])
-            elif spec.blocks[i].kind == "Z":
-                coords[i] = coords[i] * p
-            else:
-                coords[i] = coords[i] * p
-        from oag import Element
-
-        a = Element(spec, tuple(coords))
-        out = project_into(a, ConvexCut(t), p)
-        assert hsub(out, p) == hsub(a, p)
-        from oag import is_divisible, sub
-
-        assert is_divisible(sub(a, out), p)
-        done += 1
 
 
 def test_sorts_divisible_group():
@@ -241,18 +184,6 @@ def test_singular_primes_examples():
     assert singular_primes(parse_spec("lex(Q, Gp(2), Gp(3))")) == {2, 3}
 
 
-def test_bracket_membership():
-    x = parse_element(G3, "(0 | b0 | 0)")
-    assert not bracket_membership(x, SortElement(2, ConvexCut(3)), 2)
-    # the largest sort has no strictly larger sorts: vacuous
-    assert bracket_membership(x, SortElement(2, ConvexCut(2)), 2)
-    # elements of nG satisfy every bracket membership
-    y = scale(2, x)
-    assert bracket_membership(y, SortElement(2, ConvexCut(3)), 2)
-    with pytest.raises(PreconditionError):
-        bracket_membership(x, SortElement(2, ConvexCut(1)), 2)
-
-
 def test_dp_rank_bound_examples():
     assert dp_rank_bound(parse_spec("lex(Z)")) == 1
     assert dp_rank_bound(G3) == 3
@@ -268,10 +199,7 @@ def test_analyze_report_counts():
     assert rep.dp_rank_bound == 3
 
 
-def test_bracket_membership_composite_modulus():
+def test_sorts_composite_modulus():
     g = parse_spec("lex(Q, Gp(2), Gp(3))")
-    x = parse_element(g, "(0 | b0 | 0)")
     # sorts of 6 are the union of the sorts of 2 and 3
     assert sorts(g, 6) == [ConvexCut(3), ConvexCut(2)]
-    assert not bracket_membership(x, SortElement(2, ConvexCut(3)), 6)
-    assert bracket_membership(scale(6, x), SortElement(2, ConvexCut(3)), 6)

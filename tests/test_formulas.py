@@ -266,6 +266,13 @@ def test_derive_reduction_hint_matches_supplied():
     lit = cong(2, 4, ConvexCut(2), Term.of({0: 1}))
     derived = derive_reduction_hint(lit, (t_elem,), g)
     assert derived == a_prime
+    # cut below K: coordinates at or past the cut, odd or not, come back zero
+    g = parse_spec("lex(Gp(2), Gp(2), Z)")
+    t_elem = parse_element(g, "(2*b1 | 3*b0 | 3)")
+    lit = cong(2, 4, ConvexCut(1), Term.of({0: 1}))
+    derived = derive_reduction_hint(lit, (t_elem,), g)
+    assert derived == parse_element(g, "(b1 | 0 | 0)")
+    reduce_k_prime(lit, (t_elem,), derived)  # t - 2*a' lies in the cut subgroup
 
 
 def test_conjoin_reindexes_parameters():

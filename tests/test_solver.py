@@ -233,6 +233,20 @@ def test_candidate_budget_bounds_the_enumeration():
     assert res.witness == parse_element(c.group, "(4)")
 
 
+@pytest.mark.parametrize(
+    "spec, param", [("lex(Z)", "(1)"), ("lex(Q, Gp(2))", "(0 | b1)")]
+)
+def test_equal_bounds_on_an_indivisible_point(spec, param):
+    # 2x >= a0 and 2x <= a0 force x = a0/2, which is not in the group
+    c = conj_of(parse_spec(spec), "2x >= 1*a0 & 2x <= 1*a0", param)
+    res = solve(c)
+    assert res.status is SolveStatus.UNSAT
+    (entry,) = res.certificate
+    assert entry.kind == "order-pin-indivisible"
+    assert entry.literals == (0, 1)
+    assert oracle_search(c, 2) is None
+
+
 def test_contradictory_disequality_is_unknown_not_unsat():
     c = conj_of(G, "cong[2, cut2](1x, 1*a0) & !cong[2, cut2](1x, 1*a0)", "(0 | b0)")
     res = solve(c)
