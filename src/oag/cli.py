@@ -169,10 +169,7 @@ def _cmd_normalize(args) -> int:
 def _pattern_payload(gen: GeneratedPattern, report, details: bool) -> dict:
     payload = {
         "group": str(gen.pattern.group),
-        "meta": {
-            k: v for k, v in sorted(gen.meta.items())
-            if isinstance(v, (int, str, list))
-        },
+        "meta": gen.meta,
         "rows": [
             {
                 "template": [format_literal(l) for l in row.template],

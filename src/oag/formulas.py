@@ -226,14 +226,17 @@ def evaluate_conj(conj: Conjunction, x: Element) -> bool:
     )
 
 
-def conjoin(a: Conjunction, b: Conjunction) -> Conjunction:
-    """Conjunction of two formulas; the second bank is appended and its
-    term indices shifted."""
-    if a.group != b.group:
-        raise PreconditionError("conjunctions over different group specs")
-    off = len(a.params)
-    shifted = tuple(replace(l, term=l.term.shifted(off)) for l in b.literals)
-    return Conjunction(a.group, a.literals + shifted, a.params + b.params)
+def conjoin(first: Conjunction, *rest: Conjunction) -> Conjunction:
+    """Conjunction of formulas over one group; each later bank is appended
+    and its term indices shifted past the banks before it."""
+    literals, params = list(first.literals), first.params
+    for c in rest:
+        if c.group != first.group:
+            raise PreconditionError("conjunctions over different group specs")
+        off = len(params)
+        literals.extend(replace(l, term=l.term.shifted(off)) for l in c.literals)
+        params += c.params
+    return Conjunction(first.group, literals, params)
 
 
 # --- congruence rewrites -------------------------------------------------

@@ -27,7 +27,13 @@ from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 from .errors import NotDivisibleError, SpecMismatchError
-from .numutil import is_prime, nth_prime, sqrt_enclosure, valuation_at_least
+from .numutil import (
+    int_valuation,
+    is_prime,
+    nth_prime,
+    sqrt_enclosure,
+    valuation_at_least,
+)
 
 SpanPairs = tuple[tuple[int, Fraction], ...]
 BlockValue = Union[int, Fraction, SpanPairs]
@@ -403,19 +409,10 @@ def block_divisible(block: BlockKind, value: BlockValue, n: int) -> bool:
         return True
     if block.kind == "Z":
         return value % n == 0
+    e = int_valuation(n, block.p)
     if block.kind == "ZLOC":
-        e = _prime_power_in(n, block.p)
         return valuation_at_least(value, block.p, e)
-    e = _prime_power_in(n, block.p)
     return all(valuation_at_least(c, block.p, e) for _, c in value)
-
-
-def _prime_power_in(n: int, p: int) -> int:
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
 
 
 def block_divide(block: BlockKind, value: BlockValue, n: int) -> BlockValue | None:

@@ -90,10 +90,7 @@ class InpPattern:
     def path_conjunction(self, eta: Sequence[int]) -> Conjunction:
         if len(eta) != len(self.rows):
             raise PreconditionError("path length must equal the pattern depth")
-        conj = self.instantiate(0, eta[0])
-        for i in range(1, len(self.rows)):
-            conj = conjoin(conj, self.instantiate(i, eta[i]))
-        return conj
+        return conjoin(*(self.instantiate(i, j) for i, j in enumerate(eta)))
 
 
 @dataclass(frozen=True)
@@ -215,6 +212,8 @@ def verify(
     """
     if path_budget < 1:
         raise ValueError("the path budget must be positive")
+    if cross_check_radius is not None and cross_check_radius < 1:
+        raise ValueError("the cross-check radius must be a positive integer")
     rows = tuple(
         _row_check(pattern, i, cross_check_radius) for i in range(pattern.depth)
     )
@@ -330,7 +329,6 @@ def gen_chain_pattern(p: int, depth: int, width: int) -> GeneratedPattern:
         "p": p,
         "depth": depth,
         "width": width,
-        "alpha": {i: alpha[i].s for i in alpha},
     }
     return GeneratedPattern(pattern, witness_of, meta)
 

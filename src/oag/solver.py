@@ -18,10 +18,12 @@ Shape of the decision: ``solve`` runs the phases below in order over one
 3.  ``_solve_slots``: a normalized congruence splits coordinatewise, and on
     each block coordinate only finitely many basis coefficients are
     constrained (the union of the term supports plus one fresh basis
-    symbol).  ``_solve_slot`` solves each such slot to one residue class per
-    prime and combines the classes by CRT; an empty class yields an UNSAT
-    certificate listing the exhausted residues.  A pinned coordinate has no
-    slot; its pin must meet every congruence there.
+    symbol).  The slots map (coordinate, basis) to (modulus, residue), the
+    basis None on scalar blocks, in coordinate then basis order.
+    ``_solve_slot`` solves one slot to a residue class per prime, combined
+    by CRT; an empty class yields an UNSAT certificate listing the exhausted
+    residues.  A pinned coordinate has no slot; its pin must meet every
+    congruence there.
 4.  ``_intersect_bounds``: order bounds are intersected in the divisible
     hull via cross-multiplied comparisons.  An empty interval is UNSAT;
     equal bounds force x, which ``_decide_pinned`` decides.
@@ -31,7 +33,7 @@ Shape of the decision: ``solve`` runs the phases below in order over one
     significant divisible coordinate (the fragment all pattern
     constructions use).
 6.  ``_candidates`` yields the parameters, zero, the bound points and the
-    element assembled from the slot residues and the placement; for negated
+    slot residues with the placement over the coordinate-0 slot; for negated
     literals, or order bounds without a placement, it goes on with a
     bounded enumeration of residue moves.  The first candidate the
     evaluator accepts is the witness; if there is none the answer is
@@ -44,7 +46,6 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
 from typing import Iterator, NoReturn, Sequence
 
 from .errors import NotReducibleError
@@ -173,12 +174,9 @@ class _Bound:
     src: int
 
 
-@dataclass(frozen=True)
-class _Slot:
-    coord: int
-    basis: int | None  # span basis index; None on scalar blocks
-    modulus: int
-    residue: int
+# (coordinate, basis) -> (modulus, residue); the basis is a span basis index,
+# None on scalar blocks
+_Slots = dict[tuple[int, int | None], tuple[int, int]]
 
 
 @dataclass
@@ -324,15 +322,13 @@ def _decide_pinned(
     _refute("pin-refuted", cited, note)
 
 
-def _solve_slots(prob: _Problem) -> list[_Slot]:
+def _solve_slots(prob: _Problem) -> _Slots:
     """Phase 3: the residue class of every slot, in coordinate order."""
     group = prob.conj.group
     terms = prob.conj.term_values + tuple(c.value for c in prob.congs)
     # the coordinate pins alone, zero elsewhere
-    pinned = (
-        _assemble(group, [], prob.coord_pins, {}, None) if prob.coord_pins else None
-    )
-    slots: list[_Slot] = []
+    pinned = _assemble(group, prob.coord_pins, {}) if prob.coord_pins else None
+    slots: _Slots = {}
     for i, block in enumerate(group.blocks):
         here = [c for c in prob.congs if c.alpha_s > i]
         if i in prob.coord_pins:
@@ -349,26 +345,26 @@ def _solve_slots(prob: _Problem) -> list[_Slot]:
         # Zloc(p) and Gp(p) are q-divisible for every prime q != p, and Q for
         # every prime, so only Z and the block's own prime carry residues
         here = [c for c in here if block.kind == "Z" or c.p == block.p]
-        if block.kind != "GP":
-            slots.append(_solve_slot(i, None, here))
-            continue
-        # span block: one slot per constrained basis symbol plus a fresh one
-        support = {b for t in terms for b, _ in t.coords[i]}
-        fresh = max(support, default=-1) + 1
-        slots.extend(_solve_slot(i, b, here) for b in sorted(support) + [fresh])
+        bases: list[int | None] = [None]
+        if block.kind == "GP":
+            # span block: one slot per constrained basis symbol plus a fresh one
+            support = {b for t in terms for b, _ in t.coords[i]}
+            bases = sorted(support) + [max(support, default=-1) + 1]
+        for b in bases:
+            slots[i, b] = _solve_slot(i, b, here)
     return slots
 
 
-def _solve_slot(coord: int, basis: int | None, constraints: list[_Cong]) -> _Slot:
-    """Solve the congruences on one slot.
+def _solve_slot(coord: int, basis: int | None, congs: list[_Cong]) -> tuple[int, int]:
+    """Solve the congruences on one slot to (modulus, residue).
 
     Per prime the solution set is a single residue class modulo the largest
     prime power, or empty; empty refutes with a certificate enumerating the
     excluded residues.  The classes of distinct primes combine by CRT.
     """
     m, r = 1, 0
-    for p in sorted({c.p for c in constraints}):
-        cs = [c for c in constraints if c.p == p]
+    for p in sorted({c.p for c in congs}):
+        cs = [c for c in congs if c.p == p]
         targets = [
             (c.e, c.value.coords[coord] if basis is None
              else span_coefficient(c.value.coords[coord], basis))
@@ -389,7 +385,7 @@ def _solve_slot(coord: int, basis: int | None, constraints: list[_Cong]) -> _Slo
             )
         r = crt_pair(r, m, rp, mp)
         m *= mp
-    return _Slot(coord, basis, m, r)
+    return m, r
 
 
 def _intersect_bounds(prob: _Problem) -> None:
@@ -422,50 +418,51 @@ def _intersect_bounds(prob: _Problem) -> None:
 
 def _candidates(
     prob: _Problem,
-    slots: list[_Slot],
+    slots: _Slots,
     placement,
     explore: bool,
     budget: int,
 ) -> Iterator[Element]:
     """Distinct candidate witnesses, in a fixed order.
 
-    First the parameters, zero, the points of divisible bounds and the
-    element assembled from the slots.  With `explore`, then residue moves
-    of one and of two slots by one or two moduli, each under every
-    alternative coordinate-0 placement; the moves stop once `budget`
+    First the parameters, zero, the points of divisible bounds and the slot
+    residues with the placement over the coordinate-0 slot.  With `explore`,
+    then moves of one and of two slots, in slot order, by one or two moduli,
+    each under every alternative placement; the moves stop once `budget`
     distinct candidates have been produced.
     """
     group = prob.conj.group
     seen: set[Element] = set()
-
-    def assemble(overrides, pl):
-        return _assemble(group, slots, prob.coord_pins, overrides, pl)
+    residues = {key: r for key, (_, r) in slots.items()}
+    key0 = (0, 0 if group.blocks[0].kind == "GP" else None)
+    placements = [{}] if placement is None else [{key0: placement}]
+    if placement is not None and group.blocks[0].kind == "Q":
+        placements += [{key0: placement + 1}, {key0: placement + Fraction(1, 3)}]
 
     def fixed():
         yield from prob.conj.params
         yield group.zero()
         for b in prob.lows + prob.highs:
             yield _quotient(b.t, b.k, group.K)
-        yield assemble({}, placement)
+        yield _assemble(group, prob.coord_pins, {**residues, **placements[0]})
 
     def moves():
         if not explore:
             return
-        alt_placements = [placement]
-        if placement is not None and group.blocks[0].kind == "Q":
-            alt_placements += [placement + 1, placement + Fraction(1, 3)]
-        vary = [s for s in slots if s.coord != 0 or placement is None]
+        vary = [key for key in slots if key[0] != 0 or placement is None]
         for count in (1, 2):
             for combo in itertools.combinations(vary, count):
                 for steps in itertools.product((1, 2), repeat=count):
                     if len(seen) >= budget:
                         return
-                    overrides = {
-                        (s.coord, s.basis): s.residue + n * s.modulus
-                        for s, n in zip(combo, steps)
+                    move = {
+                        key: residues[key] + n * slots[key][0]
+                        for key, n in zip(combo, steps)
                     }
-                    for pl in alt_placements:
-                        yield assemble(overrides, pl)
+                    for pl in placements:
+                        yield _assemble(
+                            group, prob.coord_pins, {**residues, **move, **pl}
+                        )
 
     for x in itertools.chain(fixed(), moves()):
         if x is not None and x not in seen:
@@ -473,7 +470,7 @@ def _candidates(
             yield x
 
 
-def _place_coordinate0(prob: _Problem, slots: list[_Slot]):
+def _place_coordinate0(prob: _Problem, slots: _Slots):
     """Choose a coordinate-0 value strictly between the order bounds so that
     every comparison is decided at the most significant coordinate.
 
@@ -484,9 +481,7 @@ def _place_coordinate0(prob: _Problem, slots: list[_Slot]):
         return None
     block = prob.conj.group.blocks[0]
     lows, highs = prob.lows, prob.highs
-    slot0 = next((s for s in slots if s.coord == 0 and s.basis in (None, 0)), None)
-    m = slot0.modulus if slot0 else 1
-    r = slot0.residue if slot0 else 0
+    m, r = slots.get((0, 0 if block.kind == "GP" else None), (1, 0))
 
     if block.kind != "GP":
         lo = max((Fraction(b.t.coords[0]) / b.k for b in lows), default=None)
@@ -514,11 +509,7 @@ def _place_coordinate0(prob: _Problem, slots: list[_Slot]):
     # fixed irrational contribution and the bound values numerically; the
     # final candidate is still verified exactly by the evaluator.
     fixed_pairs = tuple(
-        sorted(
-            (s.basis, Fraction(s.residue))
-            for s in slots
-            if s.coord == 0 and s.basis not in (None, 0) and s.residue
-        )
+        (b, Fraction(v)) for (i, b), (_, v) in slots.items() if i == 0 and b and v
     )
     for bits in (64, 128, 256, 512):
         lo_enc = None
@@ -544,42 +535,21 @@ def _place_coordinate0(prob: _Problem, slots: list[_Slot]):
 
 def _assemble(
     group: GroupSpec,
-    slots: list[_Slot],
     coord_pins: dict[int, tuple[object, int]],
-    overrides: dict[tuple[int, int | None], int],
-    placement,
+    values: dict[tuple[int, int | None], object],
 ) -> Element | None:
-    """Build an element from slot residues, coordinate pins, residue
-    overrides and an optional coordinate-0 placement value."""
-    span_acc: dict[int, dict[int, int]] = {}
-    scalar: dict[int, int] = {}
-    for s in slots:
-        v = overrides.get((s.coord, s.basis), s.residue)
-        if s.basis is None:
-            scalar[s.coord] = v
+    """Build an element from (coordinate, basis) values, zero elsewhere, with
+    the coordinate pins laid over them; None if a value leaves its block."""
+    coords: dict[int, object] = {}
+    for (i, b), v in values.items():
+        if b is None:
+            coords[i] = v
         else:
-            span_acc.setdefault(s.coord, {})[s.basis] = v
-    coords = []
-    for i, block in enumerate(group.blocks):
-        if i in coord_pins:
-            coords.append(coord_pins[i][0])
-            continue
-        if i == 0 and placement is not None:
-            if block.kind == "GP":
-                pairs = dict(span_acc.get(0, {}))
-                pairs[0] = placement
-                coords.append(tuple(sorted(pairs.items())))
-            else:
-                coords.append(placement)
-            continue
-        if block.kind == "GP":
-            coords.append(tuple(sorted(span_acc.get(i, {}).items())))
-        elif block.kind == "Z":
-            coords.append(scalar.get(i, 0))
-        else:
-            coords.append(Fraction(scalar.get(i, 0)))
+            coords.setdefault(i, {})[b] = v
+    for i, (v, _) in coord_pins.items():
+        coords[i] = v
     try:
-        return Element(group, tuple(coords))
+        return Element(group, tuple(coords.get(i, 0) for i in range(group.K)))
     except ValueError:
         return None
 
@@ -626,6 +596,8 @@ def oracle_search(
     Incomplete by design; meant to corroborate SAT answers and to hunt
     counterexamples to UNSAT answers.
     """
+    if radius < 1:
+        raise ValueError("the oracle radius must be a positive integer")
     group = conj.group
     gens: list[Element] = []
 
@@ -694,7 +666,7 @@ def solve_k_subsets(
     lexicographic order of index tuples; yields (indices, conjunction,
     verdict).  Yields nothing when k exceeds the number of formulas."""
     for subset in itertools.combinations(range(len(formulas)), k):
-        merged = reduce(conjoin, (formulas[j] for j in subset))
+        merged = conjoin(*(formulas[j] for j in subset))
         yield subset, merged, solve(merged)
 
 

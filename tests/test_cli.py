@@ -179,6 +179,21 @@ def test_pattern_optimal_rejects_bad_spec(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pattern", "optimal", "--spec", "lex(Q, Gp(2))", "--grid", "2",
+         "--verify", "--cross-check", "0"),
+        ("solve", "--spec", "lex(Q, Gp(2))", "--formula", "cong[2, cut2](1x, 1*a0)",
+         "--params", "(0 | b0)", "--oracle-radius", "0"),
+    ],
+)
+def test_radius_zero_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "radius" in err
+
+
 def test_json_output_deterministic(capsys):
     args = (
         "pattern", "chain", "--p", "2", "--depth", "4", "--width", "3",

@@ -285,6 +285,30 @@ def test_conjoin_reindexes_parameters():
     assert evaluate_conj(both, x)
 
 
+def test_conjoin_many_matches_nested_binary_calls():
+    g = parse_spec("lex(Q, Gp(2))")
+    parts = [
+        Conjunction(g, (cong(1, 2, ConvexCut(2), Term.of({0: 1})),), (A0,)),
+        Conjunction(
+            g,
+            (ord_lit(1, "<", Term.of({1: 1})), neq(1, Term.of({0: 2}))),
+            (parse_element(g, "(5 | 0)"), parse_element(g, "(1 | b1)")),
+        ),
+        Conjunction(
+            g, (ord_lit(1, ">", Term.of({0: 1})),), (parse_element(g, "(-3 | b2)"),)
+        ),
+    ]
+    many = conjoin(*parts)
+    nested = conjoin(conjoin(parts[0], parts[1]), parts[2])
+    assert many.literals == nested.literals
+    assert many.params == nested.params
+    assert many.term_values == nested.term_values
+    assert conjoin(parts[0]) == parts[0]
+    other = Conjunction(parse_spec("lex(Q)"), (), ())
+    with pytest.raises(PreconditionError):
+        conjoin(parts[0], parts[1], other)
+
+
 def test_conjunction_validates_parameter_bank():
     g = parse_spec("lex(Q, Gp(2))")
     with pytest.raises(Exception):

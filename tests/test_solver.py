@@ -295,6 +295,13 @@ def test_oracle_soundness_random():
             assert evaluate_conj(c, found)
 
 
+@pytest.mark.parametrize("radius", [0, -3])
+def test_oracle_rejects_radius_below_one(radius):
+    c = conj_of(G, "cong[2, cut2](1x, 1*a0)", "(0 | b0)")
+    with pytest.raises(ValueError):
+        oracle_search(c, radius)
+
+
 def test_check_k_inconsistent_contradictory_pair():
     g = parse_spec("lex(Gp(2))")
     cols = [
@@ -398,3 +405,30 @@ def test_oracle_matches_reference_search():
     )
     x = oracle_search(c, 2)
     assert x is not None and x == _reference_oracle(c, 2)
+
+
+@pytest.mark.parametrize(
+    "spec, formula, params, witness",
+    [
+        (
+            "lex(Gp(2))",
+            "cong[2, cut1](1x, 1*a0) & 1x > 1*a1",
+            "(b1) ; (3*b0)",
+            "(2*b0 + b1)",
+        ),
+        (
+            "lex(Gp(3), Z)",
+            "cong[3, cut1](1x, 1*a0) & 1x < 1*a1 & 1x > 1*a2",
+            "(b1 + 2*b2 | 0) ; (2*b0 | 0) ; (b0 | 0)",
+            "(-15/4*b0 + b1 + 2*b2 | 0)",
+        ),
+    ],
+)
+def test_span_placement_encloses_fixed_residues(spec, formula, params, witness):
+    # the congruence fixes nonzero residues on irrational basis symbols of
+    # the span coordinate 0, and the b0 placement must account for their
+    # real value to land strictly between the order bounds
+    g = parse_spec(spec)
+    res = solve(conj_of(g, formula, params))
+    assert res.status is SolveStatus.SAT
+    assert res.witness == parse_element(g, witness)
