@@ -53,6 +53,7 @@ def in_coset(x: Element, cut: ConvexCut, m: int) -> bool:
     return all(
         block_divisible(b, v, m)
         for b, v in zip(x.spec.blocks[: cut.s], x.coords[: cut.s])
+        if v  # zero is divisible in every block
     )
 
 

@@ -230,13 +230,20 @@ def conjoin(first: Conjunction, *rest: Conjunction) -> Conjunction:
     """Conjunction of formulas over one group; each later bank is appended
     and its term indices shifted past the banks before it."""
     literals, params = list(first.literals), first.params
+    values = first.term_values
     for c in rest:
         if c.group != first.group:
             raise PreconditionError("conjunctions over different group specs")
         off = len(params)
         literals.extend(replace(l, term=l.term.shifted(off)) for l in c.literals)
         params += c.params
-    return Conjunction(first.group, literals, params)
+        values += c.term_values
+    out = Conjunction(first.group, literals, params)
+    # a shifted term names the same parameter in the merged bank, so the
+    # parts' values are the merged ones; fill the cached_property slot
+    # directly, as the dataclass is frozen
+    out.__dict__["term_values"] = values
+    return out
 
 
 # --- congruence rewrites -------------------------------------------------

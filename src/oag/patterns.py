@@ -166,10 +166,11 @@ class VerificationReport:
 
 
 def _row_check(
-    pattern: InpPattern, index: int, cross_check_radius: int | None
+    row: PatternRow,
+    index: int,
+    cols: Sequence[Conjunction],
+    cross_check_radius: int | None,
 ) -> RowVerdict:
-    row = pattern.rows[index]
-    cols = [pattern.instantiate(index, j) for j in range(len(row.columns))]
     pair_results = []
     saw_sat = False
     saw_unknown = False
@@ -214,8 +215,15 @@ def verify(
         raise ValueError("the path budget must be positive")
     if cross_check_radius is not None and cross_check_radius < 1:
         raise ValueError("the cross-check radius must be a positive integer")
+    # each (row, column) instance is built once, so its term values are
+    # computed once and shared by the row checks and every path through it
+    inst = [
+        [pattern.instantiate(i, j) for j in range(len(row.columns))]
+        for i, row in enumerate(pattern.rows)
+    ]
     rows = tuple(
-        _row_check(pattern, i, cross_check_radius) for i in range(pattern.depth)
+        _row_check(row, i, inst[i], cross_check_radius)
+        for i, row in enumerate(pattern.rows)
     )
 
     widths = [len(r.columns) for r in pattern.rows]
@@ -242,7 +250,7 @@ def verify(
 
     path_results = []
     for eta in etas:
-        conj = pattern.path_conjunction(eta)
+        conj = conjoin(*(inst[i][j] for i, j in enumerate(eta)))
         res = solve(conj)
         confirmed = False
         if res.status is SolveStatus.SAT:

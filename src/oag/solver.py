@@ -19,11 +19,13 @@ Shape of the decision: ``solve`` runs the phases below in order over one
     each block coordinate only finitely many basis coefficients are
     constrained (the union of the term supports plus one fresh basis
     symbol).  The slots map (coordinate, basis) to (modulus, residue), the
-    basis None on scalar blocks, in coordinate then basis order.
-    ``_solve_slot`` solves one slot to a residue class per prime, combined
-    by CRT; an empty class yields an UNSAT certificate listing the exhausted
-    residues.  A pinned coordinate has no slot; its pin must meet every
-    congruence there.
+    basis None on scalar blocks, in coordinate then basis order.  Only live
+    slots, where some congruence value is nonzero, are solved:
+    ``_solve_slot`` solves one to a residue class per prime, combined by
+    CRT, and an empty class yields an UNSAT certificate listing the
+    exhausted residues.  Every other slot is (M, 0), with M the product of
+    the largest prime powers of the congruences on its coordinate.  A
+    pinned coordinate has no slot; its pin must meet every congruence there.
 4.  ``_intersect_bounds``: order bounds are intersected in the divisible
     hull via cross-multiplied comparisons.  An empty interval is UNSAT;
     equal bounds force x, which ``_decide_pinned`` decides.
@@ -46,6 +48,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import prod
 from typing import Iterator, NoReturn, Sequence
 
 from .errors import NotReducibleError
@@ -63,7 +66,9 @@ from .groups import (
     Element,
     GroupSpec,
     Ordering,
+    _norm_block_value,
     _quotient,
+    _raw_element,
     block_divide,
     block_divisible,
     compare,
@@ -263,9 +268,9 @@ def _normalize(conj: Conjunction) -> _Problem:
                 pf = factorize(piece.m)
                 if pf:  # a modulus-1 piece is vacuous
                     (p, e), = pf.items()
-                    prob.congs.append(_Cong(
-                        p, e, piece.alpha.s, term_value(piece.term, bank, group), idx
-                    ))
+                    # without rewrite steps the piece is the literal itself
+                    value = term_value(piece.term, bank, group) if res.steps else t
+                    prob.congs.append(_Cong(p, e, piece.alpha.s, value, idx))
         elif lit.kind is LitKind.ORD:
             k, cmp = lit.k, lit.cmp
             if k < 0:
@@ -345,13 +350,22 @@ def _solve_slots(prob: _Problem) -> _Slots:
         # Zloc(p) and Gp(p) are q-divisible for every prime q != p, and Q for
         # every prime, so only Z and the block's own prime carry residues
         here = [c for c in here if block.kind == "Z" or c.p == block.p]
+        # a slot where every congruence value is zero solves to residue 0
+        # modulo the largest prime powers; only the other slots are live
+        e_max: dict[int, int] = {}
+        for c in here:
+            e_max[c.p] = max(e_max.get(c.p, 0), c.e)
+        zero_slot = (prod(p**e for p, e in e_max.items()), 0)
         bases: list[int | None] = [None]
         if block.kind == "GP":
             # span block: one slot per constrained basis symbol plus a fresh one
             support = {b for t in terms for b, _ in t.coords[i]}
             bases = sorted(support) + [max(support, default=-1) + 1]
+            live = {b for c in here for b, _ in c.value.coords[i]}
+        else:
+            live = {None} if any(c.value.coords[i] for c in here) else set()
         for b in bases:
-            slots[i, b] = _solve_slot(i, b, here)
+            slots[i, b] = _solve_slot(i, b, here) if b in live else zero_slot
     return slots
 
 
@@ -539,19 +553,26 @@ def _assemble(
     values: dict[tuple[int, int | None], object],
 ) -> Element | None:
     """Build an element from (coordinate, basis) values, zero elsewhere, with
-    the coordinate pins laid over them; None if a value leaves its block."""
-    coords: dict[int, object] = {}
+    the coordinate pins laid over them; None if a value leaves its block.
+    Only the coordinates that receive a nonzero value or a pin are
+    normalized."""
+    given: dict[int, object] = {}
     for (i, b), v in values.items():
+        if not v:
+            continue
         if b is None:
-            coords[i] = v
+            given[i] = v
         else:
-            coords.setdefault(i, {})[b] = v
+            given.setdefault(i, {})[b] = v
     for i, (v, _) in coord_pins.items():
-        coords[i] = v
+        given[i] = v
+    coords = list(group.zero().coords)
     try:
-        return Element(group, tuple(coords.get(i, 0) for i in range(group.K)))
+        for i, v in given.items():
+            coords[i] = _norm_block_value(group.blocks[i], v)
     except ValueError:
         return None
+    return _raw_element(group, tuple(coords))
 
 
 def _local_rational_between(

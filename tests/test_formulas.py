@@ -303,6 +303,9 @@ def test_conjoin_many_matches_nested_binary_calls():
     assert many.literals == nested.literals
     assert many.params == nested.params
     assert many.term_values == nested.term_values
+    # the merged values are filled from the parts; recompute them from scratch
+    fresh = Conjunction(g, many.literals, many.params)
+    assert many.term_values == fresh.term_values
     assert conjoin(parts[0]) == parts[0]
     other = Conjunction(parse_spec("lex(Q)"), (), ())
     with pytest.raises(PreconditionError):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from oag import (
     is_divisible,
     neg,
     parse_element,
+    parse_spec,
     scale,
     sub,
     unit_element,
@@ -304,3 +306,41 @@ def test_nth_prime():
     assert first == [nth_prime(k) for k in range(1, 2001)]
     with pytest.raises(ValueError):
         nth_prime(0)
+
+
+def _is_prime_by_trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [
+        n for n in range(2 * 10**5) if is_prime(n) != _is_prime_by_trial_division(n)
+    ] == []
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        (3215031751, False),  # strong pseudoprime to the bases 2, 3, 5, 7
+        (3825123056546413051, False),  # ... to the bases 2 to 31
+        (318665857834031151167461, False),  # ... to the bases 2 to 37
+        (2**61 - 1, True),
+        (100000000000031, True),
+    ],
+)
+def test_is_prime_on_large_numbers(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_large_prime_in_a_spec_parses_fast():
+    start = time.perf_counter()
+    spec = parse_spec("lex(Gp(100000000000031)^3)")
+    assert time.perf_counter() - start < 0.1
+    assert spec.blocks == (PSPAN(100000000000031),) * 3

@@ -231,3 +231,23 @@ def test_generator_input_validation():
         gen_optimal_pattern([2], [1], 1)
     with pytest.raises(ValueError):
         gen_optimal_pattern([9], [1], 3)
+
+
+def test_verify_computes_each_instance_term_once(monkeypatch):
+    # every (row, column) instance is built once per verify call, and the
+    # row checks and all paths reuse its term values
+    import oag.formulas
+    import oag.solver
+
+    pattern = gen_chain_pattern(2, 3, 2).pattern
+    calls = []
+
+    def counting(term, params, group, _real=oag.formulas.term_value):
+        calls.append(term)
+        return _real(term, params, group)
+
+    monkeypatch.setattr(oag.formulas, "term_value", counting)
+    monkeypatch.setattr(oag.solver, "term_value", counting)
+    report = verify(pattern, 8)
+    assert report.verified and len(report.paths) == 8
+    assert len(calls) == pattern.depth * 2

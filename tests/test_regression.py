@@ -11,7 +11,7 @@ import hashlib
 import io
 import json
 
-from oag import oracle_search, solve
+from oag import gen_chain_pattern, oracle_search, solve, verify
 from oag.cli import main
 
 from helpers import random_conjunctions
@@ -24,6 +24,9 @@ ORACLE_BUDGET = 300
 SOLVE_DIGEST = "ccb61c85ee49ec8b2264e5304292fb5cc62bc244a4cfb8a65da63cdbd9f50ae3"
 ORACLE_DIGEST = "699e0b6ea92455949b0e339798fdb8950c1e02f19438e5abc32d67087a784689"
 CLI_DIGEST = "a185b0fe8760a2295cc86f9879571aaa7bf72ff931af6e7b8152c24f06083f0c"
+CHAIN_VERIFY_DIGEST = (
+    "082f6d8e5b99dc6e810b0df5d6e30cbd7fc60c8a2f8d700462a942672bfc7eb8"
+)
 
 # report fields added after the digest was pinned; dropped before hashing so
 # the digest covers exactly the fields every version emits
@@ -62,3 +65,14 @@ def test_cli_pattern_digest():
     for path in report["paths"]:
         path.pop("confirmed", None)
     assert _digest(data) == CLI_DIGEST
+
+
+def test_chain_verify_digest():
+    # every path of chain(2,4,3) (81) and a seeded sample of 30, with the
+    # per-pair row verdicts and certificates
+    g = gen_chain_pattern(2, 4, 3).pattern
+    reports = [
+        verify(g, 81).to_json_dict(include_pairs=True),
+        verify(g, 30, seed=5).to_json_dict(include_pairs=True),
+    ]
+    assert _digest(reports) == CHAIN_VERIFY_DIGEST

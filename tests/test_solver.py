@@ -7,6 +7,8 @@ import pytest
 from oag import (
     ConvexCut,
     Conjunction,
+    Element,
+    SolveResult,
     SolveStatus,
     Term,
     check_k_inconsistent,
@@ -23,8 +25,16 @@ from oag import (
     solve,
     unit_element,
 )
+from oag import solver
+from oag.groups import span_coefficient
 from oag.numutil import factorize
-from helpers import random_conjunctions, random_element, random_spec, random_cong_literal
+from helpers import (
+    random_block_value,
+    random_conjunctions,
+    random_cong_literal,
+    random_element,
+    random_spec,
+)
 
 G = parse_spec("lex(Q, Gp(2))")
 
@@ -432,3 +442,101 @@ def test_span_placement_encloses_fixed_residues(spec, formula, params, witness):
     res = solve(conj_of(g, formula, params))
     assert res.status is SolveStatus.SAT
     assert res.witness == parse_element(g, witness)
+
+
+def _every_slot_solved(prob):
+    """Reference for solver._solve_slots: every slot, live or not, goes
+    through _solve_slot.  Pinned coordinates are skipped without checking
+    the pins."""
+    group = prob.conj.group
+    terms = prob.conj.term_values + tuple(c.value for c in prob.congs)
+    slots = {}
+    for i, block in enumerate(group.blocks):
+        if i in prob.coord_pins:
+            continue
+        here = [
+            c for c in prob.congs
+            if c.alpha_s > i and (block.kind == "Z" or c.p == block.p)
+        ]
+        bases = [None]
+        if block.kind == "GP":
+            support = {b for t in terms for b, _ in t.coords[i]}
+            bases = sorted(support) + [max(support, default=-1) + 1]
+        for b in bases:
+            slots[i, b] = solver._solve_slot(i, b, here)
+    return slots
+
+
+def _slots_or_verdict(fn, prob):
+    try:
+        return list(fn(prob).items())
+    except solver._Decided as decided:
+        return decided.result
+
+
+@pytest.mark.parametrize("seed", [11, 1009])
+def test_solve_slots_match_solving_every_slot(seed):
+    compared = zero_slots = 0
+    for conj in random_conjunctions(seed, 300):
+        try:
+            prob = solver._normalize(conj)
+        except solver._Decided:
+            continue
+        got = _slots_or_verdict(solver._solve_slots, prob)
+        if isinstance(got, SolveResult) and any(
+            e.kind == "pin-congruence-conflict" for e in got.certificate
+        ):
+            continue  # the reference does not check coordinate pins
+        assert got == _slots_or_verdict(_every_slot_solved, prob)
+        compared += 1
+        if isinstance(got, list):
+            zero_slots += sum(
+                1 for (i, b), (m, r) in got
+                if m > 1 and not any(
+                    (c.value.coords[i] if b is None
+                     else span_coefficient(c.value.coords[i], b))
+                    for c in prob.congs if c.alpha_s > i
+                )
+            )
+    assert compared > 200 and zero_slots > 0
+
+
+@pytest.mark.parametrize(
+    "spec, key, value",
+    [
+        ("lex(Z)", (0, None), Fraction(1, 2)),
+        ("lex(Q, Zloc(3))", (1, None), Fraction(1, 3)),
+        ("lex(Gp(2))", (0, 1), Fraction(1, 2)),
+    ],
+)
+def test_assemble_rejects_a_value_outside_its_block(spec, key, value):
+    assert solver._assemble(parse_spec(spec), {}, {key: value}) is None
+
+
+def test_assemble_matches_the_element_constructor():
+    # zero values of either type and zero span coefficients are skipped, and
+    # only the given coordinates are normalized; the coordinates must still
+    # equal the constructor's in value and type
+    rng = random.Random(5)
+    for _ in range(300):
+        spec = random_spec(rng)
+        values, dense = {}, []
+        for i, block in enumerate(spec.blocks):
+            v = random_block_value(rng, block)
+            if block.kind == "GP":
+                pairs = {**dict(v), 4: Fraction(0)}
+                values.update(((i, b), c) for b, c in pairs.items())
+            else:
+                if rng.random() < 0.4:
+                    v = rng.choice([0, Fraction(0)])
+                values[i, None] = v
+            dense.append(v)
+        pins = {}
+        if rng.random() < 0.5:
+            i = rng.randrange(spec.K)
+            pins[i] = (random_block_value(rng, spec.blocks[i]), 0)
+            dense[i] = pins[i][0]
+        got = solver._assemble(spec, pins, values)
+        want = Element(spec, tuple(dense))
+        assert got == want
+        assert [type(v) for v in got.coords] == [type(v) for v in want.coords]
