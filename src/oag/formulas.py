@@ -273,11 +273,20 @@ def crt_split(lit: Literal) -> list[Literal]:
     """Split a congruence into one literal per prime power of its modulus.
 
     The conjunction of the pieces is equivalent to the input; modulus 1
-    yields the empty list (a vacuous literal).
+    yields the empty list (a vacuous literal), and a prime-power modulus
+    the input itself.
     """
     _require_cong(lit)
+    return [piece for piece, _, _ in _split(lit)]
+
+
+def _split(lit: Literal) -> list[tuple[Literal, int, int]]:
+    """``crt_split`` with each piece's prime and exponent, from one
+    factorization of the modulus."""
+    f = factorize(lit.m)
     return [
-        replace(lit, m=p**e) for p, e in sorted(factorize(lit.m).items())
+        (lit if len(f) == 1 else replace(lit, m=p**e), p, e)
+        for p, e in sorted(f.items())
     ]
 
 
@@ -299,7 +308,12 @@ def derive_reduction_hint(
     t would have to be in pG + cut subgroup as well) and NotReducibleError
     is raised.
     """
-    p, _ = _prime_power(lit.m)
+    return _reduction_hint(lit, _prime_power(lit.m)[0], params, group)
+
+
+def _reduction_hint(
+    lit: Literal, p: int, params: Sequence[Element], group: GroupSpec
+) -> Element:
     t = term_value(lit.term, params, group)
     a_prime = _quotient(t, p, lit.alpha.s)
     if a_prime is None:
@@ -321,6 +335,12 @@ def reduce_k_prime(
     """
     _require_cong(lit)
     p, e = _prime_power(lit.m)
+    return _reduce_k_prime(lit, p, e, params, a_prime)
+
+
+def _reduce_k_prime(
+    lit: Literal, p: int, e: int, params: Sequence[Element], a_prime: Element
+) -> tuple[Literal, tuple[Element, ...]]:
     if e < 1:
         raise PreconditionError("modulus 1 congruences cannot be reduced")
     if lit.k % p != 0:
@@ -353,6 +373,10 @@ def unit_normalize(lit: Literal) -> Literal:
             raise PreconditionError(
                 f"coefficient {lit.k} shares the factor {p} with the modulus"
             )
+    return _invert_unit(lit)
+
+
+def _invert_unit(lit: Literal) -> Literal:
     s = pow(lit.k, -1, lit.m) if lit.m > 1 else 0
     return replace(lit, k=1, term=lit.term.scaled(s))
 
@@ -376,25 +400,26 @@ def normalize_type_I(
     steps: list[NormalizeStep] = []
     hint_queue = list(hints) if hints else []
 
-    pieces = crt_split(lit)
-    if len(pieces) != 1 or pieces[0] != lit:
-        steps.append(NormalizeStep("crt_split", lit, tuple(pieces)))
+    pieces = _split(lit)
+    if len(pieces) != 1:
+        steps.append(
+            NormalizeStep("crt_split", lit, tuple(piece for piece, _, _ in pieces))
+        )
 
     out: list[Literal] = []
-    for piece in pieces:
-        cur = piece
-        p, e = _prime_power(cur.m)
+    for cur, p, e in pieces:
         while e >= 1 and cur.k % p == 0:
             if hint_queue:
                 a_prime = hint_queue.pop(0)
             else:
-                a_prime = derive_reduction_hint(cur, bank, group)
-            nxt, bank = reduce_k_prime(cur, bank, a_prime)
+                a_prime = _reduction_hint(cur, p, bank, group)
+            nxt, bank = _reduce_k_prime(cur, p, e, bank, a_prime)
             steps.append(NormalizeStep("reduce_k_prime", cur, (nxt,)))
             cur = nxt
             e -= 1
         if cur.k != 1:
-            nxt = unit_normalize(cur)
+            # p no longer divides k, or the modulus is down to 1
+            nxt = _invert_unit(cur)
             steps.append(NormalizeStep("unit_normalize", cur, (nxt,)))
             cur = nxt
         out.append(cur)

@@ -9,23 +9,26 @@ Shape of the decision: ``solve`` runs the phases below in order over one
 ``_Problem`` record, and a phase that settles the answer raises ``_Decided``.
 
 1.  ``_normalize`` sorts the literals by role.  Positive congruence literals
-    are rewritten to coefficient 1 and prime-power modulus, order literals
-    become bounds on x, equalities pin x and subgroup-coset literals pin
-    single coordinates.  A literal that no x satisfies, or two pins that
-    disagree, give UNSAT.
+    are rewritten to coefficient 1 and prime-power modulus (one already in
+    that form is kept as it is), order literals become bounds on x,
+    equalities pin x and subgroup-coset literals pin single coordinates.  A
+    literal that no x satisfies, or two pins that disagree, give UNSAT.
 2.  ``_decide_pinned``: an equality pin determines x, so the conjunction
     reduces to evaluation (SAT) or refutation (UNSAT).
 3.  ``_solve_slots``: a normalized congruence splits coordinatewise, and on
     each block coordinate only finitely many basis coefficients are
     constrained (the union of the term supports plus one fresh basis
-    symbol).  The slots map (coordinate, basis) to (modulus, residue), the
-    basis None on scalar blocks, in coordinate then basis order.  Only live
-    slots, where some congruence value is nonzero, are solved:
-    ``_solve_slot`` solves one to a residue class per prime, combined by
-    CRT, and an empty class yields an UNSAT certificate listing the
-    exhausted residues.  Every other slot is (M, 0), with M the product of
-    the largest prime powers of the congruences on its coordinate.  A
-    pinned coordinate has no slot; its pin must meet every congruence there.
+    symbol).  A slot maps (coordinate, basis) to (modulus, residue), the
+    basis None on scalar blocks.  Only the live slots, where some
+    congruence value is nonzero, are solved and kept, in coordinate then
+    basis order: ``_solve_slot`` solves one to a residue class per prime,
+    combined by CRT, and an empty class yields an UNSAT certificate listing
+    the exhausted residues.  Every other slot solves to (M, 0), with M the
+    product of the largest prime powers of the congruences on its
+    coordinate; ``_every_slot`` fills those in for the two readers that
+    need them.  A pinned coordinate has no slot; its pin must meet every
+    congruence there.  Only the coordinates some congruence value touches,
+    and the pinned ones a congruence reaches, are visited.
 4.  ``_intersect_bounds``: order bounds are intersected in the divisible
     hull via cross-multiplied comparisons.  An empty interval is UNSAT;
     equal bounds force x, which ``_decide_pinned`` decides.
@@ -37,8 +40,10 @@ Shape of the decision: ``solve`` runs the phases below in order over one
 6.  ``_candidates`` yields the parameters, zero, the bound points and the
     slot residues with the placement over the coordinate-0 slot; for negated
     literals, or order bounds without a placement, it goes on with a
-    bounded enumeration of residue moves.  The first candidate the
-    evaluator accepts is the witness; if there is none the answer is
+    bounded enumeration of residue moves over every slot.  A candidate
+    that misses a live slot's residue fails a normalized congruence, so
+    ``solve`` rejects it without evaluating it; the first candidate the
+    evaluator accepts is the witness.  If there is none the answer is
     UNKNOWN, with the reason.
 """
 
@@ -49,7 +54,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import prod
-from typing import Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import NotReducibleError
 from .formulas import (
@@ -84,6 +89,7 @@ from .numutil import (
     factorize,
     int_above,
     int_below,
+    int_valuation,
     residue_mod,
 )
 
@@ -180,7 +186,7 @@ class _Bound:
 
 
 # (coordinate, basis) -> (modulus, residue); the basis is a span basis index,
-# None on scalar blocks
+# None on scalar blocks.  ``_solve_slots`` keeps the live slots only.
 _Slots = dict[tuple[int, int | None], tuple[int, int]]
 
 
@@ -233,7 +239,7 @@ def solve(conj: Conjunction, *, candidate_budget: int = 20000) -> SolveResult:
     placement = _place_coordinate0(prob, slots) if have_ords else None
     explore = prob.has_diseq or (have_ords and placement is None)
     for x in _candidates(prob, slots, placement, explore, candidate_budget):
-        if evaluate_conj(conj, x):
+        if _meets_slots(x, slots) and evaluate_conj(conj, x):
             return SolveResult(SolveStatus.SAT, witness=x)
     if prob.has_diseq:
         return _unknown(
@@ -254,6 +260,13 @@ def _normalize(conj: Conjunction) -> _Problem:
     bank = conj.params
     for idx, (lit, t) in enumerate(zip(conj.literals, conj.term_values)):
         if lit.kind is LitKind.CONG:
+            pf = factorize(lit.m)
+            if lit.k == 1 and len(pf) <= 1:
+                # already in normal form (or vacuous, modulus 1): no rewrite
+                prob.congs.extend(
+                    _Cong(p, e, lit.alpha.s, t, idx) for p, e in pf.items()
+                )
+                continue
             try:
                 res = normalize_type_I(lit, bank, group)
             except NotReducibleError:
@@ -265,12 +278,13 @@ def _normalize(conj: Conjunction) -> _Problem:
                 )
             bank = res.params
             for piece in res.literals:
-                pf = factorize(piece.m)
-                if pf:  # a modulus-1 piece is vacuous
-                    (p, e), = pf.items()
-                    # without rewrite steps the piece is the literal itself
-                    value = term_value(piece.term, bank, group) if res.steps else t
-                    prob.congs.append(_Cong(p, e, piece.alpha.s, value, idx))
+                if piece.m == 1:  # a modulus-1 piece is vacuous
+                    continue
+                # each piece's modulus is a power of one prime of the literal's
+                p = next(q for q in pf if piece.m % q == 0)
+                e = int_valuation(piece.m, p)
+                value = term_value(piece.term, bank, group)
+                prob.congs.append(_Cong(p, e, piece.alpha.s, value, idx))
         elif lit.kind is LitKind.ORD:
             k, cmp = lit.k, lit.cmp
             if k < 0:
@@ -328,17 +342,36 @@ def _decide_pinned(
 
 
 def _solve_slots(prob: _Problem) -> _Slots:
-    """Phase 3: the residue class of every slot, in coordinate order."""
-    group = prob.conj.group
-    terms = prob.conj.term_values + tuple(c.value for c in prob.congs)
+    """Phase 3: the residue class of every live slot, in coordinate then
+    basis order; pins are checked and slots refuted in that order too."""
+    blocks = prob.conj.group.blocks
+    # the live bases of each coordinate some congruence value touches.
+    # Zloc(p) and Gp(p) are q-divisible for every prime q != p, and Q for
+    # every prime, so only Z and the block's own prime carry residues
+    live: dict[int, set[int | None]] = {}
+    for c in prob.congs:
+        coords = c.value.coords
+        for i in itertools.compress(range(c.alpha_s), coords):
+            block = blocks[i]
+            if i in prob.coord_pins or not (block.kind == "Z" or c.p == block.p):
+                continue
+            bases = live.setdefault(i, set())
+            if block.kind == "GP":
+                bases.update(b for b, _ in coords[i])
+            else:
+                bases.add(None)
+    reach = max((c.alpha_s for c in prob.congs), default=0)
+    pinned = [i for i in prob.coord_pins if i < reach]
     # the coordinate pins alone, zero elsewhere
-    pinned = _assemble(group, prob.coord_pins, {}) if prob.coord_pins else None
+    pins = _assemble(prob.conj.group, prob.coord_pins, {}) if pinned else None
     slots: _Slots = {}
-    for i, block in enumerate(group.blocks):
-        here = [c for c in prob.congs if c.alpha_s > i]
+    for i in sorted(live.keys() | pinned):
+        block = blocks[i]
         if i in prob.coord_pins:
-            for c in here:
-                d = sub(pinned, c.value).coords[i]
+            for c in prob.congs:
+                if c.alpha_s <= i:
+                    continue
+                d = sub(pins, c.value).coords[i]
                 if not block_divisible(block, d, c.p**c.e):
                     _refute(
                         "pin-congruence-conflict",
@@ -347,26 +380,51 @@ def _solve_slots(prob: _Problem) -> _Slots:
                         modulus=c.p**c.e,
                     )
             continue
-        # Zloc(p) and Gp(p) are q-divisible for every prime q != p, and Q for
-        # every prime, so only Z and the block's own prime carry residues
-        here = [c for c in here if block.kind == "Z" or c.p == block.p]
-        # a slot where every congruence value is zero solves to residue 0
-        # modulo the largest prime powers; only the other slots are live
+        here = [
+            c for c in prob.congs
+            if c.alpha_s > i and (block.kind == "Z" or c.p == block.p)
+        ]
+        for b in sorted(live[i]):
+            slots[i, b] = _solve_slot(i, b, here)
+    return slots
+
+
+def _every_slot(prob: _Problem, live: _Slots, coords: Iterable[int]) -> _Slots:
+    """The slots of the given coordinates, pinned ones skipped, in
+    coordinate then basis order: on a span block one per basis of the term
+    supports plus a fresh one.  A live slot keeps its solution; every other
+    slot solves to (M, 0), M the product of the largest prime powers of the
+    congruences on the coordinate (1 when there are none)."""
+    group = prob.conj.group
+    terms = prob.conj.term_values + tuple(c.value for c in prob.congs)
+    slots: _Slots = {}
+    for i in coords:
+        if i in prob.coord_pins:
+            continue
+        block = group.blocks[i]
         e_max: dict[int, int] = {}
-        for c in here:
-            e_max[c.p] = max(e_max.get(c.p, 0), c.e)
+        for c in prob.congs:
+            if c.alpha_s > i and (block.kind == "Z" or c.p == block.p):
+                e_max[c.p] = max(e_max.get(c.p, 0), c.e)
         zero_slot = (prod(p**e for p, e in e_max.items()), 0)
         bases: list[int | None] = [None]
         if block.kind == "GP":
-            # span block: one slot per constrained basis symbol plus a fresh one
             support = {b for t in terms for b, _ in t.coords[i]}
             bases = sorted(support) + [max(support, default=-1) + 1]
-            live = {b for c in here for b, _ in c.value.coords[i]}
-        else:
-            live = {None} if any(c.value.coords[i] for c in here) else set()
         for b in bases:
-            slots[i, b] = _solve_slot(i, b, here) if b in live else zero_slot
+            slots[i, b] = live.get((i, b), zero_slot)
     return slots
+
+
+def _meets_slots(x: Element, slots: _Slots) -> bool:
+    """Whether x has every live slot's residue.  Each normalized congruence
+    fixes the residue of x on each of its slots, so an x that misses one
+    fails the conjunction; the converse need not hold."""
+    for (i, b), (m, r) in slots.items():
+        v = x.coords[i] if b is None else span_coefficient(x.coords[i], b)
+        if residue_mod(v, m) != r:
+            return False
+    return True
 
 
 def _solve_slot(coord: int, basis: int | None, congs: list[_Cong]) -> tuple[int, int]:
@@ -439,11 +497,11 @@ def _candidates(
 ) -> Iterator[Element]:
     """Distinct candidate witnesses, in a fixed order.
 
-    First the parameters, zero, the points of divisible bounds and the slot
-    residues with the placement over the coordinate-0 slot.  With `explore`,
-    then moves of one and of two slots, in slot order, by one or two moduli,
-    each under every alternative placement; the moves stop once `budget`
-    distinct candidates have been produced.
+    First the parameters, zero, the points of divisible bounds and the live
+    slot residues with the placement over the coordinate-0 slot.  With
+    `explore`, then moves of one and of two slots of ``_every_slot``, in slot
+    order, by one or two moduli, each under every alternative placement; the
+    moves stop once `budget` distinct candidates have been produced.
     """
     group = prob.conj.group
     seen: set[Element] = set()
@@ -463,14 +521,15 @@ def _candidates(
     def moves():
         if not explore:
             return
-        vary = [key for key in slots if key[0] != 0 or placement is None]
+        every = _every_slot(prob, slots, range(group.K))
+        vary = [key for key in every if key[0] != 0 or placement is None]
         for count in (1, 2):
             for combo in itertools.combinations(vary, count):
                 for steps in itertools.product((1, 2), repeat=count):
                     if len(seen) >= budget:
                         return
                     move = {
-                        key: residues[key] + n * slots[key][0]
+                        key: every[key][1] + n * every[key][0]
                         for key, n in zip(combo, steps)
                     }
                     for pl in placements:
@@ -495,7 +554,8 @@ def _place_coordinate0(prob: _Problem, slots: _Slots):
         return None
     block = prob.conj.group.blocks[0]
     lows, highs = prob.lows, prob.highs
-    m, r = slots.get((0, 0 if block.kind == "GP" else None), (1, 0))
+    key0 = (0, 0 if block.kind == "GP" else None)
+    m, r = _every_slot(prob, slots, (0,)).get(key0, (1, 0))
 
     if block.kind != "GP":
         lo = max((Fraction(b.t.coords[0]) / b.k for b in lows), default=None)

@@ -133,7 +133,7 @@ def test_crt_split_examples():
     out = crt_split(lit)
     assert [l.m for l in out] == [4, 3]
     lit8 = cong(1, 8, ConvexCut(1), t)
-    assert crt_split(lit8) == [lit8]
+    assert crt_split(lit8) == [lit8] and crt_split(lit8)[0] is lit8
     assert crt_split(cong(1, 1, ConvexCut(1), t)) == []
 
 

@@ -251,3 +251,48 @@ def test_verify_computes_each_instance_term_once(monkeypatch):
     report = verify(pattern, 8)
     assert report.verified and len(report.paths) == 8
     assert len(calls) == pattern.depth * 2
+
+
+def _path_work(monkeypatch, width):
+    """verify chain(2, 3, width) over every path, counting the _solve_slot
+    calls of each path solve and every evaluate_conj call."""
+    import oag.patterns
+    import oag.solver
+
+    slot_calls, evals, per_path = [0], [0], []
+    real_slot, real_solve = oag.solver._solve_slot, oag.patterns.solve
+
+    def counting_slot(*args):
+        slot_calls[0] += 1
+        return real_slot(*args)
+
+    def counting_eval(conj, x, _real=evaluate_conj):
+        evals[0] += 1
+        return _real(conj, x)
+
+    def path_solve(conj):
+        before = slot_calls[0]
+        res = real_solve(conj)
+        per_path.append(slot_calls[0] - before)
+        return res
+
+    monkeypatch.setattr(oag.solver, "_solve_slot", counting_slot)
+    monkeypatch.setattr(oag.solver, "evaluate_conj", counting_eval)
+    monkeypatch.setattr(oag.patterns, "evaluate_conj", counting_eval)
+    monkeypatch.setattr(oag.patterns, "solve", path_solve)
+    report = verify(gen_chain_pattern(2, 3, width).pattern, width**3)
+    assert report.verified and len(report.paths) == width**3
+    sat = sum(p.status == "SAT" for p in report.paths)
+    return set(per_path), evals[0], sat
+
+
+def test_path_work_does_not_grow_with_K(monkeypatch):
+    # K = 12 and K = 20: a path solves the same live slots, and a SAT path
+    # costs two evaluations, the solver's accept and verify's confirmation
+    with monkeypatch.context() as mp:
+        narrow = _path_work(mp, 2)
+    with monkeypatch.context() as mp:
+        wide = _path_work(mp, 4)
+    assert narrow[0] == wide[0] and len(narrow[0]) == 1
+    for _, evals, sat in (narrow, wide):
+        assert evals == 2 * sat

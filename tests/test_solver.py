@@ -474,6 +474,18 @@ def _slots_or_verdict(fn, prob):
         return decided.result
 
 
+def _every_slot_expanded(prob):
+    """The full slot map that moves() reads: the live slots of phase 3 with
+    the zero slots filled in."""
+    live = solver._solve_slots(prob)
+    return solver._every_slot(prob, live, range(prob.conj.group.K))
+
+
+def _slot_value(c, i, b):
+    v = c.value.coords[i]
+    return v if b is None else span_coefficient(v, b)
+
+
 @pytest.mark.parametrize("seed", [11, 1009])
 def test_solve_slots_match_solving_every_slot(seed):
     compared = zero_slots = 0
@@ -482,7 +494,7 @@ def test_solve_slots_match_solving_every_slot(seed):
             prob = solver._normalize(conj)
         except solver._Decided:
             continue
-        got = _slots_or_verdict(solver._solve_slots, prob)
+        got = _slots_or_verdict(_every_slot_expanded, prob)
         if isinstance(got, SolveResult) and any(
             e.kind == "pin-congruence-conflict" for e in got.certificate
         ):
@@ -490,15 +502,69 @@ def test_solve_slots_match_solving_every_slot(seed):
         assert got == _slots_or_verdict(_every_slot_solved, prob)
         compared += 1
         if isinstance(got, list):
+            # phase 3 keeps exactly the slots where a congruence carrying a
+            # residue on the block has a nonzero value
+            blocks = conj.group.blocks
+            live = [
+                ((i, b), slot) for (i, b), slot in got
+                if any(
+                    _slot_value(c, i, b) for c in prob.congs
+                    if c.alpha_s > i
+                    and (blocks[i].kind == "Z" or c.p == blocks[i].p)
+                )
+            ]
+            assert list(solver._solve_slots(prob).items()) == live
             zero_slots += sum(
                 1 for (i, b), (m, r) in got
                 if m > 1 and not any(
-                    (c.value.coords[i] if b is None
-                     else span_coefficient(c.value.coords[i], b))
-                    for c in prob.congs if c.alpha_s > i
+                    _slot_value(c, i, b) for c in prob.congs if c.alpha_s > i
                 )
             )
     assert compared > 200 and zero_slots > 0
+
+
+def test_placement_reads_the_zero_slot_modulus():
+    # coordinate 0 is not live (the congruence value is zero there), yet the
+    # placement above the bound must land on a multiple of 4, not of 1
+    c = conj_of(parse_spec("lex(Z, Q)"), "cong[4, cut1](1x, 0) & 1x > 1*a0", "(5 | 0)")
+    prob = solver._normalize(c)
+    assert solver._solve_slots(prob) == {}
+    assert solver._place_coordinate0(prob, {}) == 8
+    res = solve(c)
+    assert res.status is SolveStatus.SAT
+    assert res.witness == parse_element(c.group, "(8 | 0)")
+
+
+@pytest.mark.parametrize("seed", [11, 1009])
+def test_pre_rejection_is_only_a_necessary_condition(monkeypatch, seed):
+    # every candidate the evaluator accepts meets the live slot residues,
+    # and pre-rejection changes no verdict or witness under small budgets:
+    # a rejected candidate still counts against the budget
+    seen = []
+    real = solver._candidates
+
+    def recording(prob, slots, *args):
+        for x in real(prob, slots, *args):
+            seen.append((x, slots))
+            yield x
+
+    monkeypatch.setattr(solver, "_candidates", recording)
+    corpus = random_conjunctions(seed, 1500)
+    accepted = rejected = 0
+    for conj in corpus:
+        seen.clear()
+        solve(conj)
+        for x, slots in seen:
+            if evaluate_conj(conj, x):
+                assert solver._meets_slots(x, slots)
+                accepted += 1
+            elif not solver._meets_slots(x, slots):
+                rejected += 1
+    assert accepted > 800 and rejected > 50
+    budgets = (1, 2, 3, 5)
+    got = [solve(c, candidate_budget=b) for c in corpus for b in budgets]
+    monkeypatch.setattr(solver, "_meets_slots", lambda x, slots: True)
+    assert got == [solve(c, candidate_budget=b) for c in corpus for b in budgets]
 
 
 @pytest.mark.parametrize(
