@@ -14,18 +14,15 @@ _MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic primality below ``_MR_BOUND``.  At or above it, a number
+    with a factor up to 41 is not prime and any other raises ValueError."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
     if n >= _MR_BOUND:
-        f = 43
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
-        return True
+        raise ValueError(f"primality is decided only below {_MR_BOUND}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

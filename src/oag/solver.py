@@ -23,12 +23,14 @@ Shape of the decision: ``solve`` runs the phases below in order over one
     congruence value is nonzero, are solved and kept, in coordinate then
     basis order: ``_solve_slot`` solves one to a residue class per prime,
     combined by CRT, and an empty class yields an UNSAT certificate listing
-    the exhausted residues.  Every other slot solves to (M, 0), with M the
-    product of the largest prime powers of the congruences on its
-    coordinate; ``_every_slot`` fills those in for the two readers that
-    need them.  A pinned coordinate has no slot; its pin must meet every
-    congruence there.  Only the coordinates some congruence value touches,
-    and the pinned ones a congruence reaches, are visited.
+    the exhausted residues.  On every other slot all congruence values are
+    zero, so ``_solve_slot`` gives it (M, 0), with M the product of the
+    largest prime powers of the congruences on its coordinate.
+    ``_every_slot`` fills those in for the move enumeration only; the
+    placement reads coordinate 0's slot through ``_solve_slot``.  A pinned
+    coordinate has no slot; its pin must meet every congruence there.  Only
+    the coordinates some congruence value touches, and the pinned ones a
+    congruence reaches, are visited.
 4.  ``_intersect_bounds``: order bounds are intersected in the divisible
     hull via cross-multiplied comparisons.  An empty interval is UNSAT;
     equal bounds force x, which ``_decide_pinned`` decides.
@@ -53,8 +55,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import prod
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 from .errors import NotReducibleError
 from .formulas import (
@@ -341,31 +342,32 @@ def _decide_pinned(
     _refute("pin-refuted", cited, note)
 
 
+def _carriers(prob: _Problem, i: int) -> list[_Cong]:
+    """The congruences that constrain coordinate i.  Zloc(p) and Gp(p) are
+    q-divisible for every prime q != p, and Q for every prime, so only Z and
+    the block's own prime carry residues."""
+    block = prob.conj.group.blocks[i]
+    return [
+        c for c in prob.congs
+        if c.alpha_s > i and (block.kind == "Z" or c.p == block.p)
+    ]
+
+
 def _solve_slots(prob: _Problem) -> _Slots:
     """Phase 3: the residue class of every live slot, in coordinate then
     basis order; pins are checked and slots refuted in that order too."""
     blocks = prob.conj.group.blocks
-    # the live bases of each coordinate some congruence value touches.
-    # Zloc(p) and Gp(p) are q-divisible for every prime q != p, and Q for
-    # every prime, so only Z and the block's own prime carry residues
-    live: dict[int, set[int | None]] = {}
-    for c in prob.congs:
-        coords = c.value.coords
-        for i in itertools.compress(range(c.alpha_s), coords):
-            block = blocks[i]
-            if i in prob.coord_pins or not (block.kind == "Z" or c.p == block.p):
-                continue
-            bases = live.setdefault(i, set())
-            if block.kind == "GP":
-                bases.update(b for b, _ in coords[i])
-            else:
-                bases.add(None)
+    touched = {
+        i
+        for c in prob.congs
+        for i in itertools.compress(range(c.alpha_s), c.value.coords)
+    }
     reach = max((c.alpha_s for c in prob.congs), default=0)
-    pinned = [i for i in prob.coord_pins if i < reach]
+    pinned = {i for i in prob.coord_pins if i < reach}
     # the coordinate pins alone, zero elsewhere
     pins = _assemble(prob.conj.group, prob.coord_pins, {}) if pinned else None
     slots: _Slots = {}
-    for i in sorted(live.keys() | pinned):
+    for i in sorted(touched | pinned):
         block = blocks[i]
         if i in prob.coord_pins:
             for c in prob.congs:
@@ -380,39 +382,36 @@ def _solve_slots(prob: _Problem) -> _Slots:
                         modulus=c.p**c.e,
                     )
             continue
-        here = [
-            c for c in prob.congs
-            if c.alpha_s > i and (block.kind == "Z" or c.p == block.p)
-        ]
-        for b in sorted(live[i]):
+        here = _carriers(prob, i)
+        if block.kind == "GP":
+            live = sorted({b for c in here for b, _ in c.value.coords[i]})
+        else:
+            live = [None] if any(c.value.coords[i] for c in here) else []
+        for b in live:
             slots[i, b] = _solve_slot(i, b, here)
     return slots
 
 
-def _every_slot(prob: _Problem, live: _Slots, coords: Iterable[int]) -> _Slots:
-    """The slots of the given coordinates, pinned ones skipped, in
-    coordinate then basis order: on a span block one per basis of the term
-    supports plus a fresh one.  A live slot keeps its solution; every other
-    slot solves to (M, 0), M the product of the largest prime powers of the
-    congruences on the coordinate (1 when there are none)."""
+def _every_slot(prob: _Problem, live: _Slots) -> _Slots:
+    """Every slot, pinned coordinates skipped, in coordinate then basis
+    order: on a span block one per basis of the term supports plus a fresh
+    one.  A live slot keeps its solution; on every other slot all
+    congruence values are zero, so ``_solve_slot`` gives it (M, 0), M the
+    product of the largest prime powers of the congruences on the
+    coordinate, and cannot refute."""
     group = prob.conj.group
     terms = prob.conj.term_values + tuple(c.value for c in prob.congs)
     slots: _Slots = {}
-    for i in coords:
+    for i, block in enumerate(group.blocks):
         if i in prob.coord_pins:
             continue
-        block = group.blocks[i]
-        e_max: dict[int, int] = {}
-        for c in prob.congs:
-            if c.alpha_s > i and (block.kind == "Z" or c.p == block.p):
-                e_max[c.p] = max(e_max.get(c.p, 0), c.e)
-        zero_slot = (prod(p**e for p, e in e_max.items()), 0)
+        here = _carriers(prob, i)
         bases: list[int | None] = [None]
         if block.kind == "GP":
             support = {b for t in terms for b, _ in t.coords[i]}
             bases = sorted(support) + [max(support, default=-1) + 1]
         for b in bases:
-            slots[i, b] = live.get((i, b), zero_slot)
+            slots[i, b] = live.get((i, b)) or _solve_slot(i, b, here)
     return slots
 
 
@@ -521,7 +520,7 @@ def _candidates(
     def moves():
         if not explore:
             return
-        every = _every_slot(prob, slots, range(group.K))
+        every = _every_slot(prob, slots)
         vary = [key for key in every if key[0] != 0 or placement is None]
         for count in (1, 2):
             for combo in itertools.combinations(vary, count):
@@ -555,7 +554,7 @@ def _place_coordinate0(prob: _Problem, slots: _Slots):
     block = prob.conj.group.blocks[0]
     lows, highs = prob.lows, prob.highs
     key0 = (0, 0 if block.kind == "GP" else None)
-    m, r = _every_slot(prob, slots, (0,)).get(key0, (1, 0))
+    m, r = slots.get(key0) or _solve_slot(0, key0[1], _carriers(prob, 0))
 
     if block.kind != "GP":
         lo = max((Fraction(b.t.coords[0]) / b.k for b in lows), default=None)

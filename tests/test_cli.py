@@ -43,6 +43,12 @@ def test_analyze_parse_error_exit_2(capsys):
     assert "parse error" in err
 
 
+def test_block_prime_above_the_primality_bound_exit_2(capsys):
+    code, out, err = run(capsys, "analyze", "--spec", "lex(Gp(3317044064679887385962123))")
+    assert code == 2
+    assert "primality is decided only below" in err
+
+
 def test_hsub_command(capsys):
     code, data = run_json(
         capsys,

@@ -26,8 +26,10 @@ from oag import (
     sub,
     unit_element,
 )
+from oag import groups
 from oag.groups import _zero_value
 from oag.numutil import (
+    _MR_BOUND,
     frac_valuation,
     is_prime,
     nth_prime,
@@ -339,8 +341,42 @@ def test_is_prime_on_large_numbers(n, prime):
     assert is_prime(n) is prime
 
 
+def test_is_prime_stops_at_the_bound():
+    # the first prime above the bound; trial division would need ~10^12 steps
+    with pytest.raises(ValueError, match=str(_MR_BOUND)):
+        is_prime(3317044064679887385962123)
+    assert is_prime(_MR_BOUND + 1) is False  # even: a factor up to 41 decides
+
+
 def test_large_prime_in_a_spec_parses_fast():
     start = time.perf_counter()
     spec = parse_spec("lex(Gp(100000000000031)^3)")
     assert time.perf_counter() - start < 0.1
     assert spec.blocks == (PSPAN(100000000000031),) * 3
+
+
+@pytest.mark.parametrize(
+    "bound, precisions",
+    [
+        # convergents of sqrt(2) just above it: 64 and 256 bits separate them
+        ("665857/470832", [32, 64]),
+        (
+            "1572584048032918633353217/1111984844349868137938112",
+            [32, 64, 128, 256],
+        ),
+    ],
+    ids=["64-bits", "256-bits"],
+)
+def test_span_sign_doubles_the_precision(monkeypatch, bound, precisions):
+    seen = []
+    real = groups.sqrt_enclosure
+
+    def recording(n, bits):
+        seen.append(bits)
+        return real(n, bits)
+
+    monkeypatch.setattr(groups, "sqrt_enclosure", recording)
+    g = parse_spec("lex(Gp(5))")
+    b1 = parse_element(g, "(b1)")  # the real value sqrt(2)
+    assert compare(b1, parse_element(g, f"({bound}*b0)")) is Ordering.LT
+    assert seen == precisions

@@ -7,6 +7,8 @@ from oag import (
     InpPattern,
     PSPAN,
     PatternRow,
+    SolveResult,
+    SolveStatus,
     Term,
     check_sp_lemma,
     cong,
@@ -296,3 +298,29 @@ def test_path_work_does_not_grow_with_K(monkeypatch):
     assert narrow[0] == wide[0] and len(narrow[0]) == 1
     for _, evals, sat in (narrow, wide):
         assert evals == 2 * sat
+
+
+def test_unknown_verdicts_reach_the_report_and_exit_code(monkeypatch, capsys):
+    import oag.patterns
+    import oag.solver
+    from oag.cli import main
+
+    # row pairs are solved through solver.solve_k_subsets, paths through the
+    # name patterns imported
+    unknown = SolveResult(SolveStatus.UNKNOWN, reason="stubbed")
+    monkeypatch.setattr(oag.solver, "solve", lambda conj: unknown)
+    monkeypatch.setattr(oag.patterns, "solve", lambda conj: unknown)
+    g = GroupSpec((PSPAN(2),))
+    template = (cong(1, 2, ConvexCut(1), Term.of({0: 1})),)
+    columns = tuple((unit_element(g, 0, basis=j),) for j in range(2))
+    rep = verify(InpPattern(g, (PatternRow(template, columns, 2),)), 100)
+    assert rep.rows[0].verdict == "unknown"
+    assert rep.unknowns == (
+        "row 0 inconsistency undecided",
+        "path (0,) undecided: stubbed",
+        "path (1,) undecided: stubbed",
+    )
+    assert not rep.verified
+    argv = ["pattern", "chain", "--p", "2", "--depth", "1", "--width", "2"]
+    assert main(argv + ["--verify"]) == 3
+    capsys.readouterr()

@@ -27,6 +27,10 @@ CLI_DIGEST = "a185b0fe8760a2295cc86f9879571aaa7bf72ff931af6e7b8152c24f06083f0c"
 CHAIN_VERIFY_DIGEST = (
     "082f6d8e5b99dc6e810b0df5d6e30cbd7fc60c8a2f8d700462a942672bfc7eb8"
 )
+SOLVE_MIX_SEEDS = (11, 1009, 5, 77)
+SOLVE_MIX_DIGEST = (
+    "a26c7ff39a3cd9bd8dc3ef0f0da2ee39c89f1fb7c380b3ed37447ce8c3683e6b"
+)
 
 # report fields added after the digest was pinned; dropped before hashing so
 # the digest covers exactly the fields every version emits
@@ -76,3 +80,15 @@ def test_chain_verify_digest():
         verify(g, 30, seed=5).to_json_dict(include_pairs=True),
     ]
     assert _digest(reports) == CHAIN_VERIFY_DIGEST
+
+
+def test_solve_mix_digest():
+    # 1500 conjunctions per seed, 6000 results, hashed with json.dumps'
+    # default separators
+    results = [
+        solve(conj).to_json_dict()
+        for seed in SOLVE_MIX_SEEDS
+        for conj in random_conjunctions(seed, 1500)
+    ]
+    text = json.dumps(results, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SOLVE_MIX_DIGEST

@@ -478,7 +478,7 @@ def _every_slot_expanded(prob):
     """The full slot map that moves() reads: the live slots of phase 3 with
     the zero slots filled in."""
     live = solver._solve_slots(prob)
-    return solver._every_slot(prob, live, range(prob.conj.group.K))
+    return solver._every_slot(prob, live)
 
 
 def _slot_value(c, i, b):
@@ -533,6 +533,68 @@ def test_placement_reads_the_zero_slot_modulus():
     res = solve(c)
     assert res.status is SolveStatus.SAT
     assert res.witness == parse_element(c.group, "(8 | 0)")
+
+
+@pytest.mark.parametrize(
+    "spec, formula, params, witness",
+    [
+        (
+            "lex(Gp(2))",
+            "cong[4, cut1](1x, 1*a0) & 1x > 1*a0",
+            "(b1)",
+            "(4*b0 + b1)",
+        ),
+        (
+            "lex(Gp(3), Q, Gp(3))",
+            "cong[9, cut2](2x, -3*a0) & 1x < 1*a1 & !-1x = 2*a0 + -2*a1",
+            "(-3*b1 + 22/5*b3 | 4/7 | 22*b0 + 22/5*b2 + 3/5*b3) ; "
+            "(-19/7*b1 - 10/7*b3 | 5 | 0)",
+            "(-27*b0 + 6*b3 | 0 | 0)",
+        ),
+    ],
+    ids=["gp2-top", "solve-mix-1009-item-1025"],
+)
+def test_placement_on_a_span_top_reads_the_basis_0_slot(
+    spec, formula, params, witness
+):
+    # the term supports leave out b0, so (0, 0) is not a slot key; the b0
+    # coefficient must still land on the congruences' residue
+    c = conj_of(parse_spec(spec), formula, params)
+    res = solve(c)
+    assert res.status is SolveStatus.SAT
+    assert res.witness == parse_element(c.group, witness)
+    assert evaluate_conj(c, res.witness)
+
+
+@pytest.mark.parametrize(
+    "spec, params, witness, enclosure_bits",
+    [
+        ("lex(Z, Q)", "(1 | 0) ; (1 | 5)", "(1 | 1)", set()),
+        ("lex(Q, Z)", "(1 | 0) ; (1 | 5)", "(1 | 1)", set()),
+        ("lex(Gp(2), Z)", "(b1 | 0) ; (b1 | 5)", "(b1 | 1)", {64, 128, 256, 512}),
+    ],
+    ids=["z-top", "q-top", "gp2-top"],
+)
+def test_no_slack_at_coordinate_0_falls_back_to_moves(
+    monkeypatch, spec, params, witness, enclosure_bits
+):
+    # both bounds agree on coordinate 0, so no placement exists there and
+    # the move search finds the witness on the lower coordinate
+    seen = set()
+    real = solver.span_enclosure
+
+    def recording(pairs, bits):
+        seen.add(bits)
+        return real(pairs, bits)
+
+    monkeypatch.setattr(solver, "span_enclosure", recording)
+    c = conj_of(parse_spec(spec), "1x > 1*a0 & 1x < 1*a1", params)
+    prob = solver._normalize(c)
+    assert solver._place_coordinate0(prob, solver._solve_slots(prob)) is None
+    assert seen == enclosure_bits  # a span top tries every precision
+    res = solve(c)
+    assert res.status is SolveStatus.SAT
+    assert res.witness == parse_element(c.group, witness)
 
 
 @pytest.mark.parametrize("seed", [11, 1009])
