@@ -10,6 +10,7 @@ prime, the rank bound) is computed inside this finite lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .errors import PreconditionError
 from .groups import BlockKind, Element, GroupSpec, block_divisible
@@ -50,10 +51,12 @@ def in_coset(x: Element, cut: ConvexCut, m: int) -> bool:
     if m < 1:
         raise ValueError("modulus must be a positive integer")
     _check_cut(x.spec, cut)
+    blocks, coords = x.spec.blocks, x.coords
+    # zero is divisible in every block, so only the nonzero coordinates
+    # below the cut are visited
     return all(
-        block_divisible(b, v, m)
-        for b, v in zip(x.spec.blocks[: cut.s], x.coords[: cut.s])
-        if v  # zero is divisible in every block
+        block_divisible(blocks[i], coords[i], m)
+        for i in compress(range(cut.s), coords)
     )
 
 

@@ -87,7 +87,15 @@ class Term:
         return Term(tuple((i, c * s) for i, c in self.coeffs))
 
     def shifted(self, offset: int) -> "Term":
-        return Term(tuple((i + offset, c) for i, c in self.coeffs))
+        # one offset on every index keeps the pairs sorted and zero-free, so
+        # only the smallest index needs checking
+        if self.coeffs and self.coeffs[0][0] + offset < 0:
+            raise ValueError("parameter indices must be >= 0")
+        out = object.__new__(Term)
+        object.__setattr__(
+            out, "coeffs", tuple((i + offset, c) for i, c in self.coeffs)
+        )
+        return out
 
     def max_param(self) -> int:
         return max((i for i, _ in self.coeffs), default=-1)
@@ -155,7 +163,7 @@ class Conjunction:
         object.__setattr__(self, "literals", tuple(self.literals))
         object.__setattr__(self, "params", tuple(self.params))
         for e in self.params:
-            if e.spec != self.group:
+            if e.spec is not self.group and e.spec != self.group:
                 raise PreconditionError("parameter from a different group spec")
         top = max((l.term.max_param() for l in self.literals), default=-1)
         if top >= len(self.params):
@@ -232,10 +240,15 @@ def conjoin(first: Conjunction, *rest: Conjunction) -> Conjunction:
     literals, params = list(first.literals), first.params
     values = first.term_values
     for c in rest:
-        if c.group != first.group:
+        if c.group is not first.group and c.group != first.group:
             raise PreconditionError("conjunctions over different group specs")
         off = len(params)
-        literals.extend(replace(l, term=l.term.shifted(off)) for l in c.literals)
+        for l in c.literals:
+            # only the term changes and the literal passed its checks when
+            # made, so the copy skips dataclasses.replace's re-validation
+            moved = object.__new__(Literal)
+            moved.__dict__.update(l.__dict__, term=l.term.shifted(off))
+            literals.append(moved)
         params += c.params
         values += c.term_values
     out = Conjunction(first.group, literals, params)

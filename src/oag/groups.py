@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Mapping, Union
 
 from .errors import NotDivisibleError, SpecMismatchError
@@ -260,18 +261,33 @@ def _block_is_zero(v: BlockValue) -> bool:
 
 
 def _span_add(x: SpanPairs, y: SpanPairs, sign: int = 1) -> SpanPairs:
-    """x + sign*y for canonical spans and sign = +-1; an empty side is
-    passed through."""
+    """x + sign*y for canonical spans and sign = +-1, by one merge of the
+    two sorted pair tuples; an empty x or y needs no merge."""
     if not y:
         return x
-    if sign < 0:
-        y = tuple((i, -c) for i, c in y)
     if not x:
-        return y
-    acc = dict(x)
-    for idx, c in y:
-        acc[idx] = acc[idx] + c if idx in acc else c
-    return tuple(sorted((i, c) for i, c in acc.items() if c))
+        return y if sign > 0 else tuple((i, -c) for i, c in y)
+    out = []
+    i = j = 0
+    nx, ny = len(x), len(y)
+    while i < nx and j < ny:
+        ix, cx = x[i]
+        iy, cy = y[j]
+        if ix < iy:
+            out.append(x[i])
+            i += 1
+        elif iy < ix:
+            out.append(y[j] if sign > 0 else (iy, -cy))
+            j += 1
+        else:
+            c = cx + cy if sign > 0 else cx - cy
+            if c:
+                out.append((ix, c))
+            i += 1
+            j += 1
+    out.extend(x[i:])
+    out.extend(y[j:] if sign > 0 else ((iy, -cy) for iy, cy in y[j:]))
+    return tuple(out)
 
 
 def _span_scale(k, x: SpanPairs) -> SpanPairs:
@@ -292,19 +308,22 @@ def span_coefficient(v: SpanPairs, basis: int) -> Fraction:
 # The kernel below relies on the canonical form (ints on Z, Fractions
 # elsewhere, sorted zero-free span pairs): a zero coordinate (0, Fraction(0)
 # or ()) is falsy, and the other side of a sum with it is already the
-# canonical result, so it is passed through with no arithmetic.
+# canonical result, so it is passed through with no arithmetic.  add and sub
+# copy the left operand's coordinates and visit only the right operand's
+# nonzero ones, which compress picks out by that truth value.
 
 
 def add(a: Element, b: Element) -> Element:
     _check_same_spec(a, b)
-    coords = tuple(
-        x if not y
-        else y if not x
-        else _span_add(x, y) if block.kind == "GP"
-        else x + y
-        for block, x, y in zip(a.spec.blocks, a.coords, b.coords)
-    )
-    return _raw_element(a.spec, coords)
+    coords, other, blocks = list(a.coords), b.coords, a.spec.blocks
+    for i in compress(range(len(other)), other):
+        x, y = coords[i], other[i]
+        coords[i] = (
+            y if not x
+            else _span_add(x, y) if blocks[i].kind == "GP"
+            else x + y
+        )
+    return _raw_element(a.spec, tuple(coords))
 
 
 def neg(a: Element) -> Element:
@@ -319,14 +338,15 @@ def neg(a: Element) -> Element:
 
 def sub(a: Element, b: Element) -> Element:
     _check_same_spec(a, b)
-    coords = tuple(
-        x if not y
-        else _span_add(x, y, -1) if block.kind == "GP"
-        else x - y if x
-        else -y
-        for block, x, y in zip(a.spec.blocks, a.coords, b.coords)
-    )
-    return _raw_element(a.spec, coords)
+    coords, other, blocks = list(a.coords), b.coords, a.spec.blocks
+    for i in compress(range(len(other)), other):
+        x, y = coords[i], other[i]
+        coords[i] = (
+            _span_add(x, y, -1) if blocks[i].kind == "GP"
+            else x - y if x
+            else -y
+        )
+    return _raw_element(a.spec, tuple(coords))
 
 
 def scale(k: int, a: Element) -> Element:

@@ -51,7 +51,9 @@ Shape of the decision: ``solve`` runs the phases below in order over one
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -669,15 +671,24 @@ def oracle_search(
     Enumerates integer combinations of a generator set (the parameters, one
     fresh basis unit per span coordinate, and p-divisions of divisible
     generators up to p^2) with coefficients bounded by the radius and
-    support bounded by max_support, in a fixed deterministic order.  Returns
-    the first combination that satisfies the conjunction, or None.  It
-    shares the literal evaluator with solve but neither its candidates nor
-    their order.
+    support bounded by max_support, in a fixed deterministic order, at most
+    candidate_budget of them.  Returns the first combination that satisfies
+    the conjunction, or None.  It shares the literal decider with solve but
+    neither its candidates nor their order.
+    A candidate is a prefix sum plus one last scaled generator.  Literal
+    truth depends on x only through k*x - t, so the last generator is tested
+    against each term value shifted by k times the prefix sum, made once per
+    prefix, and the sum itself is built only for the witness.
     Incomplete by design; meant to corroborate SAT answers and to hunt
-    counterexamples to UNSAT answers.
+    counterexamples to UNSAT answers.  A search of nothing would corroborate
+    anything, so a radius, support bound or budget below 1 is rejected.
     """
     if radius < 1:
         raise ValueError("the oracle radius must be a positive integer")
+    if max_support < 1:
+        raise ValueError("the oracle support bound must be a positive integer")
+    if candidate_budget < 1:
+        raise ValueError("the oracle candidate budget must be a positive integer")
     group = conj.group
     gens: list[Element] = []
 
@@ -714,28 +725,36 @@ def oracle_search(
 
     coeffs = [c for a in range(1, radius + 1) for c in (a, -a)]
     scaled = [[scale(c, g) for c in coeffs] for g in gens]
+    lits, values = conj.literals, conj.term_values
     tried = 0
-    # left-fold sums over combo[:-1], keyed by their coefficients; combinations
-    # yields combos sharing a prefix contiguously, so one prefix is cached
-    prefix_combo, prefix_sums = None, {}
+    # head + y satisfies a literal exactly when y does against t - k*head.
+    # combinations yields combos sharing combo[:-1] contiguously, so one
+    # prefix is cached: per choice of its coefficients, the sum head and the
+    # shifted term values, each made when a candidate first needs it
+    prefix_combo, prefixes = None, []
     for support in range(1, min(max_support, len(gens)) + 1):
         for combo in itertools.combinations(range(len(gens)), support):
             if combo[:-1] != prefix_combo:
-                prefix_combo, prefix_sums = combo[:-1], {}
+                prefix_combo = combo[:-1]
+                prefixes = [
+                    (functools.reduce(operator.add, p), [None] * len(lits)) if p
+                    else (None, list(values))
+                    for p in itertools.product(*(scaled[j] for j in prefix_combo))
+                ]
             last = scaled[combo[-1]]
-            for cs in itertools.product(range(len(coeffs)), repeat=support):
-                tried += 1
-                if tried > candidate_budget:
-                    return None
-                head = cs[:-1]
-                if head and head not in prefix_sums:
-                    x = scaled[combo[0]][head[0]]
-                    for j, ci in zip(combo[1:-1], head[1:]):
-                        x = x + scaled[j][ci]
-                    prefix_sums[head] = x
-                x = prefix_sums[head] + last[cs[-1]] if head else last[cs[-1]]
-                if evaluate_conj(conj, x):
-                    return x
+            for head, shifted in prefixes:
+                for y in last:
+                    tried += 1
+                    if tried > candidate_budget:
+                        return None
+                    for i, lit in enumerate(lits):
+                        t = shifted[i]
+                        if t is None:
+                            t = shifted[i] = sub(values[i], scale(lit.k, head))
+                        if not _holds(lit, y, t):
+                            break
+                    else:
+                        return y if head is None else head + y
     return None
 
 

@@ -30,8 +30,15 @@ from oag import (
     term_value,
     unit_normalize,
 )
-from oag.formulas import derive_reduction_hint
-from helpers import random_element, random_spec, random_cong_literal
+from oag.formulas import _holds, derive_reduction_hint
+from oag.groups import PSPAN, GroupSpec, add, sub
+from helpers import (
+    PRIMES,
+    random_cong_literal,
+    random_element,
+    random_spec,
+    random_term,
+)
 
 G = parse_spec("lex(Q, Gp(2))")
 A0 = parse_element(G, "(0 | b0)")
@@ -316,6 +323,46 @@ def test_conjunction_validates_parameter_bank():
     g = parse_spec("lex(Q, Gp(2))")
     with pytest.raises(Exception):
         Conjunction(g, (cong(1, 2, ConvexCut(1), Term.of({3: 1})),), (A0,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, -1, 2, -2, 3]))
+def test_literal_truth_is_translation_invariant(seed, k):
+    # oracle_search relies on this: each literal holds at x + u exactly
+    # when it holds at x against the shifted term value t - k*u
+    rng = random.Random(seed)
+    blocks = list(random_spec(rng, max_blocks=3).blocks)
+    blocks.insert(rng.randint(0, len(blocks)), PSPAN(rng.choice(PRIMES)))
+    spec = GroupSpec(tuple(blocks))
+    x, u = random_element(rng, spec), random_element(rng, spec)
+    # a2 is k*(x + u) itself, so equalities and congruences also hold
+    params = (
+        random_element(rng, spec), random_element(rng, spec), scale(k, add(x, u))
+    )
+
+    def term():
+        return Term.of({2: 1}) if rng.random() < 0.4 else random_term(rng, 3)
+
+    def cut():
+        return ConvexCut(rng.randint(0, spec.K))
+
+    m = rng.choice([1, 2, 3, 4, 6, 9])
+    lits = (
+        cong(k, m, cut(), term()),
+        ncong(k, m, cut(), term()),
+        ord_lit(k, rng.choice(["<", "<=", "=", ">=", ">"]), term()),
+        in_group(k, cut(), term()),
+        neq(k, term()),
+        not_in_group(k, cut(), term()),
+    )
+    conj = Conjunction(spec, lits, params)
+    at_x = [
+        _holds(lit, x, sub(t, scale(k, u)))
+        for lit, t in zip(conj.literals, conj.term_values)
+    ]
+    for lit, holds in zip(lits, at_x):
+        assert evaluate_conj(Conjunction(spec, (lit,), params), add(x, u)) == holds
+    assert evaluate_conj(conj, add(x, u)) == all(at_x)
 
 
 @settings(max_examples=80, deadline=None)

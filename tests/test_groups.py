@@ -27,7 +27,7 @@ from oag import (
     unit_element,
 )
 from oag import groups
-from oag.groups import _zero_value
+from oag.groups import _span_add, _zero_value
 from oag.numutil import (
     _MR_BOUND,
     frac_valuation,
@@ -248,6 +248,52 @@ def test_kernel_results_canonical_in_value_and_type(data, ma, mb, k):
         _assert_canonical(neg(x))
         _assert_canonical(scale(k, x))
         _assert_canonical(scale(1, x))
+
+
+def _span_add_reference(x, y, sign):
+    """x + sign*y through a dict of coefficients, sorted at the end."""
+    acc = dict(x)
+    for i, c in y:
+        acc[i] = acc.get(i, 0) + sign * c
+    return tuple(sorted((i, c) for i, c in acc.items() if c))
+
+
+def _span(*pairs):
+    return tuple((i, Fraction(c)) for i, c in pairs)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        pytest.param(_span((0, 1), (2, 3)), _span((1, 2), (3, 1)), id="interleaved"),
+        pytest.param(_span((0, 1), (4, 5)), _span((0, 1), (2, 7), (4, -5)), id="partial-cancel"),
+        pytest.param(_span((1, "1/3"), (2, 3)), _span((1, "1/3"), (2, 3)), id="all-equal"),
+        pytest.param(_span((1, "1/3"), (2, 3)), _span((1, "-1/3"), (2, -3)), id="all-opposite"),
+        pytest.param(_span((5, 2)), _span((0, 1), (1, 1)), id="y-below-x"),
+        pytest.param((), _span((0, 1), (3, "-2/5")), id="empty-x"),
+        pytest.param(_span((0, 1), (3, "-2/5")), (), id="empty-y"),
+        pytest.param((), (), id="both-empty"),
+    ],
+)
+def test_span_add_matches_dict_merge(x, y, sign):
+    out = _span_add(x, y, sign)
+    assert out == _span_add_reference(x, y, sign)
+    assert [i for i, _ in out] == sorted({i for i, _ in out})
+    assert all(type(c) is Fraction and c for _, c in out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool)),
+    st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool)),
+    st.sampled_from([1, -1]),
+)
+def test_span_add_matches_dict_merge_random(dx, dy, sign):
+    # small indices and coefficients make shared indices and cancellations
+    # to zero common
+    x, y = _span(*sorted(dx.items())), _span(*sorted(dy.items()))
+    assert _span_add(x, y, sign) == _span_add_reference(x, y, sign)
 
 
 @settings(max_examples=60, deadline=None)

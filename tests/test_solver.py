@@ -16,7 +16,9 @@ from oag import (
     divide_exact,
     evaluate_conj,
     is_divisible,
+    neq,
     oracle_search,
+    ord_lit,
     parse_element,
     parse_formula,
     parse_params,
@@ -34,6 +36,7 @@ from helpers import (
     random_cong_literal,
     random_element,
     random_spec,
+    random_term,
 )
 
 G = parse_spec("lex(Q, Gp(2))")
@@ -312,6 +315,17 @@ def test_oracle_rejects_radius_below_one(radius):
         oracle_search(c, radius)
 
 
+@pytest.mark.parametrize(
+    "limits", [{"max_support": 0}, {"max_support": -1}, {"candidate_budget": 0}]
+)
+def test_oracle_rejects_an_empty_search(limits):
+    # a search that tries nothing would report no counterexample, and so
+    # corroborate every UNSAT verdict
+    c = conj_of(G, "cong[2, cut2](1x, 1*a0)", "(0 | b0)")
+    with pytest.raises(ValueError):
+        oracle_search(c, 1, **limits)
+
+
 def test_check_k_inconsistent_contradictory_pair():
     g = parse_spec("lex(Gp(2))")
     cols = [
@@ -399,22 +413,68 @@ def _reference_oracle(conj, radius, max_support=3, candidate_budget=100000):
     return None
 
 
-def test_oracle_matches_reference_search():
-    found = 0
-    for conj in random_conjunctions(23, 60):
-        x = oracle_search(conj, 2, candidate_budget=1000)
-        assert x == _reference_oracle(conj, 2, candidate_budget=1000)
-        found += x is not None
-    assert 0 < found < 60
-    # every witness needs a1, a2 and a3 with odd coefficients: support 3,
-    # reached after the combos starting with a0 (other prefixes) are tried
-    c = conj_of(
-        parse_spec("lex(Gp(2)^3)"),
-        "cong[2, cut3](1x, 1*a1 + 1*a2 + 1*a3)",
-        "(b1 | 0 | 0) ; (b0 | 0 | 0) ; (0 | b0 | 0) ; (0 | 0 | b0)",
-    )
-    x = oracle_search(c, 2)
-    assert x is not None and x == _reference_oracle(c, 2)
+def _ord_neq_conjunctions(seed, count):
+    """Seeded conjunctions of two order literals and an inequality, each
+    with a coefficient of x other than 1."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        spec = random_spec(rng, max_blocks=3)
+        params = tuple(random_element(rng, spec) for _ in range(rng.randint(2, 3)))
+        k = rng.choice([2, -1, 3, -2])
+        lits = (
+            ord_lit(k, ">", random_term(rng, len(params))),
+            ord_lit(k, "<", random_term(rng, len(params))),
+            neq(rng.choice([2, -1, 3, -2]), random_term(rng, len(params))),
+        )
+        out.append(Conjunction(spec, lits, params))
+    return out
+
+
+def _witness_index(monkeypatch, conj, radius):
+    """The number of candidates the reference search tries up to and
+    including its witness."""
+    calls = []
+
+    def counting(c, x, _real=evaluate_conj):
+        calls.append(x)
+        return _real(c, x)
+
+    monkeypatch.setitem(globals(), "evaluate_conj", counting)
+    assert _reference_oracle(conj, radius) is not None
+    monkeypatch.undo()
+    return len(calls) - 1  # the first call tests zero
+
+
+def test_oracle_matches_reference_search(monkeypatch):
+    for corpus, budgets in (
+        (random_conjunctions(23, 60), (150, 1000)),
+        (_ord_neq_conjunctions(5, 40), (600,)),
+    ):
+        found = 0
+        for conj in corpus:
+            for budget in budgets:
+                x = oracle_search(conj, 2, candidate_budget=budget)
+                assert x == _reference_oracle(conj, 2, candidate_budget=budget)
+            found += x is not None
+        assert 0 < found < len(corpus)
+    # every witness needs the last two (then three) parameters with odd
+    # coefficients: support 2 (then 3), reached after the combos starting
+    # with a0 (other prefixes) are tried.  Budgets that stop just short of
+    # the witness, part-way through that support, find nothing.
+    for spec, formula, params in (
+        ("lex(Gp(2)^2)", "cong[2, cut2](1x, 1*a1 + 1*a2)",
+         "(b1 | 0) ; (b0 | 0) ; (0 | b0)"),
+        ("lex(Gp(2)^3)", "cong[2, cut3](1x, 1*a1 + 1*a2 + 1*a3)",
+         "(b1 | 0 | 0) ; (b0 | 0 | 0) ; (0 | b0 | 0) ; (0 | 0 | b0)"),
+    ):
+        c = conj_of(parse_spec(spec), formula, params)
+        n = _witness_index(monkeypatch, c, 2)
+        for budget in (n - 5, n - 1, n, None):
+            kw = {} if budget is None else {"candidate_budget": budget}
+            x = oracle_search(c, 2, **kw)
+            assert x == _reference_oracle(c, 2, **kw)
+            assert (x is None) == (budget is not None and budget < n)
 
 
 @pytest.mark.parametrize(
