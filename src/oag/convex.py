@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 
 from .errors import PreconditionError
-from .groups import BlockKind, Element, GroupSpec, block_divisible
+from .groups import Element, GroupSpec, block_modulus, block_residues, coset_key
 
 
 @dataclass(frozen=True, order=True)
@@ -42,42 +42,28 @@ def in_subgroup(x: Element, cut: ConvexCut) -> bool:
 
 
 def in_coset(x: Element, cut: ConvexCut, m: int) -> bool:
-    """Membership in (subgroup of the cut) + mG.
-
-    Holds exactly when every coordinate above the cut is m-divisible in its
-    block: the suffix part absorbs coordinates >= s and mG must account for
-    the rest coordinatewise.
-    """
+    """Membership in (subgroup of the cut) + mG: x's coset key below the cut
+    is empty, i.e. every coordinate above the cut is m-divisible in its
+    block, since the subgroup absorbs the coordinates >= s."""
     if m < 1:
         raise ValueError("modulus must be a positive integer")
     _check_cut(x.spec, cut)
     blocks, coords = x.spec.blocks, x.coords
-    # zero is divisible in every block, so only the nonzero coordinates
-    # below the cut are visited
-    return all(
-        block_divisible(blocks[i], coords[i], m)
-        for i in compress(range(cut.s), coords)
-    )
+    # coset_key's walk, stopped at the first residue
+    for i in compress(range(cut.s), coords):
+        if block_residues(blocks[i], coords[i], m):
+            return False
+    return True
 
 
 def hsub(a: Element, n: int) -> ConvexCut:
-    """The largest convex subgroup H with a not in H + nG; cut K when a is
-    in nG (so the subgroup is {0})."""
+    """The largest convex subgroup H with a not in H + nG: the cut just below
+    the first coordinate of a's coset key; cut K when a is in nG (so the
+    subgroup is {0})."""
     if n < 1:
         raise ValueError("modulus must be a positive integer")
-    for i, (block, v) in enumerate(zip(a.spec.blocks, a.coords)):
-        if not block_divisible(block, v, n):
-            return ConvexCut(i + 1)
-    return ConvexCut(a.spec.K)
-
-
-def _block_fully_divisible(block: BlockKind, n: int) -> bool:
-    """Whether every element of the block is n-divisible."""
-    if block.kind == "Q":
-        return True
-    if block.kind == "Z":
-        return n == 1
-    return n % block.p != 0
+    key = coset_key(a, a.spec.K, n)
+    return ConvexCut(key[0][0] + 1 if key else a.spec.K)
 
 
 def sorts(g: GroupSpec, n: int) -> list[ConvexCut]:
@@ -90,7 +76,7 @@ def sorts(g: GroupSpec, n: int) -> list[ConvexCut]:
         raise ValueError("modulus must be a positive integer")
     cuts = {g.K}
     for i, block in enumerate(g.blocks):
-        if not _block_fully_divisible(block, n):
+        if block_modulus(block, n) != 1:
             cuts.add(i + 1)
     return [ConvexCut(s) for s in sorted(cuts, reverse=True)]
 
@@ -109,9 +95,7 @@ def collapse_sorts(g: GroupSpec, p: int) -> list[tuple[ConvexCut, ...]]:
         if classes:
             prev = classes[-1][-1]  # smallest cut index so far in this class
             # prev.s > cut.s; mergeable iff blocks[cut.s : prev.s] all p-divisible
-            if all(
-                _block_fully_divisible(b, p) for b in g.blocks[cut.s : prev.s]
-            ):
+            if all(block_modulus(b, p) == 1 for b in g.blocks[cut.s : prev.s]):
                 classes[-1].append(cut)
                 continue
         classes.append([cut])

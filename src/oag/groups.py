@@ -28,13 +28,7 @@ from itertools import compress
 from typing import Iterable, Mapping, Union
 
 from .errors import NotDivisibleError, SpecMismatchError
-from .numutil import (
-    int_valuation,
-    is_prime,
-    nth_prime,
-    sqrt_enclosure,
-    valuation_at_least,
-)
+from .numutil import int_valuation, is_prime, nth_prime, residue_mod, sqrt_enclosure
 
 SpanPairs = tuple[tuple[int, Fraction], ...]
 BlockValue = Union[int, Fraction, SpanPairs]
@@ -163,12 +157,12 @@ def _norm_block_value(block: BlockKind, value) -> BlockValue:
         return Fraction(value)
     if block.kind == "ZLOC":
         f = Fraction(value)
-        if not valuation_at_least(f, block.p, 0):
+        if f.denominator % block.p == 0:
             raise ValueError(f"{f} has denominator divisible by {block.p}")
         return f
     span = _norm_span(value)
     for _, c in span:
-        if not valuation_at_least(c, block.p, 0):
+        if c.denominator % block.p == 0:
             raise ValueError(f"span coefficient {c} not {block.p}-local")
     return span
 
@@ -423,16 +417,50 @@ def compare(a: Element, b: Element) -> Ordering:
     return Ordering.EQ
 
 
+def block_modulus(block: BlockKind, m: int) -> int:
+    """The modulus of B/mB, the one rule behind every divisibility and
+    residue test: 1 on Q, m on Z, and p^v_p(m) on Zloc(p) and on each basis
+    coefficient of Gp(p).  A block of modulus 1 is m-divisible as a whole."""
+    if block.kind == "Q":
+        return 1
+    if block.kind == "Z":
+        return m
+    return block.p ** int_valuation(m, block.p)
+
+
+def block_residues(
+    block: BlockKind, value: BlockValue, m: int
+) -> tuple[tuple[int | None, int], ...]:
+    """The image of a block value in B/mB: its (basis, residue) pairs with
+    nonzero residue, in basis order; the basis is None on scalar blocks."""
+    if not value or (mod := block_modulus(block, m)) == 1:
+        return ()
+    if block.kind == "GP":
+        return tuple([(b, r) for b, c in value if (r := residue_mod(c, mod))])
+    r = residue_mod(value, mod)
+    return ((None, r),) if r else ()
+
+
+def coset_key(
+    v: Element, s: int, m: int
+) -> tuple[tuple[int, int | None, int], ...]:
+    """The image of v in the product of the B_i/mB_i over i < s: the sorted
+    (coordinate, basis, residue) triples with nonzero residue.  Its kernel is
+    H_s + mG, H_s the convex subgroup of the coordinates >= s; so v is in
+    H_s + mG exactly when the key is empty, and two elements share a coset
+    exactly when their keys are equal."""
+    blocks, coords = v.spec.blocks, v.coords
+    # zero residues drop out, so only the nonzero coordinates are visited
+    return tuple(
+        (i, b, r)
+        for i in compress(range(s), coords)
+        for b, r in block_residues(blocks[i], coords[i], m)
+    )
+
+
 def block_divisible(block: BlockKind, value: BlockValue, n: int) -> bool:
     """Whether the block value is n-divisible inside its block."""
-    if not value or block.kind == "Q":
-        return True
-    if block.kind == "Z":
-        return value % n == 0
-    e = int_valuation(n, block.p)
-    if block.kind == "ZLOC":
-        return valuation_at_least(value, block.p, e)
-    return all(valuation_at_least(c, block.p, e) for _, c in value)
+    return not block_residues(block, value, n)
 
 
 def block_divide(block: BlockKind, value: BlockValue, n: int) -> BlockValue | None:
@@ -450,9 +478,7 @@ def is_divisible(a: Element, n: int) -> bool:
     """Whether a is in nG, i.e. every coordinate is n-divisible in its block."""
     if n < 1:
         raise ValueError("divisor must be a positive integer")
-    return all(
-        block_divisible(b, v, n) for b, v in zip(a.spec.blocks, a.coords)
-    )
+    return not coset_key(a, a.spec.K, n)
 
 
 def _quotient(a: Element, n: int, upto: int) -> Element | None:

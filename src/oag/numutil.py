@@ -95,31 +95,12 @@ def int_valuation(n: int, p: int) -> int | None:
     return v
 
 
-def frac_valuation(q: Fraction | int, p: int) -> int | None:
-    """p-adic valuation of a rational; None stands for +infinity (q == 0)."""
-    if q == 0:
-        return None
-    q = Fraction(q)
-    vn = int_valuation(q.numerator, p)
-    vd = int_valuation(q.denominator, p)
-    assert vn is not None and vd is not None
-    return vn - vd
-
-
-def valuation_at_least(q: Fraction | int, p: int, e: int) -> bool:
-    if not q:
-        return True
-    if e >= 0 and q.denominator % p:
-        # v_p(q) is v_p of the numerator alone
-        return q.numerator % p**e == 0
-    return frac_valuation(q, p) >= e
-
-
 def residue_mod(c: Fraction | int, m: int) -> int:
-    """The residue of a rational with denominator coprime to m, in [0, m)."""
-    if m == 1 or not c:
-        return 0
-    return (c.numerator * pow(c.denominator, -1, m)) % m
+    """The residue of a rational with denominator coprime to m, in [0, m).
+    The numerator is reduced first, so a zero residue (c == 0 or m == 1
+    among them) costs no inversion."""
+    r = c.numerator % m
+    return r and r * pow(c.denominator, -1, m) % m
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:

@@ -387,7 +387,7 @@ def _parse_comparison(tk: _Tokens, negated: bool) -> Literal:
     pos = tk.peek()[2]
     lk, lt = _parse_lin(tk)
     kind, cmp, cpos = tk.next()
-    if cmp not in ("<", "<=", "=", ">=", ">"):
+    if cmp not in _CMP_FLIP:
         raise ParseError(f"expected a comparison, found {cmp!r}", cpos)
     rk, rt = _parse_lin(tk)
     if lk is not None and rk is not None:

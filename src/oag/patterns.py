@@ -41,6 +41,7 @@ from .numutil import factorize, is_prime
 from .solver import (
     SolveResult,
     SolveStatus,
+    _fold_k_subsets,
     oracle_search,
     solve,
     solve_k_subsets,
@@ -165,6 +166,9 @@ class VerificationReport:
         }
 
 
+_VERDICTS = {True: "true", False: "false", None: "unknown"}
+
+
 def _row_check(
     row: PatternRow,
     index: int,
@@ -172,26 +176,14 @@ def _row_check(
     cross_check_radius: int | None,
 ) -> RowVerdict:
     pair_results = []
-    saw_sat = False
-    saw_unknown = False
     cross_ok: bool | None = None
     # more arity than columns leaves no subset: vacuously "true"
     for subset, merged, res in solve_k_subsets(cols, row.k):
         pair_results.append((subset, res))
-        if res.status is SolveStatus.SAT:
-            saw_sat = True
-        elif res.status is SolveStatus.UNKNOWN:
-            saw_unknown = True
-        elif cross_check_radius is not None:
-            counterexample = oracle_search(merged, cross_check_radius)
-            ok = counterexample is None
+        if res.status is SolveStatus.UNSAT and cross_check_radius is not None:
+            ok = oracle_search(merged, cross_check_radius) is None
             cross_ok = ok if cross_ok is None else (cross_ok and ok)
-    if saw_sat:
-        verdict = "false"
-    elif saw_unknown:
-        verdict = "unknown"
-    else:
-        verdict = "true"
+    verdict = _VERDICTS[_fold_k_subsets(res.status for _, res in pair_results)]
     return RowVerdict(index, row.k, verdict, tuple(pair_results), cross_ok)
 
 

@@ -19,17 +19,21 @@ Shape of the decision: ``solve`` runs the phases below in order over one
     each block coordinate only finitely many basis coefficients are
     constrained (the union of the term supports plus one fresh basis
     symbol).  A slot maps (coordinate, basis) to (modulus, residue), the
-    basis None on scalar blocks.  Only the live slots, where some
-    congruence value is nonzero, are solved and kept, in coordinate then
-    basis order: ``_solve_slot`` solves one to a residue class per prime,
-    combined by CRT, and an empty class yields an UNSAT certificate listing
-    the exhausted residues.  On every other slot all congruence values are
-    zero, so ``_solve_slot`` gives it (M, 0), with M the product of the
-    largest prime powers of the congruences on its coordinate.
-    ``_every_slot`` fills those in for the move enumeration only; the
-    placement reads coordinate 0's slot through ``_solve_slot``.  A pinned
-    coordinate has no slot; its pin must meet every congruence there.  Only
-    the coordinates some congruence value touches, and the pinned ones a
+    basis None on scalar blocks.  Which blocks a congruence mod p^e
+    constrains, and modulo what, is ``groups.block_modulus``, the one rule
+    behind every divisibility and residue test: on a block of modulus 1
+    (Q, or Zloc or Gp of another prime) it constrains nothing.  Only the
+    live slots, where some constraining congruence value is nonzero, are
+    solved and kept, in coordinate then basis order: ``_solve_slot`` solves
+    one to a residue class per prime, combined by CRT, and an empty class
+    yields an UNSAT certificate listing the exhausted residues.  On every
+    other slot all congruence values are zero, so ``_solve_slot`` gives it
+    (M, 0), with M the product of the largest prime powers of the
+    congruences on its coordinate.  ``_every_slot`` fills those in for the
+    move enumeration only; the placement reads coordinate 0's slot through
+    ``_solve_slot``.  A pinned coordinate has no slot; its pin must have the
+    ``block_residues`` of every congruence value there.  Only the
+    coordinates some congruence value touches, and the pinned ones a
     congruence reaches, are visited.
 4.  ``_intersect_bounds``: order bounds are intersected in the divisible
     hull via cross-multiplied comparisons.  An empty interval is UNSAT;
@@ -57,7 +61,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import NotReducibleError
 from .formulas import (
@@ -78,7 +82,8 @@ from .groups import (
     _quotient,
     _raw_element,
     block_divide,
-    block_divisible,
+    block_modulus,
+    block_residues,
     compare,
     neg,
     scale,
@@ -345,13 +350,11 @@ def _decide_pinned(
 
 
 def _carriers(prob: _Problem, i: int) -> list[_Cong]:
-    """The congruences that constrain coordinate i.  Zloc(p) and Gp(p) are
-    q-divisible for every prime q != p, and Q for every prime, so only Z and
-    the block's own prime carry residues."""
+    """The congruences that constrain coordinate i: those reaching it whose
+    prime the block carries residues for (block modulus above 1)."""
     block = prob.conj.group.blocks[i]
     return [
-        c for c in prob.congs
-        if c.alpha_s > i and (block.kind == "Z" or c.p == block.p)
+        c for c in prob.congs if c.alpha_s > i and block_modulus(block, c.p) != 1
     ]
 
 
@@ -366,22 +369,22 @@ def _solve_slots(prob: _Problem) -> _Slots:
     }
     reach = max((c.alpha_s for c in prob.congs), default=0)
     pinned = {i for i in prob.coord_pins if i < reach}
-    # the coordinate pins alone, zero elsewhere
-    pins = _assemble(prob.conj.group, prob.coord_pins, {}) if pinned else None
     slots: _Slots = {}
     for i in sorted(touched | pinned):
         block = blocks[i]
         if i in prob.coord_pins:
+            pin, src = prob.coord_pins[i]
             for c in prob.congs:
                 if c.alpha_s <= i:
                     continue
-                d = sub(pins, c.value).coords[i]
-                if not block_divisible(block, d, c.p**c.e):
+                m = c.p**c.e
+                want = block_residues(block, c.value.coords[i], m)
+                if block_residues(block, pin, m) != want:
                     _refute(
                         "pin-congruence-conflict",
-                        (prob.coord_pins[i][1], c.src),
+                        (src, c.src),
                         coordinate=i,
-                        modulus=c.p**c.e,
+                        modulus=m,
                     )
             continue
         here = _carriers(prob, i)
@@ -780,10 +783,15 @@ def check_k_inconsistent(
     """
     if k < 1:
         raise ValueError("the arity must be a positive integer")
+    return _fold_k_subsets(res.status for _, _, res in solve_k_subsets(formulas, k))
+
+
+def _fold_k_subsets(statuses: Iterable[SolveStatus]) -> bool | None:
+    """The three-valued verdict on the k-subset statuses: False at the first
+    SAT, consuming no more of them; else None if one is UNKNOWN; else True."""
     saw_unknown = False
-    for _, _, res in solve_k_subsets(formulas, k):
-        if res.status is SolveStatus.SAT:
+    for status in statuses:
+        if status is SolveStatus.SAT:
             return False
-        if res.status is SolveStatus.UNKNOWN:
-            saw_unknown = True
+        saw_unknown = saw_unknown or status is SolveStatus.UNKNOWN
     return None if saw_unknown else True

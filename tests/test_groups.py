@@ -26,16 +26,10 @@ from oag import (
     sub,
     unit_element,
 )
+from oag import ConvexCut, in_coset
 from oag import groups
-from oag.groups import _span_add, _zero_value
-from oag.numutil import (
-    _MR_BOUND,
-    frac_valuation,
-    is_prime,
-    nth_prime,
-    residue_mod,
-    valuation_at_least,
-)
+from oag.groups import _span_add, _zero_value, block_modulus, coset_key
+from oag.numutil import _MR_BOUND, is_prime, nth_prime, residue_mod
 from helpers import random_element, random_spec
 
 
@@ -330,15 +324,65 @@ def test_equal_coords_in_different_specs_are_unequal():
         assert len({a, b}) == 2
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(-10**6, 10**6), st.integers(0, 3), st.integers(1, 60),
-       st.sampled_from([2, 3, 5, 7]), st.integers(-4, 6))
-def test_valuation_at_least_matches_frac_valuation(num, j, den, p, e):
-    # denominators both coprime to p and divisible by p^j
-    q = Fraction(num, p**j * den)
-    v = frac_valuation(q, p)
-    assert valuation_at_least(q, p, e) == (v is None or v >= e)
-    assert valuation_at_least(num, p, e) == valuation_at_least(Fraction(num), p, e)
+@pytest.mark.parametrize(
+    "block, table",
+    [
+        (RAT, {1: 1, 2: 1, 12: 1}),
+        (INT, {1: 1, 2: 2, 12: 12}),
+        (PLOCAL(2), {1: 1, 3: 1, 12: 4, 8: 8}),
+        (PSPAN(3), {1: 1, 2: 1, 12: 3, 18: 9}),
+    ],
+    ids=str,
+)
+def test_block_modulus_table(block, table):
+    assert {m: block_modulus(block, m) for m in table} == table
+
+
+def _valuation(q: Fraction, p: int) -> int:
+    """p-adic valuation of a nonzero rational, counted factor by factor."""
+    v, n, d = 0, q.numerator, q.denominator
+    while n % p == 0:
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    return v
+
+
+def _in_coset_reference(x, s, m):
+    """x in H_s + mG by the definition: every coordinate below s is
+    m-divisible in its block, through p-adic valuations on p-local blocks."""
+    for block, v in zip(x.spec.blocks[:s], x.coords[:s]):
+        if block.kind == "Z" and v % m:
+            return False
+        if block.kind in ("ZLOC", "GP"):
+            e = _valuation(Fraction(m), block.p)
+            coeffs = [c for _, c in v] if block.kind == "GP" else [v]
+            if any(c and _valuation(c, block.p) < e for c in coeffs):
+                return False
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 25, 36]))
+def test_coset_key_is_the_coset_invariant(seed, m):
+    rng = random.Random(seed)
+    kinds = [INT, RAT, PLOCAL(rng.choice((2, 3, 5))), PSPAN(rng.choice((2, 3, 5)))]
+    blocks = list(random_spec(rng, max_blocks=3).blocks) + kinds
+    rng.shuffle(blocks)
+    spec = GroupSpec(tuple(blocks))
+    s = rng.randint(0, spec.K)
+    a = random_element(rng, spec)
+    # b in a's coset half the time: a plus an element of mG and one of H_s
+    b = random_element(rng, spec)
+    if rng.random() < 0.5:
+        h = random_element(rng, spec)
+        h = Element(spec, spec.zero().coords[:s] + h.coords[s:])
+        b = add(a, add(scale(m, b), h))
+    assert (coset_key(sub(a, b), s, m) == ()) == (
+        coset_key(a, s, m) == coset_key(b, s, m)
+    )
+    for x in (a, b, sub(a, b)):
+        assert in_coset(x, ConvexCut(s), m) == _in_coset_reference(x, s, m)
 
 
 @settings(max_examples=200, deadline=None)
