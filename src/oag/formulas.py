@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from math import gcd
 from typing import Mapping, Sequence
 
 from .convex import ConvexCut, in_coset, in_subgroup
@@ -35,6 +36,8 @@ from .groups import (
     GroupSpec,
     Ordering,
     _quotient,
+    block_modulus,
+    coset_key,
     compare,
     scale,
     sub,
@@ -222,6 +225,35 @@ def _holds(lit: Literal, x: Element, t: Element) -> bool:
     if lit.kind is LitKind.INGRP:
         return in_subgroup(d, lit.alpha)
     return not in_subgroup(d, lit.alpha)
+
+
+def _constant_truth(lit: Literal, t: Element) -> bool | None:
+    """The truth of the literal at every x, given the value t of its term,
+    or None when it depends on x.
+
+    Every literal but an order inequality says whether k*x - t lies in
+    V = H_s + mG, with m = 0 for the subgroup literals and s = K for
+    (dis)equality.  As k*x ranges over kG, the positive form holds nowhere
+    when t is outside kG + V = H_s + gcd(k, m)G, and everywhere when kG lies
+    in V (s = 0, or m*B contains k*B on every block B above the cut) and t
+    is in V."""
+    if lit.kind is LitKind.ORD and lit.cmp != "=":
+        return None
+    blocks = t.spec.blocks
+    s = len(blocks) if lit.alpha is None else lit.alpha.s
+    m = lit.m or 0
+    if coset_key(t, s, gcd(lit.k, m)):
+        holds = False
+    elif s == 0 or (
+        m
+        and all(lit.k % block_modulus(b, m) == 0 for b in blocks[:s])
+        and not coset_key(t, s, m)
+    ):
+        holds = True
+    else:
+        return None
+    negated = lit.kind in (LitKind.NCONG, LitKind.NEQ, LitKind.NOTINGRP)
+    return holds is not negated
 
 
 def evaluate(lit: Literal, x: Element, params: Sequence[Element]) -> bool:

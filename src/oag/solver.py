@@ -12,45 +12,43 @@ Shape of the decision: ``solve`` runs the phases below in order over one
     are rewritten to coefficient 1 and prime-power modulus (one already in
     that form is kept as it is), order literals become bounds on x,
     equalities pin x and subgroup-coset literals pin single coordinates.  A
-    literal that no x satisfies, or two pins that disagree, give UNSAT.
+    literal that no x satisfies, or two pins that disagree, give UNSAT.  A
+    negated literal of constant truth (``formulas._constant_truth``) is
+    dropped when true and refuted after phase 4 when false; the others stay
+    live.
 2.  ``_decide_pinned``: an equality pin determines x, so the conjunction
     reduces to evaluation (SAT) or refutation (UNSAT).
 3.  ``_solve_slots``: a normalized congruence splits coordinatewise, and on
     each block coordinate only finitely many basis coefficients are
-    constrained (the union of the term supports plus one fresh basis
-    symbol).  A slot maps (coordinate, basis) to (modulus, residue), the
+    constrained.  A slot maps (coordinate, basis) to (modulus, residue), the
     basis None on scalar blocks.  Which blocks a congruence mod p^e
-    constrains, and modulo what, is ``groups.block_modulus``, the one rule
-    behind every divisibility and residue test: on a block of modulus 1
-    (Q, or Zloc or Gp of another prime) it constrains nothing.  Only the
-    live slots, where some constraining congruence value is nonzero, are
-    solved and kept, in coordinate then basis order: ``_solve_slot`` solves
-    one to a residue class per prime, combined by CRT, and an empty class
-    yields an UNSAT certificate listing the exhausted residues.  On every
-    other slot all congruence values are zero, so ``_solve_slot`` gives it
-    (M, 0), with M the product of the largest prime powers of the
-    congruences on its coordinate.  ``_every_slot`` fills those in for the
-    move enumeration only; the placement reads coordinate 0's slot through
-    ``_solve_slot``.  A pinned coordinate has no slot; its pin must have the
-    ``block_residues`` of every congruence value there.  Only the
-    coordinates some congruence value touches, and the pinned ones a
-    congruence reaches, are visited.
+    constrains, and modulo what, is ``groups.block_modulus``: on a block of
+    modulus 1 (Q, or Zloc or Gp of another prime) it constrains nothing.
+    Only the live slots, where some constraining congruence value is
+    nonzero, are solved and kept, in coordinate then basis order:
+    ``_solve_slot`` solves one to a residue class per prime, combined by
+    CRT, and an empty class yields an UNSAT certificate listing the
+    exhausted residues.  On every other slot ``_solve_slot`` gives (M, 0),
+    M the product of the largest prime powers of the congruences on the
+    coordinate; ``_slot`` reads either kind.  A pinned coordinate has no
+    slot; its pin must have the ``block_residues`` of every congruence
+    value there.
 4.  ``_intersect_bounds``: order bounds are intersected in the divisible
     hull via cross-multiplied comparisons.  An empty interval is UNSAT;
-    equal bounds force x, which ``_decide_pinned`` decides.
-5.  ``_place_coordinate0``: when the most significant coordinate has strict
-    rational slack between the bounds, it is placed strictly inside the gap;
-    this covers every conjunction whose order constraints live in a most
-    significant divisible coordinate (the fragment all pattern
-    constructions use).
+    equal bounds force x, which ``_decide_pinned`` decides.  So does a
+    subgroup literal set that pins every coordinate.
+5.  ``_descend`` walks the coordinates against the two tightest bounds: a
+    pin drops each bound it meets strictly, a coordinate where both bounds
+    agree is forced to their common value, and the first other coordinate
+    is placed strictly inside the gap on its slot's residue class.  Below
+    the placement the coordinates are free.
 6.  ``_candidates`` yields the parameters, zero, the bound points and the
-    slot residues with the placement over the coordinate-0 slot; for negated
-    literals, or order bounds without a placement, it goes on with a
-    bounded enumeration of residue moves over every slot.  A candidate
-    that misses a live slot's residue fails a normalized congruence, so
-    ``solve`` rejects it without evaluating it; the first candidate the
-    evaluator accepts is the witness.  If there is none the answer is
-    UNKNOWN, with the reason.
+    slot residues under the descent's values; with live negated literals,
+    then the escape points, which step the placement through its gap and
+    move the free coordinates.  A candidate that misses a live slot's
+    residue fails a normalized congruence, so ``solve`` rejects it without
+    evaluating it; the first candidate the evaluator accepts is the
+    witness.  If there is none the answer is UNKNOWN, with the reason.
 """
 
 from __future__ import annotations
@@ -68,6 +66,7 @@ from .formulas import (
     _CMP_FLIP,
     Conjunction,
     LitKind,
+    _constant_truth,
     _holds,
     conjoin,
     evaluate_conj,
@@ -75,12 +74,16 @@ from .formulas import (
     term_value,
 )
 from .groups import (
+    BlockKind,
     Element,
     GroupSpec,
     Ordering,
+    SpanPairs,
     _norm_block_value,
     _quotient,
     _raw_element,
+    _span_add,
+    _span_sign,
     block_divide,
     block_modulus,
     block_residues,
@@ -208,7 +211,8 @@ class _Problem:
     highs: list[_Bound] = field(default_factory=list)
     pin: tuple[Element, int] | None = None  # (x, source literal)
     coord_pins: dict[int, tuple[object, int]] = field(default_factory=dict)
-    has_diseq: bool = False
+    negs: list[int] = field(default_factory=list)  # live negated literals
+    false_lit: int | None = None  # the first literal that holds at no x
 
 
 def _bound_cmp(b1: _Bound, b2: _Bound) -> Ordering:
@@ -231,7 +235,7 @@ def _tightest(bounds: list[_Bound], want_max: bool) -> _Bound | None:
     return best
 
 
-def solve(conj: Conjunction, *, candidate_budget: int = 20000) -> SolveResult:
+def solve(conj: Conjunction) -> SolveResult:
     """Decide a conjunction; see the module docstring for the procedure."""
     try:
         prob = _normalize(conj)
@@ -241,22 +245,28 @@ def solve(conj: Conjunction, *, candidate_budget: int = 20000) -> SolveResult:
             )
         slots = _solve_slots(prob)
         _intersect_bounds(prob)
+        if prob.false_lit is not None:
+            _refute(
+                "literal-constant-false",
+                (prob.false_lit,),
+                "the literal holds at no x",
+            )
+        if len(prob.coord_pins) == conj.group.K:
+            _decide_pinned(
+                conj,
+                _assemble(conj.group, prob.coord_pins, {}),
+                None,
+                "the subgroup literals determine every coordinate of x",
+            )
     except _Decided as decided:
         return decided.result
-    have_ords = bool(prob.lows or prob.highs)
-    placement = _place_coordinate0(prob, slots) if have_ords else None
-    explore = prob.has_diseq or (have_ords and placement is None)
-    for x in _candidates(prob, slots, placement, explore, candidate_budget):
+    for x in _candidates(prob, slots):
         if _meets_slots(x, slots) and evaluate_conj(conj, x):
             return SolveResult(SolveStatus.SAT, witness=x)
-    if prob.has_diseq:
+    if prob.negs:
         return _unknown(
-            "negated literals present; bounded enumeration found no witness"
-        )
-    if have_ords and placement is None:
-        return _unknown(
-            "order constraints leave no strict slack in the most significant "
-            "coordinate; outside the complete fragment"
+            "the negated literals exclude every escape point; outside the "
+            "complete fragment"
         )
     return _unknown("witness assembly failed outside the complete fragment")
 
@@ -329,7 +339,11 @@ def _normalize(conj: Conjunction) -> _Problem:
                     _refute("pin-conflict", (prev[1], idx), coordinate=i)
                 prob.coord_pins[i] = (q, idx)
         else:
-            prob.has_diseq = True
+            truth = _constant_truth(lit, t)
+            if truth is None:
+                prob.negs.append(idx)
+            elif not truth and prob.false_lit is None:
+                prob.false_lit = idx
     return prob
 
 
@@ -353,9 +367,9 @@ def _carriers(prob: _Problem, i: int) -> list[_Cong]:
     """The congruences that constrain coordinate i: those reaching it whose
     prime the block carries residues for (block modulus above 1)."""
     block = prob.conj.group.blocks[i]
-    return [
-        c for c in prob.congs if c.alpha_s > i and block_modulus(block, c.p) != 1
-    ]
+    # one block-modulus test per distinct prime
+    dropped = {p for p in {c.p for c in prob.congs} if block_modulus(block, p) == 1}
+    return [c for c in prob.congs if c.alpha_s > i and c.p not in dropped]
 
 
 def _solve_slots(prob: _Problem) -> _Slots:
@@ -394,29 +408,6 @@ def _solve_slots(prob: _Problem) -> _Slots:
             live = [None] if any(c.value.coords[i] for c in here) else []
         for b in live:
             slots[i, b] = _solve_slot(i, b, here)
-    return slots
-
-
-def _every_slot(prob: _Problem, live: _Slots) -> _Slots:
-    """Every slot, pinned coordinates skipped, in coordinate then basis
-    order: on a span block one per basis of the term supports plus a fresh
-    one.  A live slot keeps its solution; on every other slot all
-    congruence values are zero, so ``_solve_slot`` gives it (M, 0), M the
-    product of the largest prime powers of the congruences on the
-    coordinate, and cannot refute."""
-    group = prob.conj.group
-    terms = prob.conj.term_values + tuple(c.value for c in prob.congs)
-    slots: _Slots = {}
-    for i, block in enumerate(group.blocks):
-        if i in prob.coord_pins:
-            continue
-        here = _carriers(prob, i)
-        bases: list[int | None] = [None]
-        if block.kind == "GP":
-            support = {b for t in terms for b, _ in t.coords[i]}
-            bases = sorted(support) + [max(support, default=-1) + 1]
-        for b in bases:
-            slots[i, b] = live.get((i, b)) or _solve_slot(i, b, here)
     return slots
 
 
@@ -492,128 +483,175 @@ def _intersect_bounds(prob: _Problem) -> None:
         )
 
 
-def _candidates(
-    prob: _Problem,
-    slots: _Slots,
-    placement,
-    explore: bool,
-    budget: int,
-) -> Iterator[Element]:
+def _candidates(prob: _Problem, slots: _Slots) -> Iterator[Element]:
     """Distinct candidate witnesses, in a fixed order.
 
     First the parameters, zero, the points of divisible bounds and the live
-    slot residues with the placement over the coordinate-0 slot.  With
-    `explore`, then moves of one and of two slots of ``_every_slot``, in slot
-    order, by one or two moduli, each under every alternative placement; the
-    moves stop once `budget` distinct candidates have been produced.
+    slot residues under the coordinates ``_descend`` fixes.  With T live
+    negated literals, then the escape points n = 1..T+1: the placement steps
+    to the next point of its gap, a free span coordinate gains one slot
+    modulus on the n-th fresh basis symbol and a free scalar coordinate n
+    slot moduli.  No step moves a slot residue or the order of x against a
+    bound.  A fresh symbol satisfies every negated (dis)equality or subgroup
+    literal whose cut lies past it, and on a scalar coordinate such a
+    literal rules out at most one n.
     """
     group = prob.conj.group
-    seen: set[Element] = set()
     residues = {key: r for key, (_, r) in slots.items()}
-    key0 = (0, 0 if group.blocks[0].kind == "GP" else None)
-    placements = [{}] if placement is None else [{key0: placement}]
-    if placement is not None and group.blocks[0].kind == "Q":
-        placements += [{key0: placement + 1}, {key0: placement + Fraction(1, 3)}]
+    pins, points, free = _descend(prob, slots)
+    seen: set[Element] = set()
 
     def fixed():
         yield from prob.conj.params
         yield group.zero()
         for b in prob.lows + prob.highs:
             yield _quotient(b.t, b.k, group.K)
-        yield _assemble(group, prob.coord_pins, {**residues, **placements[0]})
+        yield _assemble(group, pins, residues)
 
-    def moves():
-        if not explore:
-            return
-        every = _every_slot(prob, slots)
-        vary = [key for key in every if key[0] != 0 or placement is None]
-        for count in (1, 2):
-            for combo in itertools.combinations(vary, count):
-                for steps in itertools.product((1, 2), repeat=count):
-                    if len(seen) >= budget:
-                        return
-                    move = {
-                        key: every[key][1] + n * every[key][0]
-                        for key, n in zip(combo, steps)
-                    }
-                    for pl in placements:
-                        yield _assemble(
-                            group, prob.coord_pins, {**residues, **move, **pl}
-                        )
+    def escapes():
+        shifts = []
+        for i in range(free, group.K):
+            if i not in pins:
+                basis = None
+                if group.blocks[i].kind == "GP":
+                    support = (b for t in prob.conj.term_values for b, _ in t.coords[i])
+                    basis = max(support, default=0) + 1
+                shifts.append((i, basis, _slot(prob, slots, i, basis)[0]))
+        placed = pins
+        for n in range(1, len(prob.negs) + 2):
+            point = next(points, None)
+            if point is not None:
+                placed = {**placed, free - 1: (point, None)}
+            moved = dict(residues)
+            for i, basis, m in shifts:
+                if basis is None:
+                    moved[i, None] = residues.get((i, None), 0) + n * m
+                else:
+                    moved[i, basis + n - 1] = m
+            yield _assemble(group, placed, moved)
 
-    for x in itertools.chain(fixed(), moves()):
+    for x in itertools.chain(fixed(), escapes() if prob.negs else ()):
         if x is not None and x not in seen:
             seen.add(x)
             yield x
 
 
-def _place_coordinate0(prob: _Problem, slots: _Slots):
-    """Choose a coordinate-0 value strictly between the order bounds so that
-    every comparison is decided at the most significant coordinate.
+def _slot(prob: _Problem, slots: _Slots, i: int, basis: int | None) -> tuple[int, int]:
+    """The (modulus, residue) of a slot, live or not."""
+    return slots.get((i, basis)) or _solve_slot(i, basis, _carriers(prob, i))
 
-    Called only when an order bound exists.  Returns None when no strict
-    slack could be certified.
+
+def _descend(prob: _Problem, slots: _Slots):
+    """Phase 5.  Returns the coordinate pins with the forced and placed
+    coordinates added (their source None), the further points of the
+    placement's gap (none without a placement) and the first free
+    coordinate.  Where the gap of a Z block holds no point of the slot's
+    class, x takes a bound's value there if that is on the class, and goes
+    on against that bound alone; a descent that cannot go on frees nothing.
     """
-    if 0 in prob.coord_pins:
-        return None
-    block = prob.conj.group.blocks[0]
-    lows, highs = prob.lows, prob.highs
-    key0 = (0, 0 if block.kind == "GP" else None)
-    m, r = slots.get(key0) or _solve_slot(0, key0[1], _carriers(prob, 0))
+    group = prob.conj.group
+    pins = dict(prob.coord_pins)
+    low = _tightest(prob.lows, want_max=True)
+    high = _tightest(prob.highs, want_max=False)
+    for j, block in enumerate(group.blocks):
+        if low is None and high is None:
+            return pins, iter(()), j
+        lo = None if low is None else _hull_value(block, low, j)
+        hi = None if high is None else _hull_value(block, high, j)
+        if j in pins:
+            above = 1 if lo is None else _value_cmp(block, pins[j][0], lo)
+            below = -1 if hi is None else _value_cmp(block, pins[j][0], hi)
+            if above < 0 or below > 0:
+                break  # the pin puts x outside the bounds
+            low = low if above == 0 else None
+            high = high if below == 0 else None
+        elif lo is not None and lo == hi:
+            pins[j] = (lo, None)
+        else:
+            points = _gap_points(prob, slots, j, lo, hi)
+            point = next(points, None)
+            if point is not None:
+                pins[j] = (point, None)
+                return pins, points, j + 1
+            if block.kind != "Z":
+                break
+            m, r = _slot(prob, slots, j, None)
+            if lo.denominator == 1 and (lo - r) % m == 0:
+                pins[j], high = (lo, None), None
+            elif hi.denominator == 1 and (hi - r) % m == 0:
+                pins[j], low = (hi, None), None
+            else:
+                break
+    return pins, iter(()), group.K
 
-    if block.kind != "GP":
-        lo = max((Fraction(b.t.coords[0]) / b.k for b in lows), default=None)
-        hi = min((Fraction(b.t.coords[0]) / b.k for b in highs), default=None)
-        if lo is not None and hi is not None and lo >= hi:
-            return None
-        if block.kind == "Q":
-            if lo is None:
-                return hi - 1
-            if hi is None:
-                return lo + 1
-            return (lo + hi) / 2
-        if block.kind == "Z":
-            if lo is None:
-                return r + m * ((int_below(hi) - r) // m)
-            n = r + m * (-((r - int_above(lo)) // m))
-            return n if hi is None or n < hi else None
-        # ZLOC: x0 = r + m*z with z any p-local rational in the open gap
+
+def _hull_value(block: BlockKind, b: _Bound, j: int):
+    """Coordinate j of the bound's hull point t/k."""
+    v = b.t.coords[j]
+    if block.kind == "GP":
+        return tuple((i, c / b.k) for i, c in v)
+    return Fraction(v) / b.k
+
+
+def _value_cmp(block: BlockKind, a, b) -> int:
+    """The sign of a - b for two values of one block."""
+    if block.kind == "GP":
+        return _span_sign(_span_add(a, b, -1))
+    return (a > b) - (a < b)
+
+
+def _gap_points(prob: _Problem, slots: _Slots, j: int, lo, hi) -> Iterator:
+    """Values of coordinate j strictly between lo and hi (None: unbounded)
+    on its slot's residue class, each further into the gap than the last:
+    up from lo if there is a lower bound, else down from hi.  A span block
+    is placed by its b0 coefficient, the other coefficients keeping their
+    slot residues; the real value of those and of the bounds is enclosed
+    numerically, and the candidate is still checked exactly."""
+    block = prob.conj.group.blocks[j]
+    m, r = _slot(prob, slots, j, 0 if block.kind == "GP" else None)
+    fixed = tuple(
+        (b, Fraction(v)) for (i, b), (_, v) in slots.items() if i == j and b and v
+    )
+    while (point := _gap_point(block, m, r, fixed, lo, hi)) is not None:
+        yield point
+        lo, hi = (lo, point) if lo is None else (point, hi)
+
+
+def _gap_point(block: BlockKind, m: int, r: int, fixed: SpanPairs, lo, hi):
+    """One point of ``_gap_points``, or None if none could be certified."""
+    if block.kind == "Q":
+        if lo is None:
+            return hi - 1
+        if hi is None:
+            return lo + 1
+        return (lo + hi) / 2
+    if block.kind == "Z":
+        if lo is None:
+            return r + m * ((int_below(hi) - r) // m)
+        n = r + m * (-((r - int_above(lo)) // m))
+        return n if hi is None or n < hi else None
+    if block.kind == "ZLOC":
+        # x = r + m*z with z any p-local rational in the open gap
         zlo = None if lo is None else (lo - r) / m
         zhi = None if hi is None else (hi - r) / m
         z = _local_rational_between(block.p, zlo, zhi)
         return None if z is None else Fraction(r) + m * z
-
-    # span block most significant: adjust the b0 coefficient, enclosing the
-    # fixed irrational contribution and the bound values numerically; the
-    # final candidate is still verified exactly by the evaluator.
-    fixed_pairs = tuple(
-        (b, Fraction(v)) for (i, b), (_, v) in slots.items() if i == 0 and b and v
-    )
     for bits in (64, 128, 256, 512):
-        lo_enc = None
-        for b in lows:
-            pairs = tuple((i, c / b.k) for i, c in b.t.coords[0])
-            _, bhi = span_enclosure(pairs, bits)
-            lo_enc = bhi if lo_enc is None or bhi > lo_enc else lo_enc
-        hi_enc = None
-        for b in highs:
-            pairs = tuple((i, c / b.k) for i, c in b.t.coords[0])
-            blo, _ = span_enclosure(pairs, bits)
-            hi_enc = blo if hi_enc is None or blo < hi_enc else hi_enc
-        flo, fhi = span_enclosure(fixed_pairs, bits)
-        zlo = None if lo_enc is None else (lo_enc - flo - r) / m
-        zhi = None if hi_enc is None else (hi_enc - fhi - r) / m
+        flo, fhi = span_enclosure(fixed, bits)
+        zlo = None if lo is None else (span_enclosure(lo, bits)[1] - flo - r) / m
+        zhi = None if hi is None else (span_enclosure(hi, bits)[0] - fhi - r) / m
         if zlo is not None and zhi is not None and zlo >= zhi:
             continue
         z = _local_rational_between(block.p, zlo, zhi)
         if z is not None:
-            return Fraction(r) + m * z
+            b0 = Fraction(r) + m * z
+            return ((0, b0),) + fixed if b0 else fixed
     return None
 
 
 def _assemble(
     group: GroupSpec,
-    coord_pins: dict[int, tuple[object, int]],
+    coord_pins: dict[int, tuple[object, int | None]],
     values: dict[tuple[int, int | None], object],
 ) -> Element | None:
     """Build an element from (coordinate, basis) values, zero elsewhere, with

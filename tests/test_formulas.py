@@ -30,8 +30,8 @@ from oag import (
     term_value,
     unit_normalize,
 )
-from oag.formulas import _holds, derive_reduction_hint
-from oag.groups import PSPAN, GroupSpec, add, sub
+from oag.formulas import _constant_truth, _holds, derive_reduction_hint
+from oag.groups import INT, PLOCAL, PSPAN, RAT, Element, GroupSpec, add, sub
 from helpers import (
     PRIMES,
     random_cong_literal,
@@ -381,3 +381,43 @@ def test_normalization_preserves_meaning(seed):
     assert evaluate(lit, x, (t_elem,)) == all(
         evaluate(l, x, res.params) for l in res.literals
     )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_constant_truth_agrees_with_holds(seed):
+    # wherever _constant_truth gives a truth value, _holds gives the same one
+    # at random x; the term values are drawn plain, as multiples of k or m,
+    # and with zero coordinates below a cut, so both constants occur
+    rng = random.Random(seed)
+    blocks = list(random_spec(rng, max_blocks=2).blocks)
+    blocks += [INT, RAT, PLOCAL(rng.choice(PRIMES)), PSPAN(rng.choice(PRIMES))]
+    rng.shuffle(blocks)
+    spec = GroupSpec(tuple(blocks))
+    k = rng.choice([1, -1, 2, -2, 3, 4, 6, 12])
+    m = rng.choice([1, 2, 3, 4, 6, 8, 9])
+    s = rng.randint(0, spec.K)
+    low = random_element(rng, spec)
+    terms = (
+        random_element(rng, spec),
+        scale(k, random_element(rng, spec)),
+        scale(m, random_element(rng, spec)),
+        Element(spec, spec.zero().coords[:s] + low.coords[s:]),
+    )
+    none = Term()
+    cut = ConvexCut(s)
+    lits = (
+        cong(k, m, cut, none),
+        ncong(k, m, cut, none),
+        ord_lit(k, rng.choice(["<", "<=", "=", ">=", ">"]), none),
+        ord_lit(k, "=", none),
+        in_group(k, cut, none),
+        neq(k, none),
+        not_in_group(k, cut, none),
+    )
+    xs = [random_element(rng, spec) for _ in range(20)]
+    for t in terms:
+        for lit in lits:
+            truth = _constant_truth(lit, t)
+            if truth is not None:
+                assert all(_holds(lit, x, t) is truth for x in xs)

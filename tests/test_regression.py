@@ -10,8 +10,16 @@ import contextlib
 import hashlib
 import io
 import json
+from pathlib import Path
 
-from oag import gen_chain_pattern, oracle_search, solve, verify
+from oag import (
+    SolveStatus,
+    evaluate_conj,
+    gen_chain_pattern,
+    oracle_search,
+    solve,
+    verify,
+)
 from oag.cli import main
 
 from helpers import random_conjunctions
@@ -21,7 +29,7 @@ CORPUS_SIZE = 600
 ORACLE_STRIDE = 10
 ORACLE_BUDGET = 300
 
-SOLVE_DIGEST = "ccb61c85ee49ec8b2264e5304292fb5cc62bc244a4cfb8a65da63cdbd9f50ae3"
+SOLVE_DIGEST = "2770c9606f5bc9e021a3846d91b2f3a1ede398c49f6b2c479cb09e86e3d5a28a"
 ORACLE_DIGEST = "699e0b6ea92455949b0e339798fdb8950c1e02f19438e5abc32d67087a784689"
 CLI_DIGEST = "a185b0fe8760a2295cc86f9879571aaa7bf72ff931af6e7b8152c24f06083f0c"
 CHAIN_VERIFY_DIGEST = (
@@ -29,8 +37,15 @@ CHAIN_VERIFY_DIGEST = (
 )
 SOLVE_MIX_SEEDS = (11, 1009, 5, 77)
 SOLVE_MIX_DIGEST = (
-    "a26c7ff39a3cd9bd8dc3ef0f0da2ee39c89f1fb7c380b3ed37447ce8c3683e6b"
+    "b02d8acfef7e3e0d817446a09b10e24101502ddca72a0e2d92cc9db3709c73ff"
 )
+# The 6000 results of test_solve_mix_digest as the solver gave them before
+# its residue-move search was retired (commit 691399b), one line each: the
+# status; for a decided result the first 12 hex digits of the sha256 of its
+# sorted-key JSON; and "moved" where the SAT witness came from the move
+# enumeration or from a candidate that left coordinate 0 unplaced.
+PARENT_RESULTS = Path(__file__).with_name("solve_mix_parent.txt")
+NEW_UNSAT_ORACLE_STRIDE = 10
 
 # report fields added after the digest was pinned; dropped before hashing so
 # the digest covers exactly the fields every version emits
@@ -84,11 +99,33 @@ def test_chain_verify_digest():
 
 def test_solve_mix_digest():
     # 1500 conjunctions per seed, 6000 results, hashed with json.dumps'
-    # default separators
-    results = [
-        solve(conj).to_json_dict()
-        for seed in SOLVE_MIX_SEEDS
-        for conj in random_conjunctions(seed, 1500)
+    # default separators.  Against the parent results: a decided verdict
+    # never changes, an UNSAT certificate never changes, a SAT witness
+    # changes only where it is marked "moved", and every SAT witness passes
+    # the evaluator.  A new verdict replaces an UNKNOWN; every tenth new
+    # UNSAT is checked against the radius-2 oracle.
+    corpus = [
+        conj for seed in SOLVE_MIX_SEEDS for conj in random_conjunctions(seed, 1500)
     ]
+    solved = [solve(conj) for conj in corpus]
+    results = [res.to_json_dict() for res in solved]
     text = json.dumps(results, sort_keys=True)
+    parent = PARENT_RESULTS.read_text().splitlines()
+    assert len(parent) == len(corpus)
+    new_unsat = 0
+    for conj, res, out, line in zip(corpus, solved, results, parent):
+        if res.status is SolveStatus.SAT:
+            assert evaluate_conj(conj, res.witness)
+        status, *rest = line.split()
+        if status == "UNKNOWN":
+            if res.status is SolveStatus.UNSAT:
+                new_unsat += 1
+                if new_unsat % NEW_UNSAT_ORACLE_STRIDE == 0:
+                    assert oracle_search(conj, 2, max_support=2) is None
+            continue
+        assert res.status.value == status
+        digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode())
+        if digest.hexdigest()[:12] != rest[0]:
+            assert rest[1:] == ["moved"]
+    assert new_unsat > 1000
     assert hashlib.sha256(text.encode()).hexdigest() == SOLVE_MIX_DIGEST

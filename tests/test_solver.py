@@ -232,18 +232,33 @@ def test_disequality_enumeration():
     assert res2.status is SolveStatus.SAT
 
 
-def test_candidate_budget_bounds_the_enumeration():
+def test_escape_points_step_the_free_coordinates():
     # 0 and the parameter 2 fail the disequalities and the congruence pins
-    # the residue, so the witness 4 is the third distinct candidate
-    c = conj_of(
-        parse_spec("lex(Z)"), "!1x = 0 & !1x = 1*a0 & cong[2, cut1](1x, 0)", "(2)"
-    )
-    res = solve(c, candidate_budget=2)
-    assert res.status is SolveStatus.UNKNOWN
-    assert res.reason.startswith("negated literals present")
-    res = solve(c, candidate_budget=3)
+    # the residue 0 mod 2; the T = 2 live negated literals give the escape
+    # points n = 1, 2, 3, which add n slot moduli to the free coordinate,
+    # and each disequality rules out at most one of them
+    g = parse_spec("lex(Z)")
+    c = conj_of(g, "!1x = 0 & !1x = 1*a0 & cong[2, cut1](1x, 0)", "(2)")
+    prob = solver._normalize(c)
+    assert prob.negs == [0, 1]
+    got = list(solver._candidates(prob, solver._solve_slots(prob)))
+    assert got == [parse_element(g, v) for v in ("(2)", "(0)", "(4)", "(6)")]
+    res = solve(c)
     assert res.status is SolveStatus.SAT
-    assert res.witness == parse_element(c.group, "(4)")
+    assert res.witness == parse_element(g, "(4)")
+
+
+def test_escape_point_takes_a_fresh_basis_symbol():
+    # coordinate 0 is pinned to 3; the parameters and the assembled (3 | 0)
+    # each fail a disequality, and the first escape point puts one slot
+    # modulus on b3, the first basis symbol above the term supports
+    g = parse_spec("lex(Z, Gp(2))")
+    c = conj_of(
+        g, "ing[cut1](1x, 1*a0) & !1x = 1*a0 & !1x = 1*a1", "(3 | b2) ; (3 | 0)"
+    )
+    res = solve(c)
+    assert res.status is SolveStatus.SAT
+    assert res.witness == parse_element(g, "(3 | b3)")
 
 
 @pytest.mark.parametrize(
@@ -504,26 +519,34 @@ def test_span_placement_encloses_fixed_residues(spec, formula, params, witness):
     assert res.witness == parse_element(g, witness)
 
 
-def _every_slot_solved(prob):
-    """Reference for solver._solve_slots: every slot, live or not, goes
-    through _solve_slot.  Pinned coordinates are skipped without checking
-    the pins."""
+def _every_slot_key(prob):
+    """Every slot key, pinned coordinates skipped: on a span block one per
+    basis of the term supports plus a fresh one."""
     group = prob.conj.group
     terms = prob.conj.term_values + tuple(c.value for c in prob.congs)
-    slots = {}
     for i, block in enumerate(group.blocks):
         if i in prob.coord_pins:
             continue
-        here = [
-            c for c in prob.congs
-            if c.alpha_s > i and (block.kind == "Z" or c.p == block.p)
-        ]
         bases = [None]
         if block.kind == "GP":
             support = {b for t in terms for b, _ in t.coords[i]}
             bases = sorted(support) + [max(support, default=-1) + 1]
         for b in bases:
-            slots[i, b] = solver._solve_slot(i, b, here)
+            yield i, b
+
+
+def _every_slot_solved(prob):
+    """Reference for solver._solve_slots: every slot, live or not, goes
+    through _solve_slot.  Pinned coordinates are skipped without checking
+    the pins."""
+    blocks = prob.conj.group.blocks
+    slots = {}
+    for i, b in _every_slot_key(prob):
+        here = [
+            c for c in prob.congs
+            if c.alpha_s > i and (blocks[i].kind == "Z" or c.p == blocks[i].p)
+        ]
+        slots[i, b] = solver._solve_slot(i, b, here)
     return slots
 
 
@@ -535,10 +558,10 @@ def _slots_or_verdict(fn, prob):
 
 
 def _every_slot_expanded(prob):
-    """The full slot map that moves() reads: the live slots of phase 3 with
-    the zero slots filled in."""
+    """The live slots of phase 3, and every other slot as solver._slot
+    reads it for the placement and the escape points."""
     live = solver._solve_slots(prob)
-    return solver._every_slot(prob, live)
+    return {key: solver._slot(prob, live, *key) for key in _every_slot_key(prob)}
 
 
 def _slot_value(c, i, b):
@@ -589,7 +612,8 @@ def test_placement_reads_the_zero_slot_modulus():
     c = conj_of(parse_spec("lex(Z, Q)"), "cong[4, cut1](1x, 0) & 1x > 1*a0", "(5 | 0)")
     prob = solver._normalize(c)
     assert solver._solve_slots(prob) == {}
-    assert solver._place_coordinate0(prob, {}) == 8
+    pins, _, free = solver._descend(prob, {})
+    assert pins == {0: (8, None)} and free == 1
     res = solve(c)
     assert res.status is SolveStatus.SAT
     assert res.witness == parse_element(c.group, "(8 | 0)")
@@ -627,41 +651,68 @@ def test_placement_on_a_span_top_reads_the_basis_0_slot(
 
 
 @pytest.mark.parametrize(
-    "spec, params, witness, enclosure_bits",
+    "spec, params, witness",
     [
-        ("lex(Z, Q)", "(1 | 0) ; (1 | 5)", "(1 | 1)", set()),
-        ("lex(Q, Z)", "(1 | 0) ; (1 | 5)", "(1 | 1)", set()),
-        ("lex(Gp(2), Z)", "(b1 | 0) ; (b1 | 5)", "(b1 | 1)", {64, 128, 256, 512}),
+        ("lex(Z, Q)", "(1 | 0) ; (1 | 5)", "(1 | 5/2)"),
+        ("lex(Q, Z)", "(1 | 0) ; (1 | 5)", "(1 | 1)"),
+        ("lex(Gp(2), Z)", "(b1 | 0) ; (b1 | 5)", "(b1 | 1)"),
     ],
     ids=["z-top", "q-top", "gp2-top"],
 )
-def test_no_slack_at_coordinate_0_falls_back_to_moves(
-    monkeypatch, spec, params, witness, enclosure_bits
+def test_no_slack_at_coordinate_0_descends_to_the_next(
+    monkeypatch, spec, params, witness
 ):
-    # both bounds agree on coordinate 0, so no placement exists there and
-    # the move search finds the witness on the lower coordinate
-    seen = set()
-    real = solver.span_enclosure
-
-    def recording(pairs, bits):
-        seen.add(bits)
-        return real(pairs, bits)
-
-    monkeypatch.setattr(solver, "span_enclosure", recording)
-    c = conj_of(parse_spec(spec), "1x > 1*a0 & 1x < 1*a1", params)
+    # both bounds agree on coordinate 0, so the descent forces it to their
+    # common value, encloses no span value there, and places coordinate 1
+    # strictly inside the gap
+    monkeypatch.setattr(solver, "span_enclosure", None)
+    g = parse_spec(spec)
+    c = conj_of(g, "1x > 1*a0 & 1x < 1*a1", params)
     prob = solver._normalize(c)
-    assert solver._place_coordinate0(prob, solver._solve_slots(prob)) is None
-    assert seen == enclosure_bits  # a span top tries every precision
+    pins, _, free = solver._descend(prob, solver._solve_slots(prob))
+    want = parse_element(g, witness)
+    assert {i: v for i, (v, _) in pins.items()} == dict(enumerate(want.coords))
+    assert free == 2
     res = solve(c)
     assert res.status is SolveStatus.SAT
-    assert res.witness == parse_element(c.group, witness)
+    assert res.witness == want
+
+
+@pytest.mark.parametrize(
+    "spec, formula, params, witness",
+    [
+        # the placement 1 is the excluded point; the escape point steps it
+        # to 3/2, the next point of its gap
+        ("lex(Q)", "1x > 0 & 1x < 2*a0 & !1x = 1*a0", "(1)", "(3/2)"),
+        # random_conjunctions(5) item 1200: coordinate 0 is pinned to the
+        # bound's value, and the descent places coordinate 1
+        (
+            "lex(Gp(5), Gp(3))",
+            "1x > -1*a1 & ing[cut1](4x, -3*a1)",
+            "(b1 + 22/3*b3 | 0) ; (0 | -24/7*b0 - 21/5*b1 + 3/2*b2)",
+            "(0 | 7)",
+        ),
+        # a pin above the lower bound drops it; coordinate 1 stays free
+        ("lex(Z, Z)", "ing[cut1](1x, 1*a0) & 1x > 1*a1", "(3 | 0) ; (2 | 9)", "(3 | 0)"),
+        # a Z gap with no point strictly inside: x takes the lower bound's
+        # value on coordinate 0 and descends against that bound alone
+        ("lex(Z, Q)", "1x > 1*a0 & 1x < 1*a1", "(1 | 0) ; (2 | 0)", "(1 | 1)"),
+    ],
+    ids=["q-escape-step", "random-5-item-1200", "pin-drops-bound", "z-edge"],
+)
+def test_descent_regressions(spec, formula, params, witness):
+    g = parse_spec(spec)
+    c = conj_of(g, formula, params)
+    res = solve(c)
+    assert res.status is SolveStatus.SAT
+    assert res.witness == parse_element(g, witness)
+    assert evaluate_conj(c, res.witness)
 
 
 @pytest.mark.parametrize("seed", [11, 1009])
 def test_pre_rejection_is_only_a_necessary_condition(monkeypatch, seed):
     # every candidate the evaluator accepts meets the live slot residues,
-    # and pre-rejection changes no verdict or witness under small budgets:
-    # a rejected candidate still counts against the budget
+    # and pre-rejection changes no verdict or witness
     seen = []
     real = solver._candidates
 
@@ -682,11 +733,10 @@ def test_pre_rejection_is_only_a_necessary_condition(monkeypatch, seed):
                 accepted += 1
             elif not solver._meets_slots(x, slots):
                 rejected += 1
-    assert accepted > 800 and rejected > 50
-    budgets = (1, 2, 3, 5)
-    got = [solve(c, candidate_budget=b) for c in corpus for b in budgets]
+    assert accepted > 700 and rejected > 50
+    got = [solve(c) for c in corpus]
     monkeypatch.setattr(solver, "_meets_slots", lambda x, slots: True)
-    assert got == [solve(c, candidate_budget=b) for c in corpus for b in budgets]
+    assert got == [solve(c) for c in corpus]
 
 
 @pytest.mark.parametrize(
