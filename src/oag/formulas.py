@@ -35,6 +35,7 @@ from .groups import (
     Element,
     GroupSpec,
     Ordering,
+    _check_same_spec,
     _quotient,
     block_modulus,
     coset_key,
@@ -200,13 +201,22 @@ def classify(lit: Literal) -> LiteralType:
 
 
 def term_value(term: Term, params: Sequence[Element], group: GroupSpec) -> Element:
-    out = group.zero()
+    """The sum of c * a_idx over the term, from its first summand on; a
+    coefficient of 1 adds the parameter itself."""
+    out = None
     for idx, c in term.coeffs:
         try:
-            out = out + scale(c, params[idx])
+            a = params[idx]
         except IndexError:
             raise PreconditionError(f"parameter a{idx} is unresolved") from None
-    return out
+        if c != 1:
+            a = scale(c, a)
+        if out is None:
+            _check_same_spec(group.zero(), a)
+            out = a
+        else:
+            out = out + a
+    return group.zero() if out is None else out
 
 
 def _holds(lit: Literal, x: Element, t: Element) -> bool:

@@ -141,22 +141,25 @@ def _norm_span(value) -> SpanPairs:
         idx = int(idx)
         if idx < 0:
             raise ValueError("basis indices must be >= 0")
-        c = Fraction(c)
+        c = c if type(c) is Fraction else Fraction(c)
         if c:
-            acc[idx] = acc.get(idx, Fraction(0)) + c
+            acc[idx] = acc[idx] + c if idx in acc else c
     return tuple(sorted((i, c) for i, c in acc.items() if c))
 
 
 def _norm_block_value(block: BlockKind, value) -> BlockValue:
+    # a value already of the canonical type is kept, not copied
     if block.kind == "Z":
+        if type(value) is int:
+            return value
         f = Fraction(value)
         if f.denominator != 1:
             raise ValueError(f"Z coordinate must be an integer, got {value!r}")
         return int(f)
     if block.kind == "Q":
-        return Fraction(value)
+        return value if type(value) is Fraction else Fraction(value)
     if block.kind == "ZLOC":
-        f = Fraction(value)
+        f = value if type(value) is Fraction else Fraction(value)
         if f.denominator % block.p == 0:
             raise ValueError(f"{f} has denominator divisible by {block.p}")
         return f

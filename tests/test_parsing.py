@@ -1,9 +1,14 @@
+import json
 import random
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oag import (
     ConvexCut,
+    Element,
     GroupSpec,
     INT,
     LitKind,
@@ -19,7 +24,7 @@ from oag import (
     parse_params,
     parse_spec,
 )
-from helpers import random_element, random_spec
+from helpers import random_element, random_literal, random_spec
 
 
 def test_parse_spec_examples():
@@ -143,3 +148,72 @@ def test_parse_params_empty_and_multi():
     params = parse_params(g, "(1 | b0) ; (0 | 2*b1)")
     assert len(params) == 2
     assert format_element(params[1]) == "(0 | 2*b1)"
+
+
+def _parse_row(row):
+    kind, text = row["kind"], row["text"]
+    if kind == "spec":
+        return parse_spec(text)
+    if kind == "formula":
+        return parse_formula(text)
+    parse = parse_element if kind == "element" else parse_params
+    return parse(parse_spec(row["spec"]), text)
+
+
+def test_parse_errors_match_table():
+    # tests/parse_errors.json holds malformed spec, element, params and
+    # formula texts that reach every ParseError site, with the message and
+    # position the parser gives.  A row with "parent_position" records one of
+    # the two position fixes: params errors index the whole text, and a
+    # coordinate outside its block is reported at its own start (it was 0).
+    rows = json.loads(Path(__file__).with_name("parse_errors.json").read_text())
+    wrong = []
+    for row in rows:
+        with pytest.raises(ParseError) as err:
+            _parse_row(row)
+        want = f"{row['message']} (at position {row['position']})"
+        if (str(err.value), err.value.position) != (want, row["position"]):
+            wrong.append((row["kind"], row["text"], str(err.value)))
+    assert not wrong
+
+
+_TOKEN = re.compile(r"\d+|[A-Za-z_]\w*|<=|>=|\S")
+_SPACES = ("", " ", "  ", "\t", "\n", " \n\t")
+
+
+def _respace(rng: random.Random, text: str) -> str:
+    """text with random whitespace between its tokens; two word tokens keep
+    at least one space, so none merge."""
+    out = ""
+    for tok in _TOKEN.findall(text):
+        sep = rng.choice(_SPACES)
+        if not sep and out[-1:].isalnum() and tok[0].isalnum():
+            sep = " "
+        out += sep + tok
+    return out + rng.choice(_SPACES)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_format_then_parse_is_identity(rng):
+    spec = random_spec(rng)
+    params = tuple(random_element(rng, spec) for _ in range(rng.randint(1, 3)))
+    lits = tuple(random_literal(rng, spec, len(params)) for _ in range(rng.randint(1, 3)))
+    spec_text = str(spec)
+    params_text = "; ".join(format_element(e) for e in params)
+    formula_text = " & ".join(format_literal(l) for l in lits)
+    for spaced in (False, True):
+        if spaced:
+            spec_text, params_text, formula_text = (
+                _respace(rng, t) for t in (spec_text, params_text, formula_text)
+            )
+        assert parse_spec(spec_text) == spec
+        parsed = parse_params(spec, params_text)
+        assert parsed == params
+        assert parse_formula(formula_text) == lits
+        # the parser builds elements without re-validation; each must be
+        # what Element's own normalization makes of its coordinates
+        for e in parsed:
+            again = Element(spec, e.coords)
+            assert e == again
+            assert [type(v) for v in e.coords] == [type(v) for v in again.coords]
