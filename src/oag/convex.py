@@ -38,7 +38,7 @@ def _check_cut(spec: GroupSpec, cut: ConvexCut) -> None:
 def in_subgroup(x: Element, cut: ConvexCut) -> bool:
     """Membership in the convex subgroup itself: coordinates < s all zero."""
     _check_cut(x.spec, cut)
-    return all(v == 0 or v == () for v in x.coords[: cut.s])
+    return not any(x.coords[: cut.s])
 
 
 def in_coset(x: Element, cut: ConvexCut, m: int) -> bool:

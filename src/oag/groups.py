@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from itertools import compress
 from typing import Iterable, Mapping, Union
 
@@ -170,6 +170,7 @@ def _norm_block_value(block: BlockKind, value) -> BlockValue:
     return span
 
 
+@total_ordering
 @dataclass(frozen=True)
 class Element:
     """One group element: a block value per coordinate of the spec."""
@@ -203,21 +204,12 @@ class Element:
     def __lt__(self, other):
         return compare(self, other) is Ordering.LT
 
-    def __le__(self, other):
-        return compare(self, other) is not Ordering.GT
-
-    def __gt__(self, other):
-        return compare(self, other) is Ordering.GT
-
-    def __ge__(self, other):
-        return compare(self, other) is not Ordering.LT
-
     def __hash__(self) -> int:
         # equal elements share their spec, so the coords alone decide
         return hash(self.coords)
 
     def is_zero(self) -> bool:
-        return all(_block_is_zero(v) for v in self.coords)
+        return not any(self.coords)
 
     def __str__(self) -> str:
         return format_element(self)
@@ -253,10 +245,6 @@ def _check_same_spec(a: Element, b: Element) -> None:
         raise SpecMismatchError("elements belong to different group specs")
 
 
-def _block_is_zero(v: BlockValue) -> bool:
-    return v == 0 or v == ()
-
-
 def _span_add(x: SpanPairs, y: SpanPairs, sign: int = 1) -> SpanPairs:
     """x + sign*y for canonical spans and sign = +-1, by one merge of the
     two sorted pair tuples; an empty x or y needs no merge."""
@@ -287,14 +275,6 @@ def _span_add(x: SpanPairs, y: SpanPairs, sign: int = 1) -> SpanPairs:
     return tuple(out)
 
 
-def _span_scale(k, x: SpanPairs) -> SpanPairs:
-    if k == 1 or not x:
-        return x
-    if k == 0:
-        return ()
-    return tuple((i, c * k) for i, c in x)
-
-
 def span_coefficient(v: SpanPairs, basis: int) -> Fraction:
     for i, c in v:
         if i == basis:
@@ -304,46 +284,33 @@ def span_coefficient(v: SpanPairs, basis: int) -> Fraction:
 
 # The kernel below relies on the canonical form (ints on Z, Fractions
 # elsewhere, sorted zero-free span pairs): a zero coordinate (0, Fraction(0)
-# or ()) is falsy, and the other side of a sum with it is already the
-# canonical result, so it is passed through with no arithmetic.  add and sub
-# copy the left operand's coordinates and visit only the right operand's
+# or ()) is falsy, which is the one zero test, and the other side of a sum
+# with it is already the canonical result, so it is passed through with no
+# arithmetic.  add and sub share one merge, in sub, the hotter of the two: it
+# copies the left operand's coordinates and visits only the right operand's
 # nonzero ones, which compress picks out by that truth value.
 
 
 def add(a: Element, b: Element) -> Element:
+    return sub(a, b, 1)
+
+
+def sub(a: Element, b: Element, _sign: int = -1) -> Element:
+    """a - b, or a + b when add passes _sign = 1."""
     _check_same_spec(a, b)
     coords, other, blocks = list(a.coords), b.coords, a.spec.blocks
     for i in compress(range(len(other)), other):
         x, y = coords[i], other[i]
         coords[i] = (
-            y if not x
-            else _span_add(x, y) if blocks[i].kind == "GP"
-            else x + y
+            _span_add(x, y, _sign) if blocks[i].kind == "GP"
+            else (x + y if _sign > 0 else x - y) if x
+            else y if _sign > 0 else -y
         )
     return _raw_element(a.spec, tuple(coords))
 
 
 def neg(a: Element) -> Element:
-    coords = tuple(
-        x if not x
-        else _span_scale(-1, x) if block.kind == "GP"
-        else -x
-        for block, x in zip(a.spec.blocks, a.coords)
-    )
-    return _raw_element(a.spec, coords)
-
-
-def sub(a: Element, b: Element) -> Element:
-    _check_same_spec(a, b)
-    coords, other, blocks = list(a.coords), b.coords, a.spec.blocks
-    for i in compress(range(len(other)), other):
-        x, y = coords[i], other[i]
-        coords[i] = (
-            _span_add(x, y, -1) if blocks[i].kind == "GP"
-            else x - y if x
-            else -y
-        )
-    return _raw_element(a.spec, tuple(coords))
+    return scale(-1, a)
 
 
 def scale(k: int, a: Element) -> Element:
@@ -351,7 +318,7 @@ def scale(k: int, a: Element) -> Element:
         raise TypeError("scale takes an integer multiplier")
     coords = tuple(
         x if not x or k == 1
-        else _span_scale(k, x) if block.kind == "GP"
+        else (tuple((i, c * k) for i, c in x) if k else ()) if block.kind == "GP"
         else x * k
         for block, x in zip(a.spec.blocks, a.coords)
     )
@@ -399,23 +366,25 @@ def _span_sign(pairs: SpanPairs) -> int:
         bits *= 2
 
 
+def block_sign(block: BlockKind, x: BlockValue, y: BlockValue) -> int:
+    """The sign of x - y for two values of one block."""
+    if block.kind == "GP":
+        return _span_sign(_span_add(x, y, -1))
+    return (x > y) - (x < y)
+
+
 def compare(a: Element, b: Element) -> Ordering:
     """Lexicographic order, coordinate 0 most significant.
 
-    Span coordinates are compared by exact coefficient equality first; a
-    nonzero difference is signed by adaptive-precision enclosure of its
-    real value.
+    Coordinates are compared by exact equality first; a nonzero span
+    difference is signed by adaptive-precision enclosure of its real value.
     """
     _check_same_spec(a, b)
     for block, x, y in zip(a.spec.blocks, a.coords, b.coords):
-        if block.kind == "GP":
-            if x == y:
-                continue
-            s = _span_sign(_span_add(x, y, -1))
-        else:
-            if x == y:
-                continue
-            s = -1 if x < y else 1
+        if x == y:
+            continue
+        # scalars stay inline: routing them through block_sign was slower
+        s = block_sign(block, x, y) if block.kind == "GP" else -1 if x < y else 1
         return Ordering.LT if s < 0 else Ordering.GT
     return Ordering.EQ
 
@@ -461,14 +430,9 @@ def coset_key(
     )
 
 
-def block_divisible(block: BlockKind, value: BlockValue, n: int) -> bool:
-    """Whether the block value is n-divisible inside its block."""
-    return not block_residues(block, value, n)
-
-
 def block_divide(block: BlockKind, value: BlockValue, n: int) -> BlockValue | None:
     """Exact quotient value/n inside the block, or None if not divisible."""
-    if not block_divisible(block, value, n):
+    if block_residues(block, value, n):
         return None
     if block.kind == "Z":
         return value // n

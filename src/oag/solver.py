@@ -82,11 +82,10 @@ from .groups import (
     _norm_block_value,
     _quotient,
     _raw_element,
-    _span_add,
-    _span_sign,
     block_divide,
     block_modulus,
     block_residues,
+    block_sign,
     compare,
     neg,
     scale,
@@ -559,8 +558,8 @@ def _descend(prob: _Problem, slots: _Slots):
         lo = None if low is None else _hull_value(block, low, j)
         hi = None if high is None else _hull_value(block, high, j)
         if j in pins:
-            above = 1 if lo is None else _value_cmp(block, pins[j][0], lo)
-            below = -1 if hi is None else _value_cmp(block, pins[j][0], hi)
+            above = 1 if lo is None else block_sign(block, pins[j][0], lo)
+            below = -1 if hi is None else block_sign(block, pins[j][0], hi)
             if above < 0 or below > 0:
                 break  # the pin puts x outside the bounds
             low = low if above == 0 else None
@@ -591,13 +590,6 @@ def _hull_value(block: BlockKind, b: _Bound, j: int):
     if block.kind == "GP":
         return tuple((i, c / b.k) for i, c in v)
     return Fraction(v) / b.k
-
-
-def _value_cmp(block: BlockKind, a, b) -> int:
-    """The sign of a - b for two values of one block."""
-    if block.kind == "GP":
-        return _span_sign(_span_add(a, b, -1))
-    return (a > b) - (a < b)
 
 
 def _gap_points(prob: _Problem, slots: _Slots, j: int, lo, hi) -> Iterator:
