@@ -49,7 +49,7 @@ def in_coset(x: Element, cut: ConvexCut, m: int) -> bool:
         raise ValueError("modulus must be a positive integer")
     _check_cut(x.spec, cut)
     blocks, coords = x.spec.blocks, x.coords
-    # coset_key's walk, stopped at the first residue
+    # coset_key's walk, stopped at the first residue (not coset_key was slower)
     for i in compress(range(cut.s), coords):
         if block_residues(blocks[i], coords[i], m):
             return False

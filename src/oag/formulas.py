@@ -222,6 +222,7 @@ def term_value(term: Term, params: Sequence[Element], group: GroupSpec) -> Eleme
 def _holds(lit: Literal, x: Element, t: Element) -> bool:
     """Truth of the literal at x, given the value t of its term.  The one
     place that decides what a literal means."""
+    # one branch per kind: a negated-kind table was slower, here and in parsing
     kx = x if lit.k == 1 else scale(lit.k, x)
     if lit.kind is LitKind.ORD:
         return compare(kx, t).value in _CMP_OK[lit.cmp]

@@ -10,8 +10,9 @@ Shape of the decision: ``solve`` runs the phases below in order over one
 
 1.  ``_normalize`` sorts the literals by role.  Positive congruence literals
     are rewritten to coefficient 1 and prime-power modulus (one already in
-    that form is kept as it is), order literals become bounds on x,
-    equalities pin x and subgroup-coset literals pin single coordinates.  A
+    that form is kept as it is), order literals become bounds on x (the
+    tightest low and high are picked once, for phases 4 and 5), equalities
+    pin x and subgroup-coset literals pin single coordinates.  A
     literal that no x satisfies, or two pins that disagree, give UNSAT.  A
     negated literal of constant truth (``formulas._constant_truth``) is
     dropped when true and refuted after phase 4 when false; the others stay
@@ -38,10 +39,13 @@ Shape of the decision: ``solve`` runs the phases below in order over one
     equal bounds force x, which ``_decide_pinned`` decides.  So does a
     subgroup literal set that pins every coordinate.
 5.  ``_descend`` walks the coordinates against the two tightest bounds: a
-    pin drops each bound it meets strictly, a coordinate where both bounds
-    agree is forced to their common value, and the first other coordinate
-    is placed strictly inside the gap on its slot's residue class.  Below
-    the placement the coordinates are free.
+    pin drops each bound it meets strictly, and a pin outside a live bound
+    is UNSAT (``pin-outside-bounds``, citing the pins up to it and the
+    bound; the pins form a prefix, so x meets the bound on each coordinate
+    before it).  A coordinate where both bounds agree is forced to their
+    common value, and the first other coordinate is placed strictly inside
+    the gap on its slot's residue class.  Below the placement the
+    coordinates are free.
 6.  ``_candidates`` yields the parameters, zero, the bound points and the
     slot residues under the descent's values; with live negated literals,
     then the escape points, which step the placement through its gap and
@@ -196,7 +200,8 @@ class _Bound:
 
 
 # (coordinate, basis) -> (modulus, residue); the basis is a span basis index,
-# None on scalar blocks.  ``_solve_slots`` keeps the live slots only.
+# None on scalar blocks.  ``_solve_slots`` keeps the live slots only.  Keys
+# per coordinate on block_residues measured slower, with no fewer lines.
 _Slots = dict[tuple[int, int | None], tuple[int, int]]
 
 
@@ -208,6 +213,8 @@ class _Problem:
     congs: list[_Cong] = field(default_factory=list)
     lows: list[_Bound] = field(default_factory=list)
     highs: list[_Bound] = field(default_factory=list)
+    low: _Bound | None = None  # the tightest of the lows
+    high: _Bound | None = None  # the tightest of the highs
     pin: tuple[Element, int] | None = None  # (x, source literal)
     coord_pins: dict[int, tuple[object, int]] = field(default_factory=dict)
     negs: list[int] = field(default_factory=list)  # live negated literals
@@ -257,9 +264,10 @@ def solve(conj: Conjunction) -> SolveResult:
                 None,
                 "the subgroup literals determine every coordinate of x",
             )
+        walk = _descend(prob, slots)
     except _Decided as decided:
         return decided.result
-    for x in _candidates(prob, slots):
+    for x in _candidates(prob, slots, walk):
         if _meets_slots(x, slots) and evaluate_conj(conj, x):
             return SolveResult(SolveStatus.SAT, witness=x)
     if prob.negs:
@@ -279,7 +287,8 @@ def _normalize(conj: Conjunction) -> _Problem:
         if lit.kind is LitKind.CONG:
             pf = factorize(lit.m)
             if lit.k == 1 and len(pf) <= 1:
-                # already in normal form (or vacuous, modulus 1): no rewrite
+                # already in normal form (or vacuous, modulus 1): no rewrite;
+                # most congruences of a verify take this path
                 prob.congs.extend(
                     _Cong(p, e, lit.alpha.s, t, idx) for p, e in pf.items()
                 )
@@ -343,6 +352,8 @@ def _normalize(conj: Conjunction) -> _Problem:
                 prob.negs.append(idx)
             elif not truth and prob.false_lit is None:
                 prob.false_lit = idx
+    prob.low = _tightest(prob.lows, want_max=True)
+    prob.high = _tightest(prob.highs, want_max=False)
     return prob
 
 
@@ -456,8 +467,7 @@ def _solve_slot(coord: int, basis: int | None, congs: list[_Cong]) -> tuple[int,
 
 def _intersect_bounds(prob: _Problem) -> None:
     """Phase 4: the tightest bounds must leave room for x."""
-    low = _tightest(prob.lows, want_max=True)
-    high = _tightest(prob.highs, want_max=False)
+    low, high = prob.low, prob.high
     if low is None or high is None:
         return
     cited = (low.src, high.src)
@@ -482,7 +492,7 @@ def _intersect_bounds(prob: _Problem) -> None:
         )
 
 
-def _candidates(prob: _Problem, slots: _Slots) -> Iterator[Element]:
+def _candidates(prob: _Problem, slots: _Slots, walk) -> Iterator[Element]:
     """Distinct candidate witnesses, in a fixed order.
 
     First the parameters, zero, the points of divisible bounds and the live
@@ -493,11 +503,11 @@ def _candidates(prob: _Problem, slots: _Slots) -> Iterator[Element]:
     slot moduli.  No step moves a slot residue or the order of x against a
     bound.  A fresh symbol satisfies every negated (dis)equality or subgroup
     literal whose cut lies past it, and on a scalar coordinate such a
-    literal rules out at most one n.
+    literal rules out at most one n.  ``walk`` is ``_descend``'s result.
     """
     group = prob.conj.group
     residues = {key: r for key, (_, r) in slots.items()}
-    pins, points, free = _descend(prob, slots)
+    pins, points, free = walk
     seen: set[Element] = set()
 
     def fixed():
@@ -547,11 +557,12 @@ def _descend(prob: _Problem, slots: _Slots):
     coordinate.  Where the gap of a Z block holds no point of the slot's
     class, x takes a bound's value there if that is on the class, and goes
     on against that bound alone; a descent that cannot go on frees nothing.
+    A pin outside a live bound refutes: the pins form a prefix, so x equals
+    the bound's hull value on every coordinate before it.
     """
     group = prob.conj.group
     pins = dict(prob.coord_pins)
-    low = _tightest(prob.lows, want_max=True)
-    high = _tightest(prob.highs, want_max=False)
+    low, high = prob.low, prob.high
     for j, block in enumerate(group.blocks):
         if low is None and high is None:
             return pins, iter(()), j
@@ -561,7 +572,13 @@ def _descend(prob: _Problem, slots: _Slots):
             above = 1 if lo is None else block_sign(block, pins[j][0], lo)
             below = -1 if hi is None else block_sign(block, pins[j][0], hi)
             if above < 0 or below > 0:
-                break  # the pin puts x outside the bounds
+                crossed = low if above < 0 else high
+                _refute(
+                    "pin-outside-bounds",
+                    tuple(sorted({pins[i][1] for i in range(j + 1)} | {crossed.src})),
+                    "the pins put x strictly outside an order bound",
+                    coordinate=j,
+                )
             low = low if above == 0 else None
             high = high if below == 0 else None
         elif lo is not None and lo == hi:

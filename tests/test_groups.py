@@ -41,6 +41,27 @@ def test_add_coordinatewise():
     assert add(a, a) == parse_element(G_QP2, "(1 | 2*b0)")
 
 
+def test_derived_order_operators_agree_with_compare():
+    # <=, > and >= come from total_ordering on __lt__ and ==; b shares a
+    # random prefix with a, so the order is also decided past coordinate 0
+    rng = random.Random(29)
+    kinds = set()
+    for _ in range(400):
+        spec = random_spec(rng)
+        a = random_element(rng, spec)
+        cut = rng.randint(0, spec.K)
+        b = Element(spec, a.coords[:cut] + random_element(rng, spec).coords[cut:])
+        c = compare(a, b)
+        assert (a < b, a <= b, a > b, a >= b) == (
+            c is Ordering.LT,
+            c is not Ordering.GT,
+            c is Ordering.GT,
+            c is not Ordering.LT,
+        )
+        kinds.update(block.kind for block in spec.blocks)
+    assert kinds == {"Z", "Q", "ZLOC", "GP"}
+
+
 def test_scale_zero_gives_zero():
     a = parse_element(G_QP2, "(1/2 | 3*b1)")
     assert scale(0, a) == G_QP2.zero()

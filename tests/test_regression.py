@@ -29,7 +29,7 @@ CORPUS_SIZE = 600
 ORACLE_STRIDE = 10
 ORACLE_BUDGET = 300
 
-SOLVE_DIGEST = "2770c9606f5bc9e021a3846d91b2f3a1ede398c49f6b2c479cb09e86e3d5a28a"
+SOLVE_DIGEST = "149ba82d84b55879a6058301c8b442b7efb25aef63bc63a7c0c4a4338d3dc646"
 ORACLE_DIGEST = "699e0b6ea92455949b0e339798fdb8950c1e02f19438e5abc32d67087a784689"
 CLI_DIGEST = "a185b0fe8760a2295cc86f9879571aaa7bf72ff931af6e7b8152c24f06083f0c"
 CHAIN_VERIFY_DIGEST = (
@@ -37,7 +37,7 @@ CHAIN_VERIFY_DIGEST = (
 )
 SOLVE_MIX_SEEDS = (11, 1009, 5, 77)
 SOLVE_MIX_DIGEST = (
-    "b02d8acfef7e3e0d817446a09b10e24101502ddca72a0e2d92cc9db3709c73ff"
+    "e47fdb9b4aa8ec3e0d79539d18a96d9672e73f338c8051bd8de8efa11ab6cb91"
 )
 # The 6000 results of test_solve_mix_digest as the solver gave them before
 # its residue-move search was retired (commit 691399b), one line each: the

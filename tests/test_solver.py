@@ -28,6 +28,7 @@ from oag import (
     unit_element,
 )
 from oag import solver
+from oag.formulas import LitKind
 from oag.groups import span_coefficient
 from oag.numutil import factorize
 from helpers import (
@@ -241,7 +242,8 @@ def test_escape_points_step_the_free_coordinates():
     c = conj_of(g, "!1x = 0 & !1x = 1*a0 & cong[2, cut1](1x, 0)", "(2)")
     prob = solver._normalize(c)
     assert prob.negs == [0, 1]
-    got = list(solver._candidates(prob, solver._solve_slots(prob)))
+    slots = solver._solve_slots(prob)
+    got = list(solver._candidates(prob, slots, solver._descend(prob, slots)))
     assert got == [parse_element(g, v) for v in ("(2)", "(0)", "(4)", "(6)")]
     res = solve(c)
     assert res.status is SolveStatus.SAT
@@ -778,3 +780,51 @@ def test_assemble_matches_the_element_constructor():
         want = Element(spec, tuple(dense))
         assert got == want
         assert [type(v) for v in got.coords] == [type(v) for v in want.coords]
+
+
+@pytest.mark.parametrize(
+    "spec, formula, params, coordinate",
+    [
+        # the pin makes x0 = -4/3, below the bound's -1/3
+        (
+            "lex(Q, Z, Gp(3))",
+            "ing[cut2](1x, -2*a0) & -2x <= 1*a0",
+            "(2/3 | 13 | 0)",
+            0,
+        ),
+        # the pin meets the low bound on coordinate 0 and drops the high
+        # one, then crosses the low bound on coordinate 1
+        (
+            "lex(Q, Q, Q)",
+            "ing[cut2](1x, 1*a0) & 1x > 1*a1 & 1x < 1*a2",
+            "(1 | 0 | 0); (1 | 3 | 0); (2 | 0 | 0)",
+            1,
+        ),
+    ],
+    ids=["crosses-at-0", "drops-one-crosses-the-other"],
+)
+def test_pin_outside_bounds_is_unsat(spec, formula, params, coordinate):
+    c = conj_of(parse_spec(spec), formula, params)
+    res = solve(c)
+    assert res.status is SolveStatus.UNSAT
+    (entry,) = res.certificate
+    assert entry.kind == "pin-outside-bounds"
+    assert entry.coordinate == coordinate
+    assert entry.literals == (0, 1)
+    assert oracle_search(c, 2) is None
+
+
+@pytest.mark.parametrize("seed", [11, 1009])
+def test_coordinate_pins_form_a_prefix(seed):
+    # pin-outside-bounds relies on it: ing[cutS] pins every coordinate below
+    # S, so the pinned coordinates are 0..S-1 for the largest such S
+    pinned = 0
+    for conj in random_conjunctions(seed, 1500):
+        try:
+            prob = solver._normalize(conj)
+        except solver._Decided:
+            continue
+        cuts = [lit.alpha.s for lit in conj.literals if lit.kind is LitKind.INGRP]
+        assert sorted(prob.coord_pins) == list(range(max(cuts, default=0)))
+        pinned += bool(prob.coord_pins)
+    assert pinned > 50
