@@ -30,7 +30,9 @@ from typing import Iterable, Mapping, Union
 from .errors import NotDivisibleError, SpecMismatchError
 from .numutil import int_valuation, is_prime, nth_prime, residue_mod, sqrt_enclosure
 
-SpanPairs = tuple[tuple[int, Fraction], ...]
+# a Q or Zloc value and a span coefficient are ints when integral, else
+# Fractions of denominator above 1; see _canon
+SpanPairs = tuple[tuple[int, Union[int, Fraction]], ...]
 BlockValue = Union[int, Fraction, SpanPairs]
 
 
@@ -121,11 +123,24 @@ class GroupSpec:
 
 
 def _zero_value(block: BlockKind) -> BlockValue:
-    if block.kind == "Z":
-        return 0
-    if block.kind == "GP":
-        return ()
-    return Fraction(0)
+    return () if block.kind == "GP" else 0
+
+
+def _canon(c) -> int | Fraction:
+    """A rational in canonical form: an int when it is integral, else a
+    Fraction; an int or a Fraction is kept, not copied."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _divide(c: int | Fraction, n: int) -> int | Fraction:
+    """c/n, never a float: an int when n divides the int c, else a
+    Fraction; canonical when c is, as a canonical Fraction c/n keeps a
+    denominator above 1."""
+    return c // n if type(c) is int and not c % n else Fraction(c, n)
 
 
 def _norm_span(value) -> SpanPairs:
@@ -136,31 +151,23 @@ def _norm_span(value) -> SpanPairs:
         pairs = value.items()
     else:
         pairs = value
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int | Fraction] = {}
     for idx, c in pairs:
         idx = int(idx)
         if idx < 0:
             raise ValueError("basis indices must be >= 0")
-        c = c if type(c) is Fraction else Fraction(c)
+        c = _canon(c)
         if c:
-            acc[idx] = acc[idx] + c if idx in acc else c
+            acc[idx] = _canon(acc[idx] + c) if idx in acc else c
     return tuple(sorted((i, c) for i, c in acc.items() if c))
 
 
 def _norm_block_value(block: BlockKind, value) -> BlockValue:
-    # a value already of the canonical type is kept, not copied
-    if block.kind == "Z":
-        if type(value) is int:
-            return value
-        f = Fraction(value)
-        if f.denominator != 1:
+    if block.kind != "GP":
+        f = _canon(value)
+        if block.kind == "Z" and type(f) is not int:
             raise ValueError(f"Z coordinate must be an integer, got {value!r}")
-        return int(f)
-    if block.kind == "Q":
-        return value if type(value) is Fraction else Fraction(value)
-    if block.kind == "ZLOC":
-        f = value if type(value) is Fraction else Fraction(value)
-        if f.denominator % block.p == 0:
+        if block.kind == "ZLOC" and f.denominator % block.p == 0:
             raise ValueError(f"{f} has denominator divisible by {block.p}")
         return f
     span = _norm_span(value)
@@ -219,9 +226,10 @@ def _raw_element(spec: GroupSpec, coords: tuple[BlockValue, ...]) -> Element:
     """Internal constructor for coordinates already in canonical form.
 
     Arithmetic on canonical values stays canonical (sums and integer
-    multiples of p-local rationals are p-local, span helpers keep pairs
-    sorted and zero-free), so the per-construction validation of Element
-    can be skipped on these paths.
+    multiples of p-local rationals are p-local, _canon turns an integral
+    result back into an int, span helpers keep pairs sorted and zero-free),
+    so the per-construction validation of Element can be skipped on these
+    paths.
     """
     e = object.__new__(Element)
     object.__setattr__(e, "spec", spec)
@@ -234,7 +242,7 @@ def unit_element(spec: GroupSpec, coord: int, value=1, basis: int = 0) -> Elemen
     is placed on the given basis symbol."""
     coords = [_zero_value(b) for b in spec.blocks]
     if spec.blocks[coord].kind == "GP":
-        coords[coord] = ((basis, Fraction(value)),)
+        coords[coord] = ((basis, value),)
     else:
         coords[coord] = value
     return Element(spec, tuple(coords))
@@ -265,7 +273,7 @@ def _span_add(x: SpanPairs, y: SpanPairs, sign: int = 1) -> SpanPairs:
             out.append(y[j] if sign > 0 else (iy, -cy))
             j += 1
         else:
-            c = cx + cy if sign > 0 else cx - cy
+            c = _canon(cx + cy if sign > 0 else cx - cy)
             if c:
                 out.append((ix, c))
             i += 1
@@ -275,15 +283,17 @@ def _span_add(x: SpanPairs, y: SpanPairs, sign: int = 1) -> SpanPairs:
     return tuple(out)
 
 
-def span_coefficient(v: SpanPairs, basis: int) -> Fraction:
+def span_coefficient(v: SpanPairs, basis: int) -> int | Fraction:
     for i, c in v:
         if i == basis:
             return c
-    return Fraction(0)
+    return 0
 
 
-# The kernel below relies on the canonical form (ints on Z, Fractions
-# elsewhere, sorted zero-free span pairs): a zero coordinate (0, Fraction(0)
+# The kernel below relies on the canonical form (ints on Z; on Q, Zloc and
+# span coefficients an int when integral, else a Fraction; sorted zero-free
+# span pairs): integral values never pay for Fraction arithmetic, and a
+# result of Fraction arithmetic goes through _canon.  A zero coordinate (0
 # or ()) is falsy, which is the one zero test, and the other side of a sum
 # with it is already the canonical result, so it is passed through with no
 # arithmetic.  add and sub share one merge, in sub, the hotter of the two: it
@@ -303,7 +313,7 @@ def sub(a: Element, b: Element, _sign: int = -1) -> Element:
         x, y = coords[i], other[i]
         coords[i] = (
             _span_add(x, y, _sign) if blocks[i].kind == "GP"
-            else (x + y if _sign > 0 else x - y) if x
+            else _canon(x + y if _sign > 0 else x - y) if x
             else y if _sign > 0 else -y
         )
     return _raw_element(a.spec, tuple(coords))
@@ -318,8 +328,8 @@ def scale(k: int, a: Element) -> Element:
         raise TypeError("scale takes an integer multiplier")
     coords = tuple(
         x if not x or k == 1
-        else (tuple((i, c * k) for i, c in x) if k else ()) if block.kind == "GP"
-        else x * k
+        else (tuple((i, _canon(c * k)) for i, c in x) if k else ()) if block.kind == "GP"
+        else _canon(x * k)
         for block, x in zip(a.spec.blocks, a.coords)
     )
     return _raw_element(a.spec, coords)
@@ -437,8 +447,8 @@ def block_divide(block: BlockKind, value: BlockValue, n: int) -> BlockValue | No
     if block.kind == "Z":
         return value // n
     if block.kind == "GP":
-        return tuple((i, c / n) for i, c in value)
-    return value / n
+        return tuple((i, _divide(c, n)) for i, c in value)
+    return _divide(value, n)
 
 
 def is_divisible(a: Element, n: int) -> bool:
@@ -471,11 +481,6 @@ def divide_exact(a: Element, n: int) -> Element:
     return q
 
 
-def _format_fraction(q) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def format_block_value(block: BlockKind, v: BlockValue) -> str:
     if block.kind == "GP":
         if not v:
@@ -483,15 +488,13 @@ def format_block_value(block: BlockKind, v: BlockValue) -> str:
         parts = []
         for n, (idx, c) in enumerate(v):
             mag = abs(c)
-            body = f"b{idx}" if mag == 1 else f"{_format_fraction(mag)}*b{idx}"
+            body = f"b{idx}" if mag == 1 else f"{mag}*b{idx}"
             if n == 0:
                 parts.append(("-" if c < 0 else "") + body)
             else:
                 parts.append(("- " if c < 0 else "+ ") + body)
         return " ".join(parts)
-    if block.kind == "Z":
-        return str(v)
-    return _format_fraction(v)
+    return str(v)
 
 
 def format_element(a: Element) -> str:

@@ -83,6 +83,7 @@ from .groups import (
     GroupSpec,
     Ordering,
     SpanPairs,
+    _divide,
     _norm_block_value,
     _quotient,
     _raw_element,
@@ -605,8 +606,8 @@ def _hull_value(block: BlockKind, b: _Bound, j: int):
     """Coordinate j of the bound's hull point t/k."""
     v = b.t.coords[j]
     if block.kind == "GP":
-        return tuple((i, c / b.k) for i, c in v)
-    return Fraction(v) / b.k
+        return tuple((i, _divide(c, b.k)) for i, c in v)
+    return _divide(v, b.k)
 
 
 def _gap_points(prob: _Problem, slots: _Slots, j: int, lo, hi) -> Iterator:
@@ -619,7 +620,7 @@ def _gap_points(prob: _Problem, slots: _Slots, j: int, lo, hi) -> Iterator:
     block = prob.conj.group.blocks[j]
     m, r = _slot(prob, slots, j, 0 if block.kind == "GP" else None)
     fixed = tuple(
-        (b, Fraction(v)) for (i, b), (_, v) in slots.items() if i == j and b and v
+        (b, v) for (i, b), (_, v) in slots.items() if i == j and b and v
     )
     while (point := _gap_point(block, m, r, fixed, lo, hi)) is not None:
         yield point
@@ -633,7 +634,7 @@ def _gap_point(block: BlockKind, m: int, r: int, fixed: SpanPairs, lo, hi):
             return hi - 1
         if hi is None:
             return lo + 1
-        return (lo + hi) / 2
+        return _divide(lo + hi, 2)
     if block.kind == "Z":
         if lo is None:
             return r + m * ((int_below(hi) - r) // m)
@@ -641,8 +642,8 @@ def _gap_point(block: BlockKind, m: int, r: int, fixed: SpanPairs, lo, hi):
         return n if hi is None or n < hi else None
     if block.kind == "ZLOC":
         # x = r + m*z with z any p-local rational in the open gap
-        zlo = None if lo is None else (lo - r) / m
-        zhi = None if hi is None else (hi - r) / m
+        zlo = None if lo is None else _divide(lo - r, m)
+        zhi = None if hi is None else _divide(hi - r, m)
         z = _local_rational_between(block.p, zlo, zhi)
         return None if z is None else Fraction(r) + m * z
     for bits in (64, 128, 256, 512):

@@ -26,6 +26,25 @@ from oag import (
 PRIMES = (2, 3, 5)
 
 
+def is_canonical_rational(c) -> bool:
+    """The canonical form of a Q or Zloc value and of a span coefficient: an
+    int exactly when c is integral, otherwise a Fraction of denominator
+    above 1 (never an integral Fraction, never a float)."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def assert_canonical(x: Element) -> None:
+    """Every coordinate of x in canonical form, in value and type: an int on
+    Z, a canonical rational on Q and Zloc, and sorted zero-free pairs with
+    canonical rational coefficients on Gp."""
+    for block, v in zip(x.spec.blocks, x.coords):
+        if block.kind == "GP":
+            assert [i for i, _ in v] == sorted({i for i, _ in v})
+            assert all(is_canonical_rational(c) and c for _, c in v)
+        else:
+            assert type(v) is int if block.kind == "Z" else is_canonical_rational(v)
+
+
 def random_spec(rng: random.Random, max_blocks: int = 5) -> GroupSpec:
     n = rng.randint(1, max_blocks)
     blocks = []

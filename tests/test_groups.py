@@ -28,9 +28,16 @@ from oag import (
 )
 from oag import ConvexCut, in_coset
 from oag import groups
-from oag.groups import _span_add, _zero_value, block_modulus, coset_key
+from oag.groups import (
+    _quotient,
+    _span_add,
+    _zero_value,
+    block_divide,
+    block_modulus,
+    coset_key,
+)
 from oag.numutil import _MR_BOUND, is_prime, nth_prime, residue_mod
-from helpers import random_element, random_spec
+from helpers import assert_canonical, is_canonical_rational, random_element, random_spec
 
 
 G_QP2 = GroupSpec((RAT, PSPAN(2)))
@@ -228,8 +235,9 @@ def test_block_validation():
 
 def test_element_canonical_span_form():
     g = GroupSpec((PSPAN(2),))
-    a = Element(g, ({2: Fraction(1), 1: Fraction(0)},))
-    assert a.coords[0] == ((2, Fraction(1)),)
+    a = Element(g, ({2: Fraction(1), 1: Fraction(0), 3: Fraction(3, 5)},))
+    assert a.coords[0] == ((2, 1), (3, Fraction(3, 5)))
+    assert [type(c) for _, c in a.coords[0]] == [int, Fraction]
 
 
 def _sparsify(a, mask):
@@ -241,19 +249,25 @@ def _sparsify(a, mask):
 
 
 def _assert_canonical(r):
-    ref = Element(r.spec, r.coords)
-    assert r.coords == ref.coords
-    for block, x, y in zip(r.spec.blocks, r.coords, ref.coords):
-        assert type(x) is type(y)
-        if block.kind == "GP":
-            assert [i for i, _ in x] == sorted({i for i, _ in x})
-            assert all(type(c) is Fraction and c for _, c in x)
+    assert r.coords == Element(r.spec, r.coords).coords
+    assert_canonical(r)
+
+
+def _as_fractions(a):
+    """a's coordinates with every Q, Zloc and span value as a Fraction,
+    integral ones included: valid input, but not canonical."""
+    return tuple(
+        v if b.kind == "Z"
+        else tuple((i, Fraction(c)) for i, c in v) if b.kind == "GP"
+        else Fraction(v)
+        for b, v in zip(a.spec.blocks, a.coords)
+    )
 
 
 @settings(max_examples=80, deadline=None)
 @given(spec_and_elements(count=2), st.integers(0, 31), st.integers(0, 31),
-       st.integers(-6, 6))
-def test_kernel_results_canonical_in_value_and_type(data, ma, mb, k):
+       st.integers(-6, 6), st.integers(1, 12))
+def test_kernel_results_canonical_in_value_and_type(data, ma, mb, k, n):
     spec, (a, b) = data
     zero = spec.zero()
     for x in (a, _sparsify(a, ma), zero):
@@ -263,6 +277,16 @@ def test_kernel_results_canonical_in_value_and_type(data, ma, mb, k):
         _assert_canonical(neg(x))
         _assert_canonical(scale(k, x))
         _assert_canonical(scale(1, x))
+        _assert_canonical(Element(spec, _as_fractions(x)))
+        _assert_canonical(divide_exact(scale(n, x), n))
+        for upto in range(spec.K + 1):
+            q = _quotient(x, n, upto)
+            if q is not None:
+                _assert_canonical(q)
+        for block, v in zip(spec.blocks, x.coords):
+            q = block_divide(block, v, n)
+            if q is not None:
+                assert_canonical(groups._raw_element(GroupSpec((block,)), (q,)))
 
 
 def _span_add_reference(x, y, sign):
@@ -274,7 +298,9 @@ def _span_add_reference(x, y, sign):
 
 
 def _span(*pairs):
-    return tuple((i, Fraction(c)) for i, c in pairs)
+    """A canonical span: an int coefficient where it is integral."""
+    fs = ((i, Fraction(c)) for i, c in pairs)
+    return tuple((i, f.numerator if f.denominator == 1 else f) for i, f in fs)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -285,6 +311,7 @@ def _span(*pairs):
         pytest.param(_span((0, 1), (4, 5)), _span((0, 1), (2, 7), (4, -5)), id="partial-cancel"),
         pytest.param(_span((1, "1/3"), (2, 3)), _span((1, "1/3"), (2, 3)), id="all-equal"),
         pytest.param(_span((1, "1/3"), (2, 3)), _span((1, "-1/3"), (2, -3)), id="all-opposite"),
+        pytest.param(_span((1, "1/3"), (2, "1/2")), _span((1, "2/3"), (2, "-1/2")), id="fractions-to-int"),
         pytest.param(_span((5, 2)), _span((0, 1), (1, 1)), id="y-below-x"),
         pytest.param((), _span((0, 1), (3, "-2/5")), id="empty-x"),
         pytest.param(_span((0, 1), (3, "-2/5")), (), id="empty-y"),
@@ -295,7 +322,7 @@ def test_span_add_matches_dict_merge(x, y, sign):
     out = _span_add(x, y, sign)
     assert out == _span_add_reference(x, y, sign)
     assert [i for i, _ in out] == sorted({i for i, _ in out})
-    assert all(type(c) is Fraction and c for _, c in out)
+    assert all(is_canonical_rational(c) and c for _, c in out)
 
 
 @settings(max_examples=100, deadline=None)

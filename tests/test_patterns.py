@@ -104,6 +104,21 @@ def test_chain_pattern_rows_and_paths():
         assert p.witness == gen.witness_of(p.eta)
 
 
+def test_chain_pattern_carries_int_coefficients():
+    # every chain value is integral, so the columns, the path term values
+    # and the witnesses keep int coefficients and the element kernel does no
+    # Fraction arithmetic on them
+    gen = gen_chain_pattern(2, 3, 2)
+    rep = verify(gen.pattern, 100)
+    elements = [x for row in gen.pattern.rows for col in row.columns for x in col]
+    for p in rep.paths:
+        elements.append(p.witness)
+        elements.extend(gen.pattern.path_conjunction(p.eta).term_values)
+    assert len(rep.paths) == 8 and all(p.witness for p in rep.paths)
+    for x in elements:
+        assert all(type(c) is int for v in x.coords for _, c in v)
+
+
 def test_chain_pattern_row_inconsistency_small():
     gen = gen_chain_pattern(2, 1, 2)
     rep = verify(gen.pattern, 10)

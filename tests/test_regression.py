@@ -22,7 +22,7 @@ from oag import (
 )
 from oag.cli import main
 
-from helpers import random_conjunctions
+from helpers import assert_canonical, random_conjunctions
 
 CORPUS_SEED = 11
 CORPUS_SIZE = 600
@@ -102,8 +102,8 @@ def test_solve_mix_digest():
     # default separators.  Against the parent results: a decided verdict
     # never changes, an UNSAT certificate never changes, a SAT witness
     # changes only where it is marked "moved", and every SAT witness passes
-    # the evaluator.  A new verdict replaces an UNKNOWN; every tenth new
-    # UNSAT is checked against the radius-2 oracle.
+    # the evaluator and is in canonical form.  A new verdict replaces an
+    # UNKNOWN; every tenth new UNSAT is checked against the radius-2 oracle.
     corpus = [
         conj for seed in SOLVE_MIX_SEEDS for conj in random_conjunctions(seed, 1500)
     ]
@@ -116,6 +116,7 @@ def test_solve_mix_digest():
     for conj, res, out, line in zip(corpus, solved, results, parent):
         if res.status is SolveStatus.SAT:
             assert evaluate_conj(conj, res.witness)
+            assert_canonical(res.witness)
         status, *rest = line.split()
         if status == "UNKNOWN":
             if res.status is SolveStatus.UNSAT:
