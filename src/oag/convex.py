@@ -47,8 +47,9 @@ def in_coset(x: Element, cut: ConvexCut, m: int) -> bool:
     block, since the subgroup absorbs the coordinates >= s."""
     if m < 1:
         raise ValueError("modulus must be a positive integer")
-    _check_cut(x.spec, cut)
     blocks, coords = x.spec.blocks, x.coords
+    if cut.s > len(blocks):  # a cut index is never negative
+        _check_cut(x.spec, cut)
     # coset_key's walk, stopped at the first residue (not coset_key was slower)
     for i in compress(range(cut.s), coords):
         if block_residues(blocks[i], coords[i], m):

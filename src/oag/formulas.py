@@ -294,11 +294,14 @@ def conjoin(first: Conjunction, *rest: Conjunction) -> Conjunction:
             literals.append(moved)
         params += c.params
         values += c.term_values
-    out = Conjunction(first.group, literals, params)
-    # a shifted term names the same parameter in the merged bank, so the
-    # parts' values are the merged ones; fill the cached_property slot
-    # directly, as the dataclass is frozen
-    out.__dict__["term_values"] = values
+    # each part passed Conjunction's checks over this group, and a shifted
+    # term names the same parameter in the merged bank, so the merge skips
+    # the re-run of those checks; the parts' values are the merged ones and
+    # fill the cached_property slot
+    out = object.__new__(Conjunction)
+    out.__dict__.update(
+        group=first.group, literals=tuple(literals), params=params, term_values=values
+    )
     return out
 
 

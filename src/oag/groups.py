@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from functools import cached_property, total_ordering
+from functools import cache, cached_property, total_ordering
 from itertools import compress
 from typing import Iterable, Mapping, Union
 
@@ -407,7 +407,14 @@ def block_modulus(block: BlockKind, m: int) -> int:
         return 1
     if block.kind == "Z":
         return m
-    return block.p ** int_valuation(m, block.p)
+    return _prime_power_part(block.p, m)
+
+
+@cache
+def _prime_power_part(p: int, m: int) -> int:
+    """p^v_p(m), memoized: the residue tests ask it again and again for the
+    few (prime, modulus) pairs their literals use."""
+    return p ** int_valuation(m, p)
 
 
 def block_residues(

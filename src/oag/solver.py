@@ -23,15 +23,18 @@ Shape of the decision: ``solve`` runs the phases below in order over one
     each block coordinate only finitely many basis coefficients are
     constrained.  A slot maps (coordinate, basis) to (modulus, residue), the
     basis None on scalar blocks.  Which blocks a congruence mod p^e
-    constrains, and modulo what, is ``groups.block_modulus``: on a block of
-    modulus 1 (Q, or Zloc or Gp of another prime) it constrains nothing.
-    Only the live slots, where some constraining congruence value is
-    nonzero, are solved and kept, in coordinate then basis order:
-    ``_solve_slot`` solves one to a residue class per prime, combined by
-    CRT, and an empty class yields an UNSAT certificate listing the
+    constrains, and modulo what, is ``groups.block_modulus`` (memoized per
+    prime and modulus): on a block of modulus 1 (Q, or Zloc or Gp of
+    another prime) it constrains nothing.  Only the live slots, where some
+    constraining congruence value is nonzero, are solved and kept, in
+    coordinate then basis order: ``_solve_slot`` groups the slot's targets
+    by prime in one pass and solves them to a residue class per prime
+    (a zero target, the common case, needs no residue arithmetic), combined
+    by CRT; an empty class yields an UNSAT certificate listing the
     exhausted residues.  On every other slot ``_solve_slot`` gives (M, 0),
     M the product of the largest prime powers of the congruences on the
-    coordinate; ``_slot`` reads either kind.  A pinned coordinate has no
+    coordinate; ``_slot`` reads either kind.  The residues are ints, which
+    ``_assemble`` places with no normalizing.  A pinned coordinate has no
     slot; its pin must have the ``block_residues`` of every congruence
     value there.
 4.  ``_intersect_bounds``: order bounds are intersected in the divisible
@@ -63,7 +66,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .errors import NotReducibleError
 from .formulas import (
@@ -181,8 +184,7 @@ def _unknown(reason: str) -> SolveResult:
     return SolveResult(SolveStatus.UNKNOWN, reason=reason)
 
 
-@dataclass(frozen=True)
-class _Cong:
+class _Cong(NamedTuple):
     """Normalized positive congruence: x = value mod (cut + p^e G)."""
 
     p: int
@@ -378,9 +380,7 @@ def _carriers(prob: _Problem, i: int) -> list[_Cong]:
     """The congruences that constrain coordinate i: those reaching it whose
     prime the block carries residues for (block modulus above 1)."""
     block = prob.conj.group.blocks[i]
-    # one block-modulus test per distinct prime
-    dropped = {p for p in {c.p for c in prob.congs} if block_modulus(block, p) == 1}
-    return [c for c in prob.congs if c.alpha_s > i and c.p not in dropped]
+    return [c for c in prob.congs if c.alpha_s > i and block_modulus(block, c.p) != 1]
 
 
 def _solve_slots(prob: _Problem) -> _Slots:
@@ -440,21 +440,24 @@ def _solve_slot(coord: int, basis: int | None, congs: list[_Cong]) -> tuple[int,
     prime power, or empty; empty refutes with a certificate enumerating the
     excluded residues.  The classes of distinct primes combine by CRT.
     """
+    # (exponent, target, source) per prime, in one pass
+    by_prime: dict[int, list[tuple[int, int | Fraction, int]]] = {}
+    for c in congs:
+        v = c.value.coords[coord]
+        by_prime.setdefault(c.p, []).append(
+            (c.e, v if basis is None else span_coefficient(v, basis), c.src)
+        )
     m, r = 1, 0
-    for p in sorted({c.p for c in congs}):
-        cs = [c for c in congs if c.p == p]
-        targets = [
-            (c.e, c.value.coords[coord] if basis is None
-             else span_coefficient(c.value.coords[coord], basis))
-            for c in cs
-        ]
-        e_max = max(e for e, _ in targets)
+    for p in sorted(by_prime):
+        targets = by_prime[p]
+        e_max = max(e for e, _, _ in targets)
         mp = p**e_max
-        rp = next(residue_mod(tgt, mp) for e, tgt in targets if e == e_max)
-        if any((rp - residue_mod(tgt, p**e)) % p**e for e, tgt in targets):
+        # a zero target has residue 0 modulo every power
+        rp = next(v and residue_mod(v, mp) for e, v, _ in targets if e == e_max)
+        if any((rp - (v and residue_mod(v, p**e))) % p**e for e, v, _ in targets):
             _refute(
                 "congruence-conflict",
-                tuple(sorted({c.src for c in cs})),
+                tuple(sorted({src for _, _, src in targets})),
                 "no residue satisfies all congruences on this slot",
                 coordinate=coord,
                 basis=basis,
@@ -666,22 +669,28 @@ def _assemble(
 ) -> Element | None:
     """Build an element from (coordinate, basis) values, zero elsewhere, with
     the coordinate pins laid over them; None if a value leaves its block.
-    Only the coordinates that receive a nonzero value or a pin are
-    normalized."""
+    An int, and a span of int coefficients, is canonical in every block and
+    is placed as it is; the slot residues are such values.  Every other
+    value, and every pin, is normalized."""
     given: dict[int, object] = {}
     for (i, b), v in values.items():
-        if not v:
+        if not v or i in coord_pins:
             continue
         if b is None:
             given[i] = v
         else:
             given.setdefault(i, {})[b] = v
-    for i, (v, _) in coord_pins.items():
-        given[i] = v
-    coords = list(group.zero().coords)
+    blocks, coords = group.blocks, list(group.zero().coords)
     try:
         for i, v in given.items():
-            coords[i] = _norm_block_value(group.blocks[i], v)
+            if type(v) is int:
+                coords[i] = v
+            elif type(v) is dict and all(type(c) is int for c in v.values()):
+                coords[i] = tuple(sorted(v.items()))
+            else:
+                coords[i] = _norm_block_value(blocks[i], v)
+        for i, (v, _) in coord_pins.items():
+            coords[i] = _norm_block_value(blocks[i], v)
     except ValueError:
         return None
     return _raw_element(group, tuple(coords))

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,8 @@ from oag import (
     crt_split,
     evaluate,
     evaluate_conj,
+    gen_chain_pattern,
+    gen_optimal_pattern,
     in_group,
     ncong,
     neq,
@@ -317,6 +320,37 @@ def test_conjoin_many_matches_nested_binary_calls():
     other = Conjunction(parse_spec("lex(Q)"), (), ())
     with pytest.raises(PreconditionError):
         conjoin(parts[0], parts[1], other)
+
+
+def test_conjoin_matches_a_checked_conjunction_on_pattern_paths():
+    # conjoin skips Conjunction's checks on the merge; over random paths of
+    # generated patterns it must equal the conjunction built with them
+    rng = random.Random(17)
+    patterns = [
+        gen_chain_pattern(2, 3, 2).pattern,
+        gen_chain_pattern(3, 2, 3).pattern,
+        gen_optimal_pattern([2], [2], 3).pattern,
+        gen_optimal_pattern([2, 3], [1, 1], 3).pattern,
+    ]
+    for pattern in patterns:
+        g = pattern.group
+        for _ in range(20):
+            rows = [r for r in pattern.rows if rng.random() < 0.8] or pattern.rows[:1]
+            parts = [Conjunction(g, r.template, rng.choice(r.columns)) for r in rows]
+            got = conjoin(*parts)
+            literals, params = [], ()
+            for part in parts:
+                for l in part.literals:
+                    coeffs = tuple((i + len(params), c) for i, c in l.term.coeffs)
+                    literals.append(replace(l, term=Term(coeffs)))
+                params += part.params
+            want = Conjunction(g, tuple(literals), params)
+            assert got.group == want.group
+            assert got.literals == want.literals
+            assert got.params == want.params
+            assert got.term_values == want.term_values
+    with pytest.raises(PreconditionError):
+        conjoin(parts[0], Conjunction(parse_spec("lex(Q)"), (), ()))
 
 
 def test_conjunction_validates_parameter_bank():

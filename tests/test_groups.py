@@ -36,7 +36,7 @@ from oag.groups import (
     block_modulus,
     coset_key,
 )
-from oag.numutil import _MR_BOUND, is_prime, nth_prime, residue_mod
+from oag.numutil import _MR_BOUND, int_valuation, is_prime, nth_prime, residue_mod
 from helpers import assert_canonical, is_canonical_rational, random_element, random_spec
 
 
@@ -384,6 +384,26 @@ def test_equal_coords_in_different_specs_are_unequal():
 )
 def test_block_modulus_table(block, table):
     assert {m: block_modulus(block, m) for m in table} == table
+
+
+def test_block_modulus_memo_matches_the_rule():
+    # the memoized answer against the rule itself, for every block kind, on
+    # repeated calls and on equal blocks that are distinct objects
+    def rule(block, m):
+        if block.kind == "Q":
+            return 1
+        if block.kind == "Z":
+            return m
+        return block.p ** int_valuation(m, block.p)
+
+    kinds = [RAT, INT] + [k(p) for k in (PLOCAL, PSPAN) for p in (2, 3, 5, 7)]
+    twins = [groups.BlockKind(b.kind, b.p) for b in kinds]
+    assert all(a == b and a is not b for a, b in zip(kinds, twins))
+    groups._prime_power_part.cache_clear()  # a cold round, then a warm one
+    for _ in range(2):
+        for block in kinds + twins:
+            for m in range(1, 401):
+                assert block_modulus(block, m) == rule(block, m)
 
 
 def _valuation(q: Fraction, p: int) -> int:

@@ -32,6 +32,7 @@ from oag.formulas import LitKind
 from oag.groups import span_coefficient
 from oag.numutil import factorize
 from helpers import (
+    assert_canonical,
     random_block_value,
     random_conjunctions,
     random_cong_literal,
@@ -780,6 +781,26 @@ def test_assemble_matches_the_element_constructor():
         want = Element(spec, tuple(dense))
         assert got == want
         assert [type(v) for v in got.coords] == [type(v) for v in want.coords]
+
+
+def test_assemble_places_int_slot_values_canonically():
+    # int scalars and int span coefficients skip normalization; the result
+    # must still be canonical and equal the constructor's
+    rng = random.Random(23)
+    for _ in range(300):
+        spec = random_spec(rng)
+        values, dense = {}, []
+        for i, block in enumerate(spec.blocks):
+            if block.kind == "GP":
+                pairs = {b: rng.randint(-9, 9) for b in rng.sample(range(6), 3)}
+                values.update(((i, b), c) for b, c in pairs.items())
+                dense.append(tuple(pairs.items()))
+            else:
+                values[i, None] = rng.randint(-9, 9)
+                dense.append(values[i, None])
+        got = solver._assemble(spec, {}, values)
+        assert_canonical(got)
+        assert got == Element(spec, tuple(dense))
 
 
 @pytest.mark.parametrize(
