@@ -72,6 +72,7 @@ from .patterns import (
     InpPattern,
     PatternRow,
     VerificationReport,
+    check_k_inconsistent,
     check_sp_lemma,
     count_convex_rows,
     gen_chain_pattern,
@@ -82,7 +83,6 @@ from .solver import (
     CertEntry,
     SolveResult,
     SolveStatus,
-    check_k_inconsistent,
     oracle_search,
     solve,
 )

@@ -38,14 +38,7 @@ from .formulas import (
 )
 from .groups import Element, GroupSpec, PSPAN, RAT, add, scale, unit_element
 from .numutil import factorize, is_prime
-from .solver import (
-    SolveResult,
-    SolveStatus,
-    _fold_k_subsets,
-    oracle_search,
-    solve,
-    solve_k_subsets,
-)
+from .solver import SolveResult, SolveStatus, oracle_search, solve
 
 
 @dataclass(frozen=True)
@@ -169,22 +162,41 @@ class VerificationReport:
 _VERDICTS = {True: "true", False: "false", None: "unknown"}
 
 
-def _row_check(
-    row: PatternRow,
-    index: int,
-    cols: Sequence[Conjunction],
-    cross_check_radius: int | None,
-) -> RowVerdict:
-    pair_results = []
+def _solve_k_subsets(
+    formulas: Sequence[Conjunction], k: int, radius: int | None = None
+) -> tuple[bool | None, tuple[tuple[tuple[int, ...], SolveResult], ...], bool | None]:
+    """Conjoin and solve every k-subset of the formulas in lexicographic
+    order of index tuples.  Returns the verdict (False if a subset is SAT,
+    else None if one is UNKNOWN, else True, vacuously so when k exceeds the
+    number of formulas), the (indices, result) pairs, and whether the oracle
+    of the radius found no witness for any UNSAT subset (None: not run)."""
+    pairs = []
     cross_ok: bool | None = None
-    # more arity than columns leaves no subset: vacuously "true"
-    for subset, merged, res in solve_k_subsets(cols, row.k):
-        pair_results.append((subset, res))
-        if res.status is SolveStatus.UNSAT and cross_check_radius is not None:
-            ok = oracle_search(merged, cross_check_radius) is None
+    for subset in itertools.combinations(range(len(formulas)), k):
+        merged = conjoin(*(formulas[j] for j in subset))
+        res = solve(merged)
+        pairs.append((subset, res))
+        if res.status is SolveStatus.UNSAT and radius is not None:
+            ok = oracle_search(merged, radius) is None
             cross_ok = ok if cross_ok is None else (cross_ok and ok)
-    verdict = _VERDICTS[_fold_k_subsets(res.status for _, res in pair_results)]
-    return RowVerdict(index, row.k, verdict, tuple(pair_results), cross_ok)
+    statuses = {res.status for _, res in pairs}
+    if SolveStatus.SAT in statuses:
+        verdict = False
+    elif SolveStatus.UNKNOWN in statuses:
+        verdict = None
+    else:
+        verdict = True
+    return verdict, tuple(pairs), cross_ok
+
+
+def check_k_inconsistent(
+    formulas: Sequence[Conjunction], k: int
+) -> bool | None:
+    """Whether every k-subset of the given formulas is jointly UNSAT: the
+    verdict of ``_solve_k_subsets``."""
+    if k < 1:
+        raise ValueError("the arity must be a positive integer")
+    return _solve_k_subsets(formulas, k)[0]
 
 
 def verify(
@@ -213,10 +225,10 @@ def verify(
         [pattern.instantiate(i, j) for j in range(len(row.columns))]
         for i, row in enumerate(pattern.rows)
     ]
-    rows = tuple(
-        _row_check(row, i, inst[i], cross_check_radius)
-        for i, row in enumerate(pattern.rows)
-    )
+    rows = []
+    for i, row in enumerate(pattern.rows):
+        verdict, pairs, cross_ok = _solve_k_subsets(inst[i], row.k, cross_check_radius)
+        rows.append(RowVerdict(i, row.k, _VERDICTS[verdict], pairs, cross_ok))
 
     widths = [len(r.columns) for r in pattern.rows]
     total = 1
@@ -256,7 +268,7 @@ def verify(
     return VerificationReport(
         group=pattern.group,
         depth=pattern.depth,
-        rows=rows,
+        rows=tuple(rows),
         paths=tuple(path_results),
         sp_lemma=check_sp_lemma(pattern),
         convex_rows=count_convex_rows(pattern),

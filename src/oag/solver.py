@@ -66,7 +66,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Iterator, NamedTuple, NoReturn
 
 from .errors import NotReducibleError
 from .formulas import (
@@ -75,7 +75,6 @@ from .formulas import (
     LitKind,
     _constant_truth,
     _holds,
-    conjoin,
     evaluate_conj,
     normalize_type_I,
     term_value,
@@ -817,38 +816,3 @@ def oracle_search(
                         return y if head is None else head + y
     return None
 
-
-def solve_k_subsets(
-    formulas: Sequence[Conjunction], k: int
-) -> Iterator[tuple[tuple[int, ...], Conjunction, SolveResult]]:
-    """Conjoin and solve every k-subset of the formulas, lazily, in
-    lexicographic order of index tuples; yields (indices, conjunction,
-    verdict).  Yields nothing when k exceeds the number of formulas."""
-    for subset in itertools.combinations(range(len(formulas)), k):
-        merged = conjoin(*(formulas[j] for j in subset))
-        yield subset, merged, solve(merged)
-
-
-def check_k_inconsistent(
-    formulas: Sequence[Conjunction], k: int
-) -> bool | None:
-    """Whether every k-subset of the given formulas is jointly UNSAT.
-
-    True requires an UNSAT verdict on every subset (vacuously so when k
-    exceeds the number of formulas); any SAT subset gives False; otherwise
-    an undecided subset propagates as None (unknown).
-    """
-    if k < 1:
-        raise ValueError("the arity must be a positive integer")
-    return _fold_k_subsets(res.status for _, _, res in solve_k_subsets(formulas, k))
-
-
-def _fold_k_subsets(statuses: Iterable[SolveStatus]) -> bool | None:
-    """The three-valued verdict on the k-subset statuses: False at the first
-    SAT, consuming no more of them; else None if one is UNKNOWN; else True."""
-    saw_unknown = False
-    for status in statuses:
-        if status is SolveStatus.SAT:
-            return False
-        saw_unknown = saw_unknown or status is SolveStatus.UNKNOWN
-    return None if saw_unknown else True
