@@ -47,7 +47,10 @@ Shape of the decision: ``solve`` runs the phases below in order over one
     bound; the pins form a prefix, so x meets the bound on each coordinate
     before it).  A coordinate where both bounds agree is forced to their
     common value, and the first other coordinate is placed strictly inside
-    the gap on its slot's residue class.  Below the placement the
+    the gap on its slot's residue class.  On a Z block both bounds still
+    reach, a forced value off the class, or a gap with no class point and
+    no usable endpoint, is UNSAT (``order-gap-off-class``, citing the two
+    bounds and the coordinate's carriers).  Below the placement the
     coordinates are free.
 6.  ``_candidates`` yields the parameters, zero, the bound points and the
     slot residues under the descent's values; with live negated literals,
@@ -558,10 +561,15 @@ def _descend(prob: _Problem, slots: _Slots):
     coordinates added (their source None), the further points of the
     placement's gap (none without a placement) and the first free
     coordinate.  Where the gap of a Z block holds no point of the slot's
-    class, x takes a bound's value there if that is on the class, and goes
-    on against that bound alone; a descent that cannot go on frees nothing.
+    class, x takes a bound's value there if that is usable, and goes on
+    against that bound alone; a descent that cannot go on frees nothing.
     A pin outside a live bound refutes: the pins form a prefix, so x equals
-    the bound's hull value on every coordinate before it.
+    the bound's hull value on every coordinate before it.  On a Z
+    coordinate that both bounds reach, x equals both hull values before it,
+    so it takes there the forced value, or a gap endpoint when no class
+    point lies inside the gap; either must be an integer on the class and,
+    on the last coordinate, not a strict bound's value.  With none usable
+    the descent refutes (``order-gap-off-class``).
     """
     group = prob.conj.group
     pins = dict(prob.coord_pins)
@@ -584,23 +592,38 @@ def _descend(prob: _Problem, slots: _Slots):
                 )
             low = low if above == 0 else None
             high = high if below == 0 else None
-        elif lo is not None and lo == hi:
+        elif lo is not None and lo == hi and block.kind != "Z":
             pins[j] = (lo, None)
         else:
-            points = _gap_points(prob, slots, j, lo, hi)
-            point = next(points, None)
-            if point is not None:
-                pins[j] = (point, None)
-                return pins, points, j + 1
-            if block.kind != "Z":
-                break
+            if lo is None or lo != hi:
+                points = _gap_points(prob, slots, j, lo, hi)
+                point = next(points, None)
+                if point is not None:
+                    pins[j] = (point, None)
+                    return pins, points, j + 1
+                if block.kind != "Z":
+                    break
+            # a Z coordinate both bounds reach: forced, or no class point in the gap
             m, r = _slot(prob, slots, j, None)
-            if lo.denominator == 1 and (lo - r) % m == 0:
-                pins[j], high = (lo, None), None
-            elif hi.denominator == 1 and (hi - r) % m == 0:
+            last = j == group.K - 1
+            fits_lo, fits_hi = (
+                v.denominator == 1 and (v - r) % m == 0 and not (last and b.strict)
+                for b, v in ((low, lo), (high, hi))
+            )
+            if fits_lo:
+                pins[j] = (lo, None)
+                high = high if lo == hi else None
+            elif fits_hi:
                 pins[j], low = (hi, None), None
             else:
-                break
+                cited = {low.src, high.src} | {c.src for c in _carriers(prob, j)}
+                _refute(
+                    "order-gap-off-class",
+                    tuple(sorted(cited)),
+                    "no integer of the slot's class lies between the order bounds",
+                    coordinate=j,
+                    modulus=m,
+                )
     return pins, iter(()), group.K
 
 

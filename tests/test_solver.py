@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oag import (
     ConvexCut,
     Conjunction,
     Element,
+    InpPattern,
+    PatternRow,
     SolveResult,
     SolveStatus,
     Term,
@@ -15,6 +18,8 @@ from oag import (
     cong,
     divide_exact,
     evaluate_conj,
+    gen_chain_pattern,
+    gen_optimal_pattern,
     is_divisible,
     neq,
     oracle_search,
@@ -26,6 +31,7 @@ from oag import (
     scale,
     solve,
     unit_element,
+    verify,
 )
 from oag import solver
 from oag.formulas import LitKind
@@ -357,6 +363,47 @@ def test_check_k_inconsistent_contradictory_pair():
     assert check_k_inconsistent(cols, 2) is True
     assert check_k_inconsistent([cols[0], cols[0]], 2) is False
     assert check_k_inconsistent(cols, 5) is True  # vacuous
+    with pytest.raises(ValueError):
+        check_k_inconsistent(cols, 0)
+
+
+def test_check_k_inconsistent_propagates_an_unknown_subset(monkeypatch):
+    import oag.patterns
+
+    g = parse_spec("lex(Gp(2))")
+    cols = [conj_of(g, "cong[2, cut1](1x, 1*a0)", f"(b{j})") for j in range(3)]
+    real_solve = oag.patterns.solve
+    unknown = SolveResult(SolveStatus.UNKNOWN, reason="stubbed")
+    undecided = cols[0].params + cols[2].params
+
+    def solve_but_one(conj):
+        # the subset of columns 0 and 2 is left undecided
+        return unknown if conj.params == undecided else real_solve(conj)
+
+    monkeypatch.setattr(oag.patterns, "solve", solve_but_one)
+    assert check_k_inconsistent(cols, 2) is None
+    # a SAT subset outweighs the unknown one
+    assert check_k_inconsistent(cols + [cols[0]], 2) is False
+
+
+def test_check_k_inconsistent_matches_the_row_verdicts_of_verify():
+    repeated = InpPattern(
+        G, (PatternRow((ord_lit(1, ">", Term.of({0: 1})),), ((G.zero(),),) * 2, 2),)
+    )
+    patterns = [
+        gen_optimal_pattern([2, 3], [2, 1], 3).pattern,
+        gen_chain_pattern(2, 3, 2).pattern,
+        repeated,
+    ]
+    verdicts = []
+    for pattern in patterns:
+        report = verify(pattern, 1)
+        for i, row in enumerate(pattern.rows):
+            cols = [pattern.instantiate(i, j) for j in range(len(row.columns))]
+            got = check_k_inconsistent(cols, row.k)
+            assert report.rows[i].verdict == {True: "true", False: "false"}[got]
+            verdicts.append(got)
+    assert set(verdicts) == {True, False}
 
 
 def test_solve_via_normalization_of_composite_coefficients():
@@ -833,6 +880,82 @@ def test_pin_outside_bounds_is_unsat(spec, formula, params, coordinate):
     assert entry.coordinate == coordinate
     assert entry.literals == (0, 1)
     assert oracle_search(c, 2) is None
+
+
+_GAP_FORMULA = "cong[3, cut1](1x, 1*a0) & 1x > 1*a1 & 1x < 1*a2"
+
+
+@pytest.mark.parametrize(
+    "spec, formula, params, literals, modulus",
+    [
+        # no integer lies strictly between 1 and 2
+        ("lex(Z)", "1x > 1*a0 & 1x < 1*a1", "(1); (2)", (0, 1), 1),
+        # only x = 2 fits, and 2 is not 1 mod 3; the low endpoint 1 is on
+        # the class but is the strict bound's own value
+        ("lex(Z)", _GAP_FORMULA, "(1); (1); (3)", (0, 1, 2), 3),
+        # x0 lies in [1, 2] and must be 0 mod 3
+        ("lex(Z, Q)", _GAP_FORMULA, "(3|0); (1|0); (2|0)", (0, 1, 2), 3),
+    ],
+    ids=["no-integer", "strict-endpoint", "endpoints-off-class"],
+)
+def test_order_gap_off_class_is_unsat(spec, formula, params, literals, modulus):
+    c = conj_of(parse_spec(spec), formula, params)
+    res = solve(c)
+    assert res.status is SolveStatus.UNSAT
+    (entry,) = res.certificate
+    assert entry.kind == "order-gap-off-class"
+    assert (entry.coordinate, entry.modulus) == (0, modulus)
+    assert entry.literals == literals
+    assert oracle_search(c, 3) is None
+
+
+_Z = parse_spec("lex(Z)")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+    st.tuples(st.sampled_from([1, 2, 3]), st.sampled_from([">", ">="])),
+    st.tuples(st.sampled_from([1, 2, 3]), st.sampled_from(["<", "<="])),
+    st.lists(
+        st.tuples(
+            st.sampled_from([1, 2, 3, -1]),
+            st.sampled_from([2, 3, 4, 6, 9]),
+            st.integers(0, 1),
+            st.integers(2, 3),
+        ),
+        max_size=2,
+    ),
+)
+def test_two_bounds_over_z_match_enumeration(values, low, high, congs):
+    # over lex(Z) the two bounds confine x to a finite interval, so
+    # enumerating it decides the conjunction exactly
+    lits = [ord_lit(low[0], low[1], Term.of({0: 1})),
+            ord_lit(high[0], high[1], Term.of({1: 1}))]
+    lits += [cong(k, m, ConvexCut(s), Term.of({i: 1})) for k, m, s, i in congs]
+    c = Conjunction(_Z, tuple(lits), tuple(Element(_Z, (v,)) for v in values))
+    reach = max(abs(v) for v in values) + 1
+    sat = any(evaluate_conj(c, Element(_Z, (x,))) for x in range(-reach, reach + 1))
+    res = solve(c)
+    assert res.status is (SolveStatus.SAT if sat else SolveStatus.UNSAT)
+
+
+def test_gap_descent_takes_the_high_endpoint():
+    # x0 lies in [1, 3] and must be 0 mod 3: the low endpoint 1 is off the
+    # class, so x0 takes the high one and x1 goes below its bound 0
+    c = conj_of(parse_spec("lex(Z, Q)"), _GAP_FORMULA, "(0|0); (1|0); (3|0)")
+    res = solve(c)
+    assert res.status is SolveStatus.SAT
+    assert str(res.witness) == "(3 | -1)"
+
+
+def test_forced_local_coordinate_off_its_slot_is_unknown():
+    # both bounds force x0 = 1 on a Zloc(3) block, where the congruence
+    # wants 0 mod 3; the descent refutes this only on Z blocks
+    c = conj_of(parse_spec("lex(Zloc(3), Q)"), _GAP_FORMULA, "(0|0); (1|0); (1|5)")
+    res = solve(c)
+    assert res.status is SolveStatus.UNKNOWN
+    assert res.reason == "witness assembly failed outside the complete fragment"
 
 
 @pytest.mark.parametrize("seed", [11, 1009])
