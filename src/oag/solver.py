@@ -579,6 +579,7 @@ def _descend(prob: _Problem, slots: _Slots):
             return pins, iter(()), j
         lo = None if low is None else _hull_value(block, low, j)
         hi = None if high is None else _hull_value(block, high, j)
+        forced = lo is not None and lo == hi
         if j in pins:
             above = 1 if lo is None else block_sign(block, pins[j][0], lo)
             below = -1 if hi is None else block_sign(block, pins[j][0], hi)
@@ -592,10 +593,10 @@ def _descend(prob: _Problem, slots: _Slots):
                 )
             low = low if above == 0 else None
             high = high if below == 0 else None
-        elif lo is not None and lo == hi and block.kind != "Z":
+        elif forced and block.kind != "Z":
             pins[j] = (lo, None)
         else:
-            if lo is None or lo != hi:
+            if not forced:
                 points = _gap_points(prob, slots, j, lo, hi)
                 point = next(points, None)
                 if point is not None:
@@ -612,7 +613,7 @@ def _descend(prob: _Problem, slots: _Slots):
             )
             if fits_lo:
                 pins[j] = (lo, None)
-                high = high if lo == hi else None
+                high = high if forced else None
             elif fits_hi:
                 pins[j], low = (hi, None), None
             else:
