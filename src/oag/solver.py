@@ -10,9 +10,10 @@ Shape of the decision: ``solve`` runs the phases below in order over one
 
 1.  ``_normalize`` sorts the literals by role.  Positive congruence literals
     are rewritten to coefficient 1 and prime-power modulus (one already in
-    that form is kept as it is), order literals become bounds on x (the
-    tightest low and high are picked once, for phases 4 and 5), equalities
-    pin x and subgroup-coset literals pin single coordinates.  A
+    that form is kept as it is), order literals k*x <cmp> t become bounds
+    on x that carry their hull point t/k, divided once here (the tightest
+    low and high, by hull point, are picked once, for phases 4 and 5),
+    equalities pin x and subgroup-coset literals pin single coordinates.  A
     literal that no x satisfies, or two pins that disagree, give UNSAT.  A
     negated literal of constant truth (``formulas._constant_truth``) is
     dropped when true and refuted after phase 4 when false; the others stay
@@ -38,10 +39,10 @@ Shape of the decision: ``solve`` runs the phases below in order over one
     slot; its pin must have the ``block_residues`` of every congruence
     value there.
 4.  ``_intersect_bounds``: order bounds are intersected in the divisible
-    hull via cross-multiplied comparisons.  An empty interval is UNSAT;
+    hull by comparing their hull points.  An empty interval is UNSAT;
     equal bounds force x, which ``_decide_pinned`` decides.  So does a
     subgroup literal set that pins every coordinate.
-5.  ``_descend`` walks the coordinates against the two tightest bounds: a
+5.  ``_descend`` walks the coordinates of the two tightest hull points: a
     pin drops each bound it meets strictly, and a pin outside a live bound
     is UNSAT (``pin-outside-bounds``, citing the pins up to it and the
     bound; the pins form a prefix, so x meets the bound on each coordinate
@@ -202,6 +203,9 @@ class _Bound:
     k: int  # > 0
     strict: bool
     src: int
+    # the hull point t/k, coordinatewise: compared and read, never assembled,
+    # so a coordinate may leave its block
+    hull: Element
 
 
 # (coordinate, basis) -> (modulus, residue); the basis is a span basis index,
@@ -224,26 +228,6 @@ class _Problem:
     coord_pins: dict[int, tuple[object, int]] = field(default_factory=dict)
     negs: list[int] = field(default_factory=list)  # live negated literals
     false_lit: int | None = None  # the first literal that holds at no x
-
-
-def _bound_cmp(b1: _Bound, b2: _Bound) -> Ordering:
-    """Order of the hull points t1/k1 and t2/k2 by cross multiplication."""
-    return compare(scale(b2.k, b1.t), scale(b1.k, b2.t))
-
-
-def _tightest(bounds: list[_Bound], want_max: bool) -> _Bound | None:
-    best: _Bound | None = None
-    for b in bounds:
-        if best is None:
-            best = b
-            continue
-        c = _bound_cmp(b, best)
-        if c is Ordering.EQ:
-            if b.strict and not best.strict:
-                best = b
-        elif (c is Ordering.GT) == want_max:
-            best = b
-    return best
 
 
 def solve(conj: Conjunction) -> SolveResult:
@@ -320,10 +304,15 @@ def _normalize(conj: Conjunction) -> _Problem:
             k, cmp = lit.k, lit.cmp
             if k < 0:
                 k, t, cmp = -k, neg(t), _CMP_FLIP[cmp]
+            hull = t if k == 1 else _raw_element(group, tuple(
+                tuple((i, _divide(c, k)) for i, c in v)
+                if block.kind == "GP" else _divide(v, k)
+                for block, v in zip(group.blocks, t.coords)
+            ))
             if cmp in (">", ">="):
-                prob.lows.append(_Bound(t, k, cmp == ">", idx))
+                prob.lows.append(_Bound(t, k, cmp == ">", idx, hull))
             elif cmp != "=":
-                prob.highs.append(_Bound(t, k, cmp == "<", idx))
+                prob.highs.append(_Bound(t, k, cmp == "<", idx, hull))
             else:
                 v = _quotient(t, k, group.K)
                 if v is None:
@@ -357,8 +346,11 @@ def _normalize(conj: Conjunction) -> _Problem:
                 prob.negs.append(idx)
             elif not truth and prob.false_lit is None:
                 prob.false_lit = idx
-    prob.low = _tightest(prob.lows, want_max=True)
-    prob.high = _tightest(prob.highs, want_max=False)
+    # the tightest bounds: a strict one wins a tie, else the first stays
+    prob.low = max(prob.lows, default=None, key=functools.cmp_to_key(
+        lambda a, b: compare(a.hull, b.hull) or a.strict - b.strict))
+    prob.high = min(prob.highs, default=None, key=functools.cmp_to_key(
+        lambda a, b: compare(a.hull, b.hull) or b.strict - a.strict))
     return prob
 
 
@@ -477,7 +469,7 @@ def _intersect_bounds(prob: _Problem) -> None:
     if low is None or high is None:
         return
     cited = (low.src, high.src)
-    c = _bound_cmp(low, high)
+    c = compare(low.hull, high.hull)
     if c is Ordering.GT:
         _refute("order-bounds-empty", cited, "the lower bound exceeds the upper bound")
     if c is Ordering.EQ:
@@ -557,7 +549,8 @@ def _slot(prob: _Problem, slots: _Slots, i: int, basis: int | None) -> tuple[int
 
 
 def _descend(prob: _Problem, slots: _Slots):
-    """Phase 5.  Returns the coordinate pins with the forced and placed
+    """Phase 5, reading each live bound's hull point a coordinate at a
+    time.  Returns the coordinate pins with the forced and placed
     coordinates added (their source None), the further points of the
     placement's gap (none without a placement) and the first free
     coordinate.  Where the gap of a Z block holds no point of the slot's
@@ -577,8 +570,8 @@ def _descend(prob: _Problem, slots: _Slots):
     for j, block in enumerate(group.blocks):
         if low is None and high is None:
             return pins, iter(()), j
-        lo = None if low is None else _hull_value(block, low, j)
-        hi = None if high is None else _hull_value(block, high, j)
+        lo = None if low is None else low.hull.coords[j]
+        hi = None if high is None else high.hull.coords[j]
         forced = lo is not None and lo == hi
         if j in pins:
             above = 1 if lo is None else block_sign(block, pins[j][0], lo)
@@ -628,14 +621,6 @@ def _descend(prob: _Problem, slots: _Slots):
     return pins, iter(()), group.K
 
 
-def _hull_value(block: BlockKind, b: _Bound, j: int):
-    """Coordinate j of the bound's hull point t/k."""
-    v = b.t.coords[j]
-    if block.kind == "GP":
-        return tuple((i, _divide(c, b.k)) for i, c in v)
-    return _divide(v, b.k)
-
-
 def _gap_points(prob: _Problem, slots: _Slots, j: int, lo, hi) -> Iterator:
     """Values of coordinate j strictly between lo and hi (None: unbounded)
     on its slot's residue class, each further into the gap than the last:
@@ -676,8 +661,6 @@ def _gap_point(block: BlockKind, m: int, r: int, fixed: SpanPairs, lo, hi):
         flo, fhi = span_enclosure(fixed, bits)
         zlo = None if lo is None else (span_enclosure(lo, bits)[1] - flo - r) / m
         zhi = None if hi is None else (span_enclosure(hi, bits)[0] - fhi - r) / m
-        if zlo is not None and zhi is not None and zlo >= zhi:
-            continue
         z = _local_rational_between(block.p, zlo, zhi)
         if z is not None:
             b0 = Fraction(r) + m * z
@@ -723,8 +706,6 @@ def _local_rational_between(
     p: int, lo: Fraction | None, hi: Fraction | None
 ) -> Fraction | None:
     """A rational with denominator coprime to p strictly inside (lo, hi)."""
-    if lo is None and hi is None:
-        return Fraction(0)
     if lo is None:
         return Fraction(int_below(hi))
     if hi is None:

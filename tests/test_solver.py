@@ -15,6 +15,7 @@ from oag import (
     SolveStatus,
     Term,
     check_k_inconsistent,
+    compare,
     cong,
     divide_exact,
     evaluate_conj,
@@ -880,6 +881,64 @@ def test_pin_outside_bounds_is_unsat(spec, formula, params, coordinate):
     assert entry.coordinate == coordinate
     assert entry.literals == (0, 1)
     assert oracle_search(c, 2) is None
+
+
+_BOUND_KS = [k for a in range(1, 7) for k in (a, -a)]
+
+
+def _cross_multiplied(b1, b2):
+    """Reference order of two bounds' hull points t1/k1 and t2/k2."""
+    return compare(scale(b2.k, b1.t), scale(b1.k, b2.t))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(_BOUND_KS),
+    st.sampled_from(_BOUND_KS),
+    st.integers(0, 3),
+)
+def test_hull_points_order_bounds_as_cross_multiplication(seed, k1, k2, cut):
+    rng = random.Random(seed)
+    spec = random_spec(rng, max_blocks=3)
+    u, d = random_element(rng, spec), random_element(rng, spec)
+    # the second term is k2*u off by d below the cut, so the hull points
+    # tie on the coordinates above it (on all of them when cut >= K)
+    d = Element(spec, spec.zero().coords[:cut] + d.coords[cut:])
+    lits = (ord_lit(k1, ">", Term.of({0: 1})), ord_lit(k2, "<=", Term.of({1: 1})))
+    c = Conjunction(spec, lits, (scale(k1, u), scale(k2, u) + d))
+    prob = solver._normalize(c)
+    b1, b2 = sorted(prob.lows + prob.highs, key=lambda b: b.src)
+    assert compare(b1.hull, b2.hull) is _cross_multiplied(b1, b2)
+    assert compare(b2.hull, b1.hull) is _cross_multiplied(b2, b1)
+
+
+@pytest.mark.parametrize(
+    "formula, literals",
+    [
+        # 2x > 2 and x >= 1 share the hull point 1; the strict low is tighter
+        ("1x >= 1*a0 & 2x > 1*a1 & 1x <= 1*a0", (1, 2)),
+        ("2x > 1*a1 & 1x >= 1*a0 & 1x <= 1*a0", (0, 2)),
+        # and so is the strict high 2x < 2 against x <= 1
+        ("1x >= 1*a0 & 1x <= 1*a0 & 2x < 1*a1", (0, 2)),
+    ],
+    ids=["strict-low-second", "strict-low-first", "strict-high"],
+)
+def test_a_strict_bound_wins_a_hull_tie(formula, literals):
+    res = solve(conj_of(parse_spec("lex(Q)"), formula, "(1); (2)"))
+    (entry,) = res.certificate
+    assert (entry.kind, entry.literals) == ("order-bounds-empty", literals)
+
+
+def test_the_first_of_equal_bounds_is_cited():
+    # x >= 1 and 2x >= 2 tie; the equal high forces x = 1, which is odd
+    c = conj_of(
+        parse_spec("lex(Z)"),
+        "1x >= 1*a0 & 2x >= 1*a1 & 1x <= 1*a0 & cong[2, cut1](1x, 1*a2)",
+        "(1); (2); (0)",
+    )
+    (entry,) = solve(c).certificate
+    assert (entry.kind, entry.literals) == ("pin-refuted", (0, 2))
 
 
 _GAP_FORMULA = "cong[3, cut1](1x, 1*a0) & 1x > 1*a1 & 1x < 1*a2"
