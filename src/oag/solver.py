@@ -36,8 +36,8 @@ Shape of the decision: ``solve`` runs the phases below in order over one
     M the product of the largest prime powers of the congruences on the
     coordinate; ``_slot`` reads either kind.  The residues are ints, which
     ``_assemble`` places with no normalizing.  A pinned coordinate has no
-    slot; its pin must have the ``block_residues`` of every congruence
-    value there.
+    slot; ``_missed`` checks that its pin has the ``block_residues`` of
+    every congruence value there.
 4.  ``_intersect_bounds``: order bounds are intersected in the divisible
     hull by comparing their hull points.  An empty interval is UNSAT;
     equal bounds force x, which ``_decide_pinned`` decides.  So does a
@@ -48,11 +48,11 @@ Shape of the decision: ``solve`` runs the phases below in order over one
     bound; the pins form a prefix, so x meets the bound on each coordinate
     before it).  A coordinate where both bounds agree is forced to their
     common value, and the first other coordinate is placed strictly inside
-    the gap on its slot's residue class.  On a Z block both bounds still
-    reach, a forced value off the class, or a gap with no class point and
-    no usable endpoint, is UNSAT (``order-gap-off-class``, citing the two
-    bounds and the coordinate's carriers).  Below the placement the
-    coordinates are free.
+    the gap on its slot's residue class.  On a coordinate both bounds still
+    reach, a forced value off the block or off a congruence's class, or a
+    Z gap with no class point and no usable endpoint, is UNSAT
+    (``order-gap-off-class``, citing the two bounds and the coordinate's
+    carriers).  Below the placement the coordinates are free.
 6.  ``_candidates`` yields the parameters, zero, the bound points and the
     slot residues under the descent's values; with live negated literals,
     then the escape points, which step the placement through its gap and
@@ -393,18 +393,14 @@ def _solve_slots(prob: _Problem) -> _Slots:
         block = blocks[i]
         if i in prob.coord_pins:
             pin, src = prob.coord_pins[i]
-            for c in prob.congs:
-                if c.alpha_s <= i:
-                    continue
-                m = c.p**c.e
-                want = block_residues(block, c.value.coords[i], m)
-                if block_residues(block, pin, m) != want:
-                    _refute(
-                        "pin-congruence-conflict",
-                        (src, c.src),
-                        coordinate=i,
-                        modulus=m,
-                    )
+            c = _missed(prob, i, pin)
+            if c is not None:
+                _refute(
+                    "pin-congruence-conflict",
+                    (src, c.src),
+                    coordinate=i,
+                    modulus=c.p**c.e,
+                )
             continue
         here = _carriers(prob, i)
         if block.kind == "GP":
@@ -414,6 +410,28 @@ def _solve_slots(prob: _Problem) -> _Slots:
         for b in live:
             slots[i, b] = _solve_slot(i, b, here)
     return slots
+
+
+def _missed(prob: _Problem, i: int, value) -> _Cong | None:
+    """The first congruence reaching coordinate i whose value there has other
+    ``block_residues`` than `value`, a value of the block; None if none."""
+    block = prob.conj.group.blocks[i]
+    for c in prob.congs:
+        m = c.p**c.e
+        if c.alpha_s > i and block_residues(block, value, m) != block_residues(
+            block, c.value.coords[i], m
+        ):
+            return c
+    return None
+
+
+def _in_block(block: BlockKind, value) -> bool:
+    """Whether a coordinate of a hull point is a value of the block."""
+    try:
+        _norm_block_value(block, value)
+    except ValueError:
+        return False
+    return True
 
 
 def _meets_slots(x: Element, slots: _Slots) -> bool:
@@ -557,12 +575,13 @@ def _descend(prob: _Problem, slots: _Slots):
     class, x takes a bound's value there if that is usable, and goes on
     against that bound alone; a descent that cannot go on frees nothing.
     A pin outside a live bound refutes: the pins form a prefix, so x equals
-    the bound's hull value on every coordinate before it.  On a Z
-    coordinate that both bounds reach, x equals both hull values before it,
-    so it takes there the forced value, or a gap endpoint when no class
-    point lies inside the gap; either must be an integer on the class and,
-    on the last coordinate, not a strict bound's value.  With none usable
-    the descent refutes (``order-gap-off-class``).
+    the bound's hull value on every coordinate before it.  On a coordinate
+    that both bounds reach, x equals both hull values before it, so it
+    takes there the forced value, or on a Z block a gap endpoint when no
+    class point lies inside the gap; either must be a value of the block
+    that ``_missed`` passes and, on the last coordinate, not a strict
+    bound's value.  With none usable the descent refutes
+    (``order-gap-off-class``).
     """
     group = prob.conj.group
     pins = dict(prob.coord_pins)
@@ -586,8 +605,6 @@ def _descend(prob: _Problem, slots: _Slots):
                 )
             low = low if above == 0 else None
             high = high if below == 0 else None
-        elif forced and block.kind != "Z":
-            pins[j] = (lo, None)
         else:
             if not forced:
                 points = _gap_points(prob, slots, j, lo, hi)
@@ -597,11 +614,12 @@ def _descend(prob: _Problem, slots: _Slots):
                     return pins, points, j + 1
                 if block.kind != "Z":
                     break
-            # a Z coordinate both bounds reach: forced, or no class point in the gap
-            m, r = _slot(prob, slots, j, None)
+            # both bounds reach j: forced, or a Z gap with no class point
             last = j == group.K - 1
             fits_lo, fits_hi = (
-                v.denominator == 1 and (v - r) % m == 0 and not (last and b.strict)
+                _in_block(block, v)
+                and not (last and b.strict)
+                and _missed(prob, j, v) is None
                 for b, v in ((low, lo), (high, hi))
             )
             if fits_lo:
@@ -614,9 +632,10 @@ def _descend(prob: _Problem, slots: _Slots):
                 _refute(
                     "order-gap-off-class",
                     tuple(sorted(cited)),
-                    "no integer of the slot's class lies between the order bounds",
+                    f"no {'integer' if block.kind == 'Z' else 'value'} of the slot's "
+                    "class lies between the order bounds",
                     coordinate=j,
-                    modulus=m,
+                    modulus=_slot(prob, slots, j, 0 if block.kind == "GP" else None)[0],
                 )
     return pins, iter(()), group.K
 

@@ -21,6 +21,9 @@ from oag import (
     neq,
     not_in_group,
     ord_lit,
+    parse_formula,
+    parse_params,
+    parse_spec,
 )
 
 PRIMES = (2, 3, 5)
@@ -145,4 +148,55 @@ def random_conjunctions(seed: int, count: int) -> list[Conjunction]:
             for _ in range(rng.randint(1, 3))
         )
         out.append(Conjunction(spec, lits, params))
+    return out
+
+
+_TOPPED_SPECS = (
+    "lex(Zloc(2))", "lex(Zloc(3))", "lex(Gp(2))", "lex(Gp(3))",
+    "lex(Zloc(2), Z)", "lex(Zloc(3), Q)", "lex(Gp(2), Q)", "lex(Gp(3), Z)",
+    "lex(Zloc(2), Gp(3))", "lex(Gp(2), Zloc(3))", "lex(Zloc(3), Zloc(3))",
+    "lex(Gp(2), Gp(2))", "lex(Zloc(2), Z, Q)", "lex(Gp(3), Q, Z)",
+)
+
+
+def _small_coordinate(rng: random.Random, block) -> str:
+    if block.kind == "Z":
+        return str(rng.randint(-4, 4))
+    if block.kind == "Q":
+        return rng.choice(["0", "1", "-1", "1/2", "3", "5", "-2/3"])
+    if block.kind == "ZLOC":
+        q = 3 if block.p == 2 else 2
+        return rng.choice(["0", "1", "2", "-1", "3", "4", f"1/{q}", f"-2/{q}", "6"])
+    third = "1/3*b0" if block.p != 3 else "1/2*b0"
+    return rng.choice(["0", "b0", "2*b0", "-b0", "b1", "b0 + b1", "3*b0", "4*b0 - b1", third])
+
+
+def order_gap_conjunctions(seed: int, count: int) -> list[Conjunction]:
+    """Seeded conjunctions of a low and a high order bound on 1*a0 and 1*a1
+    and 0-2 congruences on a2 or a3, over specs topped by a Zloc or Gp
+    block.  The four parameters take small coordinates, so the two bounds
+    often agree on coordinate 0 and force it."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        spec = parse_spec(rng.choice(_TOPPED_SPECS))
+        params = "; ".join(
+            "(" + " | ".join(_small_coordinate(rng, b) for b in spec.blocks) + ")"
+            for _ in range(4)
+        )
+        lits = [
+            f"{rng.choice([1, 2, 3, -1])}x {rng.choice(['>', '>='])} 1*a0",
+            f"{rng.choice([1, 2, 3, -1])}x {rng.choice(['<', '<='])} 1*a1",
+        ]
+        if lits[0].startswith("-"):  # -x < t bounds x from below
+            lits[0] = lits[0].replace(">", "<")
+        for _ in range(rng.randint(0, 2)):
+            lits.append(
+                f"cong[{rng.choice([2, 3, 4, 6, 9])}, cut{rng.randint(1, spec.K)}]"
+                f"({rng.choice([1, 2, 3, -1])}x, 1*a{rng.randint(2, 3)})"
+            )
+        rng.shuffle(lits)
+        out.append(
+            Conjunction(spec, parse_formula(" & ".join(lits)), parse_params(spec, params))
+        )
     return out

@@ -41,6 +41,7 @@ from oag.numutil import factorize
 from helpers import (
     assert_canonical,
     random_block_value,
+    order_gap_conjunctions,
     random_conjunctions,
     random_cong_literal,
     random_element,
@@ -954,8 +955,27 @@ _GAP_FORMULA = "cong[3, cut1](1x, 1*a0) & 1x > 1*a1 & 1x < 1*a2"
         ("lex(Z)", _GAP_FORMULA, "(1); (1); (3)", (0, 1, 2), 3),
         # x0 lies in [1, 2] and must be 0 mod 3
         ("lex(Z, Q)", _GAP_FORMULA, "(3|0); (1|0); (2|0)", (0, 1, 2), 3),
+        # the bounds force x0 = 1, which is not 0 mod 3 in Zloc(3)
+        ("lex(Zloc(3), Q)", _GAP_FORMULA, "(0|0); (1|0); (1|5)", (0, 1, 2), 3),
+        # the bounds force x0 = b0, which is not in 2*Gp(2)
+        (
+            "lex(Gp(2), Q)",
+            "cong[2, cut1](1x, 1*a0) & 1x > 1*a1 & 1x < 1*a2",
+            "(0|0); (b0|0); (b0|5)",
+            (0, 1, 2),
+            2,
+        ),
+        # the bounds force x0 = 1/2, which is not 2-local
+        ("lex(Zloc(2), Q)", "2x > 1*a0 & 2x < 1*a1", "(1|0); (1|5)", (0, 1), 1),
     ],
-    ids=["no-integer", "strict-endpoint", "endpoints-off-class"],
+    ids=[
+        "no-integer",
+        "strict-endpoint",
+        "endpoints-off-class",
+        "forced-zloc-off-class",
+        "forced-gp-off-class",
+        "forced-off-block",
+    ],
 )
 def test_order_gap_off_class_is_unsat(spec, formula, params, literals, modulus):
     c = conj_of(parse_spec(spec), formula, params)
@@ -966,6 +986,21 @@ def test_order_gap_off_class_is_unsat(spec, formula, params, literals, modulus):
     assert (entry.coordinate, entry.modulus) == (0, modulus)
     assert entry.literals == literals
     assert oracle_search(c, 3) is None
+
+
+def test_bounds_over_local_tops_are_decided():
+    # two bounds that force coordinate 0 of a Zloc or Gp block off its
+    # block or its class refute; no such conjunction is left UNKNOWN
+    refuted = 0
+    for c in order_gap_conjunctions(4242, 1200):
+        res = solve(c)
+        assert res.status is not SolveStatus.UNKNOWN
+        if res.status is SolveStatus.UNSAT:
+            (entry,) = res.certificate
+            if entry.kind == "order-gap-off-class":
+                refuted += 1
+                assert oracle_search(c, 2, max_support=2) is None
+    assert refuted >= 10
 
 
 _Z = parse_spec("lex(Z)")
@@ -1006,15 +1041,6 @@ def test_gap_descent_takes_the_high_endpoint():
     res = solve(c)
     assert res.status is SolveStatus.SAT
     assert str(res.witness) == "(3 | -1)"
-
-
-def test_forced_local_coordinate_off_its_slot_is_unknown():
-    # both bounds force x0 = 1 on a Zloc(3) block, where the congruence
-    # wants 0 mod 3; the descent refutes this only on Z blocks
-    c = conj_of(parse_spec("lex(Zloc(3), Q)"), _GAP_FORMULA, "(0|0); (1|0); (1|5)")
-    res = solve(c)
-    assert res.status is SolveStatus.UNKNOWN
-    assert res.reason == "witness assembly failed outside the complete fragment"
 
 
 @pytest.mark.parametrize("seed", [11, 1009])
