@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from oag import SolveResult, SolveStatus
 from oag.cli import main
 
 
@@ -99,6 +100,32 @@ def test_solve_unknown_exit_3(capsys):
     assert data["reason"]
 
 
+@pytest.mark.parametrize(
+    "formula, params, extra, code, lines",
+    [
+        ("cong[2, cut2](1x, 1*a0)", "(0 | b0)", (), 0,
+         ["status: SAT", "witness: (0 | b0)"]),
+        ("1x < 1*a0 & 1x > 1*a1", "(0 | 0) ; (1 | 0)", ("--oracle-radius", "2"), 1,
+         ["status: UNSAT",
+          "certificate: {'kind': 'order-bounds-empty', 'literals': [1, 0], "
+          "'note': 'the lower bound exceeds the upper bound'}",
+          "oracle witness: None"]),
+        ("cong[2, cut2](1x, 1*a0) & !cong[2, cut2](1x, 1*a0)", "(0 | b0)", (), 3,
+         ["status: UNKNOWN",
+          "reason: the negated literals exclude every escape point; outside "
+          "the complete fragment"]),
+    ],
+    ids=["sat", "unsat-with-oracle", "unknown"],
+)
+def test_solve_text_output(capsys, formula, params, extra, code, lines):
+    got, out, _ = run(
+        capsys, "solve", "--spec", "lex(Q, Gp(2))", "--formula", formula,
+        "--params", params, *extra,
+    )
+    assert got == code
+    assert out.splitlines() == lines
+
+
 def test_solve_formula_cut_out_of_range(capsys):
     code, out, err = run(
         capsys,
@@ -135,6 +162,26 @@ def test_normalize_unreducible_exit_3(capsys):
     )
     assert code == 3
     assert "error" in data["literals"][0]
+
+
+def test_normalize_passes_other_literals_through(capsys):
+    argv = (
+        "normalize", "--spec", "lex(Z)",
+        "--formula", "1x > 1*a0 & cong[4, cut1](2x, 1*a0)", "--params", "(1)",
+    )
+    code, data = run_json(capsys, *argv)
+    assert code == 3
+    assert data["literals"][0] == {
+        "input": "1x > 1*a0", "steps": [], "output": ["1x > 1*a0"]
+    }
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert out.splitlines() == [
+        "input:  1x > 1*a0",
+        "output: 1x > 1*a0",
+        "input:  cong[4, cut1](2x, 1*a0)",
+        "  unreducible: " + data["literals"][1]["error"],
+    ]
 
 
 def test_pattern_chain_verify(capsys):
@@ -178,11 +225,38 @@ def test_pattern_json_reports_verdict(capsys, argv):
     assert all(p["confirmed"] for p in report["paths"])
 
 
-def test_pattern_optimal_rejects_bad_spec(capsys):
-    code, out, err = run(
-        capsys, "pattern", "optimal", "--spec", "lex(Z, Gp(2))", "--verify"
-    )
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("lex(Z, Gp(2))", "needs lex(Q, Gp(p0)^k0, ...)"),
+        ("lex(Q, Z)", "blocks after Q must all be Gp(p)"),
+        ("lex(Q, Gp(2), Gp(3), Gp(2))", "Gp segments must have distinct primes"),
+    ],
+)
+def test_pattern_optimal_rejects_bad_spec(capsys, spec, message):
+    code, out, err = run(capsys, "pattern", "optimal", "--spec", spec, "--verify")
     assert code == 2
+    assert message in err
+
+
+def test_pattern_with_a_sat_row_pair_exits_1(capsys, monkeypatch):
+    import oag.patterns
+
+    # a row pair of chain(2, 1, 2) has 2 literals, a path 1
+    real = oag.patterns.solve
+    monkeypatch.setattr(
+        oag.patterns,
+        "solve",
+        lambda conj: SolveResult(SolveStatus.SAT, witness=conj.group.zero())
+        if len(conj.literals) == 2 else real(conj),
+    )
+    code, out, _ = run(
+        capsys, "pattern", "chain", "--p", "2", "--depth", "1", "--width", "2",
+        "--verify",
+    )
+    assert code == 1
+    assert "verified: False" in out.splitlines()
+    assert "row 0: 2-inconsistent: false" in out.splitlines()
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from oag import (
     gen_optimal_pattern,
     hsub,
     in_coset,
+    parse_spec,
     sub,
     unit_element,
     verify,
@@ -191,6 +192,38 @@ def test_sp_lemma_rejects_equal_sorts():
         columns = tuple((unit_element(g, 1, basis=j),) for j in range(2))
         rows.append(PatternRow(template, columns, 2))
     assert not check_sp_lemma(InpPattern(g, tuple(rows)))
+
+
+def _cong_rows(g, congs):
+    """Single-congruence rows cong[m, cut s](1x, 1*a0), one per (m, s)."""
+    columns = tuple((unit_element(g, 0, basis=j),) for j in range(2))
+    return tuple(
+        PatternRow((cong(1, m, ConvexCut(s), Term.of({0: 1})),), columns, 2)
+        for m, s in congs
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, congs, holds",
+    [
+        # the smaller subgroup (cut 2) has the smaller exponent and the sort
+        # cut 2 lies between; either row order
+        ("lex(Gp(2), Gp(2))", [(4, 1), (2, 2)], True),
+        ("lex(Gp(2), Gp(2))", [(2, 2), (4, 1)], True),
+        # the smaller subgroup has the larger exponent
+        ("lex(Gp(2), Gp(2))", [(2, 1), (4, 2)], False),
+        # no sort of 2 lies in (1, 2]: block 1 is Q
+        ("lex(Gp(2), Q, Gp(2))", [(4, 1), (2, 2)], False),
+        # a composite modulus is not a single prime-power row, so only one
+        # row of prime 2 is left
+        ("lex(Gp(2), Gp(2))", [(6, 1), (2, 1)], True),
+    ],
+    ids=["smaller-second", "smaller-first", "not-increasing", "no-sort-between",
+         "composite-modulus"],
+)
+def test_sp_lemma_on_row_pairs(spec, congs, holds):
+    g = parse_spec(spec)
+    assert check_sp_lemma(InpPattern(g, _cong_rows(g, congs))) is holds
 
 
 def test_count_convex_rows():
