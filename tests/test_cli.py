@@ -225,18 +225,15 @@ def test_pattern_json_reports_verdict(capsys, argv):
     assert all(p["confirmed"] for p in report["paths"])
 
 
-@pytest.mark.parametrize(
-    "spec, message",
-    [
+def test_pattern_optimal_rejects_bad_spec(capsys):
+    for spec, message in [
         ("lex(Z, Gp(2))", "needs lex(Q, Gp(p0)^k0, ...)"),
         ("lex(Q, Z)", "blocks after Q must all be Gp(p)"),
         ("lex(Q, Gp(2), Gp(3), Gp(2))", "Gp segments must have distinct primes"),
-    ],
-)
-def test_pattern_optimal_rejects_bad_spec(capsys, spec, message):
-    code, out, err = run(capsys, "pattern", "optimal", "--spec", spec, "--verify")
-    assert code == 2
-    assert message in err
+    ]:
+        code, out, err = run(capsys, "pattern", "optimal", "--spec", spec, "--verify")
+        assert code == 2
+        assert message in err
 
 
 def test_pattern_with_a_sat_row_pair_exits_1(capsys, monkeypatch):
