@@ -172,10 +172,11 @@ def _small_coordinate(rng: random.Random, block) -> str:
 
 
 def order_gap_conjunctions(seed: int, count: int) -> list[Conjunction]:
-    """Seeded conjunctions of a low and a high order bound on 1*a0 and 1*a1
-    and 0-2 congruences on a2 or a3, over specs topped by a Zloc or Gp
-    block.  The four parameters take small coordinates, so the two bounds
-    often agree on coordinate 0 and force it."""
+    """Seeded conjunctions of a lower order bound on 1*a0, a literal
+    k*x < 1*a1 or k*x <= 1*a1 (an upper bound unless k = -1) and 0-2
+    congruences on a2 or a3, over specs topped by a Zloc or Gp block.  The
+    four parameters take small coordinates, so the two bounds often agree
+    on coordinate 0 and force it."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
