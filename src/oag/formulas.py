@@ -189,6 +189,13 @@ class Conjunction:
             term_value(l.term, self.params, self.group) for l in self.literals
         )
 
+    @cached_property
+    def _shifted(self) -> dict[int, tuple[Literal, ...]]:
+        """The literals with their term indices shifted by an offset, per
+        offset, as ``conjoin`` builds them: a part that sits at the same
+        offset in many conjunctions is shifted once."""
+        return {0: self.literals}
+
 
 def classify(lit: Literal) -> LiteralType:
     if lit.kind is LitKind.CONG:
@@ -280,18 +287,16 @@ def evaluate_conj(conj: Conjunction, x: Element) -> bool:
 def conjoin(first: Conjunction, *rest: Conjunction) -> Conjunction:
     """Conjunction of formulas over one group; each later bank is appended
     and its term indices shifted past the banks before it."""
-    literals, params = list(first.literals), first.params
+    literals, params = first.literals, first.params
     values = first.term_values
     for c in rest:
         if c.group is not first.group and c.group != first.group:
             raise PreconditionError("conjunctions over different group specs")
         off = len(params)
-        for l in c.literals:
-            # only the term changes and the literal passed its checks when
-            # made, so the copy skips dataclasses.replace's re-validation
-            moved = object.__new__(Literal)
-            moved.__dict__.update(l.__dict__, term=l.term.shifted(off))
-            literals.append(moved)
+        moved = c._shifted.get(off)
+        if moved is None:
+            moved = c._shifted[off] = tuple(_shift(l, off) for l in c.literals)
+        literals += moved
         params += c.params
         values += c.term_values
     # each part passed Conjunction's checks over this group, and a shifted
@@ -300,9 +305,18 @@ def conjoin(first: Conjunction, *rest: Conjunction) -> Conjunction:
     # fill the cached_property slot
     out = object.__new__(Conjunction)
     out.__dict__.update(
-        group=first.group, literals=tuple(literals), params=params, term_values=values
+        group=first.group, literals=literals, params=params, term_values=values
     )
     return out
+
+
+def _shift(lit: Literal, offset: int) -> Literal:
+    """The literal with its term indices shifted by the offset.  Only the
+    term changes and the literal passed its checks when made, so the copy
+    skips dataclasses.replace's re-validation."""
+    moved = object.__new__(Literal)
+    moved.__dict__.update(lit.__dict__, term=lit.term.shifted(offset))
+    return moved
 
 
 # --- congruence rewrites -------------------------------------------------

@@ -255,9 +255,13 @@ def _check_same_spec(a: Element, b: Element) -> None:
 
 def _span_add(x: SpanPairs, y: SpanPairs, sign: int = 1) -> SpanPairs:
     """x + sign*y for canonical spans and sign = +-1, by one merge of the
-    two sorted pair tuples; an empty x or y needs no merge."""
+    two sorted pair tuples; an empty x or y needs no merge, and neither
+    does x - x, which a witness coordinate minus the term value it was
+    solved from often is."""
     if not y:
         return x
+    if sign < 0 and x == y:
+        return ()
     if not x:
         return y if sign > 0 else tuple((i, -c) for i, c in y)
     out = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import compress
 from math import isqrt, log
 
@@ -67,8 +68,11 @@ def _primes_up_to(n: int) -> list[int]:
     return list(compress(range(n + 1), sieve))
 
 
+@cache
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}; {} for n == 1."""
+    """Prime factorization of n >= 1 as {prime: exponent}; {} for n == 1.
+    Memoized, as the same few moduli come back on every solve: the dict is
+    shared between callers and must not be mutated."""
     if n < 1:
         raise ValueError("can only factor positive integers")
     out: dict[int, int] = {}

@@ -28,11 +28,12 @@ Shape of the decision: ``solve`` runs the phases below in order over one
     prime and modulus): on a block of modulus 1 (Q, or Zloc or Gp of
     another prime) it constrains nothing.  Only the live slots, where some
     constraining congruence value is nonzero, are solved and kept, in
-    coordinate then basis order: ``_solve_slot`` groups the slot's targets
-    by prime in one pass and solves them to a residue class per prime
-    (a zero target, the common case, needs no residue arithmetic), combined
-    by CRT; an empty class yields an UNSAT certificate listing the
-    exhausted residues.  On every other slot ``_solve_slot`` gives (M, 0),
+    coordinate then basis order; one pass over the congruences finds them.
+    ``_solve_slot`` keeps per prime, in one pass over the slot's targets,
+    the top exponent, the nonzero targets and the top exponent of the zero
+    targets (a zero target, the common case, asks only for residue 0), and
+    solves them to a residue class per prime, combined by CRT; an empty
+    class yields an UNSAT certificate listing the exhausted residues.  On every other slot ``_solve_slot`` gives (M, 0),
     M the product of the largest prime powers of the congruences on the
     coordinate; ``_slot`` reads either kind.  The residues are ints, which
     ``_assemble`` places with no normalizing.  A pinned coordinate has no
@@ -347,10 +348,12 @@ def _normalize(conj: Conjunction) -> _Problem:
             elif not truth and prob.false_lit is None:
                 prob.false_lit = idx
     # the tightest bounds: a strict one wins a tie, else the first stays
-    prob.low = max(prob.lows, default=None, key=functools.cmp_to_key(
-        lambda a, b: compare(a.hull, b.hull) or a.strict - b.strict))
-    prob.high = min(prob.highs, default=None, key=functools.cmp_to_key(
-        lambda a, b: compare(a.hull, b.hull) or b.strict - a.strict))
+    if prob.lows:
+        prob.low = max(prob.lows, key=functools.cmp_to_key(
+            lambda a, b: compare(a.hull, b.hull) or a.strict - b.strict))
+    if prob.highs:
+        prob.high = min(prob.highs, key=functools.cmp_to_key(
+            lambda a, b: compare(a.hull, b.hull) or b.strict - a.strict))
     return prob
 
 
@@ -381,16 +384,21 @@ def _solve_slots(prob: _Problem) -> _Slots:
     """Phase 3: the residue class of every live slot, in coordinate then
     basis order; pins are checked and slots refuted in that order too."""
     blocks = prob.conj.group.blocks
-    touched = {
-        i
-        for c in prob.congs
-        for i in itertools.compress(range(c.alpha_s), c.value.coords)
-    }
+    # the live bases of each coordinate, in one pass over the congruences
+    live: dict[int, set[int | None]] = {}
+    for c in prob.congs:
+        coords = c.value.coords
+        for i in itertools.compress(range(c.alpha_s), coords):
+            if block_modulus(blocks[i], c.p) != 1:
+                if blocks[i].kind == "GP":
+                    # a span's pairs as a dict: its keys are the bases
+                    live.setdefault(i, set()).update(dict(coords[i]))
+                else:
+                    live[i] = {None}
     reach = max((c.alpha_s for c in prob.congs), default=0)
     pinned = {i for i in prob.coord_pins if i < reach}
     slots: _Slots = {}
-    for i in sorted(touched | pinned):
-        block = blocks[i]
+    for i in sorted(live.keys() | pinned):
         if i in prob.coord_pins:
             pin, src = prob.coord_pins[i]
             c = _missed(prob, i, pin)
@@ -403,11 +411,7 @@ def _solve_slots(prob: _Problem) -> _Slots:
                 )
             continue
         here = _carriers(prob, i)
-        if block.kind == "GP":
-            live = sorted({b for c in here for b, _ in c.value.coords[i]})
-        else:
-            live = [None] if any(c.value.coords[i] for c in here) else []
-        for b in live:
+        for b in sorted(live[i]):
             slots[i, b] = _solve_slot(i, b, here)
     return slots
 
@@ -452,32 +456,45 @@ def _solve_slot(coord: int, basis: int | None, congs: list[_Cong]) -> tuple[int,
     prime power, or empty; empty refutes with a certificate enumerating the
     excluded residues.  The classes of distinct primes combine by CRT.
     """
-    # (exponent, target, source) per prime, in one pass
-    by_prime: dict[int, list[tuple[int, int | Fraction, int]]] = {}
+    # per prime, in one pass: the top exponent, the top exponent of the zero
+    # targets (a zero target asks only for residue 0, so the top one speaks
+    # for all) and the nonzero (exponent, target) pairs
+    by_prime: dict[int, list] = {}
     for c in congs:
         v = c.value.coords[coord]
-        by_prime.setdefault(c.p, []).append(
-            (c.e, v if basis is None else span_coefficient(v, basis), c.src)
-        )
+        if v and basis is not None:
+            v = span_coefficient(v, basis)
+        top = by_prime.get(c.p)
+        if top is None:
+            top = by_prime[c.p] = [0, 0, []]
+        if c.e > top[0]:
+            top[0] = c.e
+        if v:
+            top[2].append((c.e, v))
+        elif c.e > top[1]:
+            top[1] = c.e
     m, r = 1, 0
     for p in sorted(by_prime):
-        targets = by_prime[p]
-        e_max = max(e for e, _, _ in targets)
+        e_max, e_zero, targets = by_prime[p]
         mp = p**e_max
-        # a zero target has residue 0 modulo every power
-        rp = next(v and residue_mod(v, mp) for e, v, _ in targets if e == e_max)
-        if any((rp - (v and residue_mod(v, p**e))) % p**e for e, v, _ in targets):
+        rp = 0
+        if e_zero < e_max:
+            rp = next(residue_mod(v, mp) for e, v in targets if e == e_max)
+        conflict = rp % p**e_zero
+        for e, v in targets:
+            q = p**e
+            conflict = conflict or (rp - residue_mod(v, q)) % q
+        if conflict:
             _refute(
                 "congruence-conflict",
-                tuple(sorted({src for _, _, src in targets})),
+                tuple(sorted({c.src for c in congs if c.p == p})),
                 "no residue satisfies all congruences on this slot",
                 coordinate=coord,
                 basis=basis,
                 modulus=mp,
                 excluded=tuple(range(mp)) if mp <= _CERT_ENUM_CAP else None,
             )
-        r = crt_pair(r, m, rp, mp)
-        m *= mp
+        r, m = (rp, mp) if m == 1 else (crt_pair(r, m, rp, mp), m * mp)
     return m, r
 
 

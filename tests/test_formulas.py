@@ -322,6 +322,36 @@ def test_conjoin_many_matches_nested_binary_calls():
         conjoin(parts[0], parts[1], other)
 
 
+def test_conjoin_shifts_a_part_once_per_offset():
+    # b sits at offset 2 in conjoin(a, b) and again in conjoin(a, b, b), where
+    # it also sits at 3; a sits at 1 in conjoin(b, a).  The literals must be
+    # those of a fresh shift whether or not the part has been shifted before
+    g = parse_spec("lex(Q, Gp(2))")
+    a = Conjunction(
+        g,
+        (cong(1, 2, ConvexCut(2), Term.of({0: 1})), neq(1, Term.of({0: 1, 1: -2}))),
+        (A0, parse_element(g, "(1 | b1)")),
+    )
+    b = Conjunction(g, (ord_lit(1, "<", Term.of({0: 3})),), (parse_element(g, "(5 | 0)"),))
+    before = {id(c): [(l, l.term.coeffs) for l in c.literals] for c in (a, b)}
+    for _ in range(2):
+        for parts in ((a, b), (b, a), (a, b, b)):
+            got = conjoin(*parts)
+            expected, offset = [], 0
+            for part in parts:
+                expected += [
+                    replace(l, term=Term(tuple((i + offset, c) for i, c in l.term.coeffs)))
+                    for l in part.literals
+                ]
+                offset += len(part.params)
+            assert got.literals == tuple(expected)
+            assert got.params == sum((part.params for part in parts), ())
+            assert got.term_values == Conjunction(g, got.literals, got.params).term_values
+    for c in (a, b):
+        assert [(l, l.term.coeffs) for l in c.literals] == before[id(c)]
+        assert c == Conjunction(g, c.literals, c.params)
+
+
 def test_conjoin_matches_a_checked_conjunction_on_pattern_paths():
     # conjoin skips Conjunction's checks on the merge; over random paths of
     # generated patterns it must equal the conjunction built with them

@@ -36,7 +36,14 @@ from oag.groups import (
     block_modulus,
     coset_key,
 )
-from oag.numutil import _MR_BOUND, int_valuation, is_prime, nth_prime, residue_mod
+from oag.numutil import (
+    _MR_BOUND,
+    factorize,
+    int_valuation,
+    is_prime,
+    nth_prime,
+    residue_mod,
+)
 from helpers import assert_canonical, is_canonical_rational, random_element, random_spec
 
 
@@ -451,6 +458,55 @@ def test_coset_key_is_the_coset_invariant(seed, m):
     )
     for x in (a, b, sub(a, b)):
         assert in_coset(x, ConvexCut(s), m) == _in_coset_reference(x, s, m)
+
+
+def test_span_minus_itself_is_empty():
+    x = ((0, 3), (2, Fraction(-1, 3)), (5, 7))
+    assert _span_add(x, x, -1) == ()
+    assert _span_add(x, tuple(list(x)), -1) == ()  # equal, not identical
+    assert _span_add(x, x, 1) == ((0, 6), (2, Fraction(-2, 3)), (5, 14))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32))
+def test_element_minus_itself_is_zero(seed):
+    rng = random.Random(seed)
+    blocks = list(random_spec(rng, max_blocks=3).blocks)
+    blocks += [PSPAN(rng.choice((2, 3, 5))), PSPAN(rng.choice((2, 3, 5)))]
+    rng.shuffle(blocks)
+    spec = GroupSpec(tuple(blocks))
+    a = random_element(rng, spec)
+    copy = Element(spec, a.coords)  # equal coordinates in other objects
+    for b in (a, copy):
+        d = sub(a, b)
+        assert d == spec.zero() and d.is_zero()
+        assert d.coords == spec.zero().coords
+        assert [type(v) for v in d.coords] == [type(v) for v in spec.zero().coords]
+    for block, v in zip(spec.blocks, a.coords):
+        if block.kind == "GP":
+            assert _span_add(v, v, -1) == ()
+
+
+def _factorize_reference(n):
+    out, p = {}, 2
+    while n > 1:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    return out
+
+
+def test_factorize_matches_trial_division():
+    for n in range(1, 2001):
+        assert factorize(n) == _factorize_reference(n)
+    for p, q in ((101, 103), (9973, 9967), (65537, 65537), (2, 999983), (7919, 104729)):
+        assert is_prime(p) and is_prime(q)
+        assert factorize(p * q) == _factorize_reference(p * q)
+    # memoized: a repeated modulus returns the same dict
+    assert factorize(360) is factorize(360)
+    with pytest.raises(ValueError):
+        factorize(0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -37,7 +37,7 @@ from oag import (
 from oag import solver
 from oag.formulas import LitKind
 from oag.groups import span_coefficient
-from oag.numutil import factorize
+from oag.numutil import crt_pair, factorize, residue_mod
 from helpers import (
     assert_canonical,
     random_block_value,
@@ -656,6 +656,77 @@ def test_solve_slots_match_solving_every_slot(seed):
                 )
             )
     assert compared > 200 and zero_slots > 0
+
+
+def _solve_slot_reference(coord, basis, congs):
+    """solver._solve_slot by the per-target rule: every target, zero or not,
+    is reduced modulo its own prime power and compared with the residue of
+    the first target of the top exponent."""
+    by_prime = {}
+    for c in congs:
+        v = c.value.coords[coord]
+        by_prime.setdefault(c.p, []).append(
+            (c.e, v if basis is None else span_coefficient(v, basis), c.src)
+        )
+    m, r = 1, 0
+    for p in sorted(by_prime):
+        targets = by_prime[p]
+        e_max = max(e for e, _, _ in targets)
+        mp = p**e_max
+        rp = next(v and residue_mod(v, mp) for e, v, _ in targets if e == e_max)
+        if any((rp - (v and residue_mod(v, p**e))) % p**e for e, v, _ in targets):
+            return solver.CertEntry(
+                "congruence-conflict",
+                coordinate=coord,
+                basis=basis,
+                modulus=mp,
+                excluded=tuple(range(mp)) if mp <= solver._CERT_ENUM_CAP else None,
+                literals=tuple(sorted({src for _, _, src in targets})),
+                note="no residue satisfies all congruences on this slot",
+            )
+        r = crt_pair(r, m, rp, mp)
+        m *= mp
+    return m, r
+
+
+def test_solve_slot_matches_the_per_target_rule():
+    # random congruence sets on one slot: a Z coordinate (one or two primes)
+    # or a basis of a Gp(3) coordinate, zero and nonzero targets, often
+    # conflicting; the same (modulus, residue) or the same certificate entry
+    spec = parse_spec("lex(Z, Gp(3))")
+    rng = random.Random(20)
+    seen = {"conflict": 0, "solved": 0, "two primes": 0, "zero and nonzero": 0}
+    for _ in range(3000):
+        coord = rng.randrange(2)
+        primes = [3] if coord else rng.choice(([2], [3], [2, 3], [2, 5]))
+        basis = rng.choice((0, 1, 2)) if coord else None
+        congs = []
+        for src in range(rng.randint(1, 5)):
+            p = rng.choice(primes)
+            if rng.random() < 0.4:
+                target = 0
+            elif coord:
+                target = Fraction(rng.randint(-30, 30), rng.choice((1, 2, 4, 5)))
+            else:
+                target = rng.randint(-30, 30)
+            value = target
+            if coord:
+                value = {basis: target, rng.choice((0, 1, 2, 3)): rng.randint(-5, 5)}
+                value[basis] = target  # the other basis may not overwrite it
+            coords = (0, value) if coord else (value, 0)
+            congs.append(solver._Cong(p, rng.randint(1, 3), 2, Element(spec, coords), src))
+        expected = _solve_slot_reference(coord, basis, congs)
+        try:
+            got = solver._solve_slot(coord, basis, congs)
+        except solver._Decided as decided:
+            assert decided.result.status is SolveStatus.UNSAT
+            (got,) = decided.result.certificate
+        assert got == expected
+        targets = [_slot_value(c, coord, basis) for c in congs]
+        seen["conflict" if isinstance(got, solver.CertEntry) else "solved"] += 1
+        seen["two primes"] += len({c.p for c in congs}) == 2
+        seen["zero and nonzero"] += any(targets) and not all(targets)
+    assert min(seen.values()) > 200, seen
 
 
 def test_placement_reads_the_zero_slot_modulus():
