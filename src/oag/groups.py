@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from functools import cache, cached_property, total_ordering
+from functools import cached_property, lru_cache, total_ordering
 from itertools import compress
 from typing import Iterable, Mapping, Union
 
@@ -414,7 +414,10 @@ def block_modulus(block: BlockKind, m: int) -> int:
     return _prime_power_part(block.p, m)
 
 
-@cache
+_PRIME_POWER_MEMO = 2048  # (prime, modulus) pairs kept, least recent out first
+
+
+@lru_cache(maxsize=_PRIME_POWER_MEMO)
 def _prime_power_part(p: int, m: int) -> int:
     """p^v_p(m), memoized: the residue tests ask it again and again for the
     few (prime, modulus) pairs their literals use."""

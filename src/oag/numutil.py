@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from itertools import compress
 from math import isqrt, log
 
@@ -12,6 +12,8 @@ from math import isqrt, log
 # (Sorenson and Webster, Math. Comp. 86 (2017))
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
+
+_FACTORIZE_MEMO = 2048  # moduli kept by factorize's memo, least recent out first
 
 
 def is_prime(n: int) -> bool:
@@ -68,7 +70,7 @@ def _primes_up_to(n: int) -> list[int]:
     return list(compress(range(n + 1), sieve))
 
 
-@cache
+@lru_cache(maxsize=_FACTORIZE_MEMO)
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}; {} for n == 1.
     Memoized, as the same few moduli come back on every solve: the dict is

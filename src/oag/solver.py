@@ -33,12 +33,13 @@ Shape of the decision: ``solve`` runs the phases below in order over one
     the top exponent, the nonzero targets and the top exponent of the zero
     targets (a zero target, the common case, asks only for residue 0), and
     solves them to a residue class per prime, combined by CRT; an empty
-    class yields an UNSAT certificate listing the exhausted residues.  On every other slot ``_solve_slot`` gives (M, 0),
-    M the product of the largest prime powers of the congruences on the
-    coordinate; ``_slot`` reads either kind.  The residues are ints, which
-    ``_assemble`` places with no normalizing.  A pinned coordinate has no
-    slot; ``_missed`` checks that its pin has the ``block_residues`` of
-    every congruence value there.
+    class yields an UNSAT certificate listing the exhausted residues.  On
+    every other slot ``_solve_slot`` gives (M, 0), M the product of the
+    largest prime powers of the congruences on the coordinate; ``_slot``
+    reads either kind.  The residues are ints, which ``_assemble`` places
+    with no normalizing.  A pinned coordinate has no slot; ``_missed``
+    checks that its pin has the ``block_residues`` of every congruence
+    value there.
 4.  ``_intersect_bounds``: order bounds are intersected in the divisible
     hull by comparing their hull points.  An empty interval is UNSAT;
     equal bounds force x, which ``_decide_pinned`` decides.  So does a
@@ -54,13 +55,13 @@ Shape of the decision: ``solve`` runs the phases below in order over one
     Z gap with no class point and no usable endpoint, is UNSAT
     (``order-gap-off-class``, citing the two bounds and the coordinate's
     carriers).  Below the placement the coordinates are free.
-6.  ``_candidates`` yields the parameters, zero, the bound points and the
-    slot residues under the descent's values; with live negated literals,
-    then the escape points, which step the placement through its gap and
-    move the free coordinates.  A candidate that misses a live slot's
-    residue fails a normalized congruence, so ``solve`` rejects it without
-    evaluating it; the first candidate the evaluator accepts is the
-    witness.  If there is none the answer is UNKNOWN, with the reason.
+6.  ``_candidates`` builds the witness rather than searching for it.  The
+    descent point puts the slot residues under the descent's values; with
+    live negated literals the escape points follow, which step the
+    placement through its gap and move the free coordinates.  Each
+    candidate has every live slot's residue, and the first one the
+    evaluator accepts is the witness.  If there is none the answer is
+    UNKNOWN, with the reason.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ def solve(conj: Conjunction) -> SolveResult:
     except _Decided as decided:
         return decided.result
     for x in _candidates(prob, slots, walk):
-        if _meets_slots(x, slots) and evaluate_conj(conj, x):
+        if evaluate_conj(conj, x):
             return SolveResult(SolveStatus.SAT, witness=x)
     if prob.negs:
         return _unknown(
@@ -438,17 +439,6 @@ def _in_block(block: BlockKind, value) -> bool:
     return True
 
 
-def _meets_slots(x: Element, slots: _Slots) -> bool:
-    """Whether x has every live slot's residue.  Each normalized congruence
-    fixes the residue of x on each of its slots, so an x that misses one
-    fails the conjunction; the converse need not hold."""
-    for (i, b), (m, r) in slots.items():
-        v = x.coords[i] if b is None else span_coefficient(x.coords[i], b)
-        if residue_mod(v, m) != r:
-            return False
-    return True
-
-
 def _solve_slot(coord: int, basis: int | None, congs: list[_Cong]) -> tuple[int, int]:
     """Solve the congruences on one slot to (modulus, residue).
 
@@ -528,27 +518,20 @@ def _intersect_bounds(prob: _Problem) -> None:
 def _candidates(prob: _Problem, slots: _Slots, walk) -> Iterator[Element]:
     """Distinct candidate witnesses, in a fixed order.
 
-    First the parameters, zero, the points of divisible bounds and the live
-    slot residues under the coordinates ``_descend`` fixes.  With T live
-    negated literals, then the escape points n = 1..T+1: the placement steps
-    to the next point of its gap, a free span coordinate gains one slot
-    modulus on the n-th fresh basis symbol and a free scalar coordinate n
-    slot moduli.  No step moves a slot residue or the order of x against a
-    bound.  A fresh symbol satisfies every negated (dis)equality or subgroup
-    literal whose cut lies past it, and on a scalar coordinate such a
-    literal rules out at most one n.  ``walk`` is ``_descend``'s result.
+    First the descent point: the live slot residues under the coordinates
+    ``_descend`` fixes.  With T live negated literals, and only then, the
+    escape points n = 1..T+1 follow: the placement steps to the next point
+    of its gap, a free span coordinate gains one slot modulus on the n-th
+    fresh basis symbol and a free scalar coordinate n slot moduli.  No step
+    moves a slot residue or the order of x against a bound.  A fresh symbol
+    satisfies every negated (dis)equality or subgroup literal whose cut lies
+    past it, and on a scalar coordinate such a literal rules out at most one
+    n.  ``walk`` is ``_descend``'s result.
     """
     group = prob.conj.group
     residues = {key: r for key, (_, r) in slots.items()}
     pins, points, free = walk
     seen: set[Element] = set()
-
-    def fixed():
-        yield from prob.conj.params
-        yield group.zero()
-        for b in prob.lows + prob.highs:
-            yield _quotient(b.t, b.k, group.K)
-        yield _assemble(group, pins, residues)
 
     def escapes():
         shifts = []
@@ -572,7 +555,8 @@ def _candidates(prob: _Problem, slots: _Slots, walk) -> Iterator[Element]:
                     moved[i, basis + n - 1] = m
             yield _assemble(group, placed, moved)
 
-    for x in itertools.chain(fixed(), escapes() if prob.negs else ()):
+    descent = (_assemble(group, pins, residues),)
+    for x in itertools.chain(descent, escapes() if prob.negs else ()):
         if x is not None and x not in seen:
             seen.add(x)
             yield x

@@ -27,7 +27,7 @@ from oag import (
     unit_element,
 )
 from oag import ConvexCut, in_coset
-from oag import groups
+from oag import groups, numutil
 from oag.groups import (
     _quotient,
     _span_add,
@@ -507,6 +507,31 @@ def test_factorize_matches_trial_division():
     assert factorize(360) is factorize(360)
     with pytest.raises(ValueError):
         factorize(0)
+
+
+@pytest.mark.parametrize(
+    "memo, bound, call",
+    [
+        (factorize, numutil._FACTORIZE_MEMO, factorize),
+        (
+            groups._prime_power_part,
+            groups._PRIME_POWER_MEMO,
+            lambda m: groups._prime_power_part(2, m),
+        ),
+    ],
+    ids=["factorize", "prime-power-part"],
+)
+def test_modulus_memos_stay_bounded(memo, bound, call):
+    # fresh moduli past the bound evict the least recently used ones, and
+    # a repeated modulus is still answered from the memo
+    memo.cache_clear()
+    for m in range(1, bound + 101):
+        call(m)
+    assert memo.cache_info().currsize == bound
+    hits = memo.cache_info().hits
+    call(bound + 100)
+    assert memo.cache_info().hits == hits + 1
+    memo.cache_clear()
 
 
 @settings(max_examples=200, deadline=None)

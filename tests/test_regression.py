@@ -29,7 +29,7 @@ CORPUS_SIZE = 600
 ORACLE_STRIDE = 10
 ORACLE_BUDGET = 300
 
-SOLVE_DIGEST = "149ba82d84b55879a6058301c8b442b7efb25aef63bc63a7c0c4a4338d3dc646"
+SOLVE_DIGEST = "24b6beb5c52b1739f58ab9ae2c41b982459b753031721b64aff7c059bb44b850"
 ORACLE_DIGEST = "699e0b6ea92455949b0e339798fdb8950c1e02f19438e5abc32d67087a784689"
 CLI_DIGEST = "a185b0fe8760a2295cc86f9879571aaa7bf72ff931af6e7b8152c24f06083f0c"
 CHAIN_VERIFY_DIGEST = (
@@ -37,15 +37,18 @@ CHAIN_VERIFY_DIGEST = (
 )
 SOLVE_MIX_SEEDS = (11, 1009, 5, 77)
 SOLVE_MIX_DIGEST = (
-    "e47fdb9b4aa8ec3e0d79539d18a96d9672e73f338c8051bd8de8efa11ab6cb91"
+    "f955a98d9a9c91c6a34e2cd3ff5e14eaf261132799e24ae1b56566d993fa48aa"
 )
 # The 6000 results of test_solve_mix_digest as the solver gave them before
 # its residue-move search was retired (commit 691399b), one line each: the
 # status; for a decided result the first 12 hex digits of the sha256 of its
 # sorted-key JSON; and "moved" where the SAT witness came from the move
-# enumeration or from a candidate that left coordinate 0 unplaced.
+# enumeration or from a candidate that left coordinate 0 unplaced, or where
+# it was a parameter, zero or a bound point before the candidates became the
+# descent and escape points only.
 PARENT_RESULTS = Path(__file__).with_name("solve_mix_parent.txt")
 NEW_UNSAT_ORACLE_STRIDE = 10
+NO_WITNESS_BUILT = "witness assembly failed outside the complete fragment"
 
 # report fields added after the digest was pinned; dropped before hashing so
 # the digest covers exactly the fields every version emits
@@ -104,6 +107,8 @@ def test_solve_mix_digest():
     # changes only where it is marked "moved", and every SAT witness passes
     # the evaluator and is in canonical form.  A new verdict replaces an
     # UNKNOWN; every tenth new UNSAT is checked against the radius-2 oracle.
+    # With no live negated literal the descent point is the one candidate,
+    # and no item reaches the UNKNOWN reason left for its failure.
     corpus = [
         conj for seed in SOLVE_MIX_SEEDS for conj in random_conjunctions(seed, 1500)
     ]
@@ -129,4 +134,5 @@ def test_solve_mix_digest():
         if digest.hexdigest()[:12] != rest[0]:
             assert rest[1:] == ["moved"]
     assert new_unsat > 1000
+    assert NO_WITNESS_BUILT not in {res.reason for res in solved}
     assert hashlib.sha256(text.encode()).hexdigest() == SOLVE_MIX_DIGEST

@@ -93,13 +93,14 @@ _PAIR = "cong[{0}, cut{2}](1x, 1*a0) & cong[{1}, cut{2}](1x, 1*a1)"
             dict(coordinate=0, basis=None, modulus=2, excluded=(0, 1)),
             id="zloc-own-prime",
         ),
-        # Zloc(p) at a foreign prime and Q are divisible: vacuous slots
+        # Zloc(p) at a foreign prime and Q are divisible: vacuous slots, so
+        # the descent point is zero
         pytest.param(
-            "lex(Zloc(3))", _PAIR.format(2, 2, 1), "(1) ; (0)", "(1)", None,
+            "lex(Zloc(3))", _PAIR.format(2, 2, 1), "(1) ; (0)", "(0)", None,
             id="zloc-foreign-prime",
         ),
         pytest.param(
-            "lex(Q)", _PAIR.format(2, 2, 1), "(1) ; (0)", "(1)", None,
+            "lex(Q)", _PAIR.format(2, 2, 1), "(1) ; (0)", "(0)", None,
             id="q",
         ),
     ],
@@ -243,26 +244,26 @@ def test_disequality_enumeration():
 
 
 def test_escape_points_step_the_free_coordinates():
-    # 0 and the parameter 2 fail the disequalities and the congruence pins
-    # the residue 0 mod 2; the T = 2 live negated literals give the escape
-    # points n = 1, 2, 3, which add n slot moduli to the free coordinate,
-    # and each disequality rules out at most one of them
+    # the congruence pins the residue 0 mod 2, so the descent point is 0,
+    # which fails the first disequality; the T = 2 live negated literals
+    # give the escape points n = 1, 2, 3, which add n slot moduli to the
+    # free coordinate, and each disequality rules out at most one of them
     g = parse_spec("lex(Z)")
     c = conj_of(g, "!1x = 0 & !1x = 1*a0 & cong[2, cut1](1x, 0)", "(2)")
     prob = solver._normalize(c)
     assert prob.negs == [0, 1]
     slots = solver._solve_slots(prob)
     got = list(solver._candidates(prob, slots, solver._descend(prob, slots)))
-    assert got == [parse_element(g, v) for v in ("(2)", "(0)", "(4)", "(6)")]
+    assert got == [parse_element(g, v) for v in ("(0)", "(2)", "(4)", "(6)")]
     res = solve(c)
     assert res.status is SolveStatus.SAT
     assert res.witness == parse_element(g, "(4)")
 
 
 def test_escape_point_takes_a_fresh_basis_symbol():
-    # coordinate 0 is pinned to 3; the parameters and the assembled (3 | 0)
-    # each fail a disequality, and the first escape point puts one slot
-    # modulus on b3, the first basis symbol above the term supports
+    # coordinate 0 is pinned to 3; the descent point (3 | 0) fails the
+    # second disequality, and the first escape point puts one slot modulus
+    # on b3, the first basis symbol above the term supports
     g = parse_spec("lex(Z, Gp(2))")
     c = conj_of(
         g, "ing[cut1](1x, 1*a0) & !1x = 1*a0 & !1x = 1*a1", "(3 | b2) ; (3 | 0)"
@@ -832,10 +833,19 @@ def test_descent_regressions(spec, formula, params, witness):
     assert evaluate_conj(c, res.witness)
 
 
+def _meets_slots(x, slots) -> bool:
+    """Whether x has every live slot's residue."""
+    for (i, b), (m, r) in slots.items():
+        v = x.coords[i] if b is None else span_coefficient(x.coords[i], b)
+        if residue_mod(v, m) != r:
+            return False
+    return True
+
+
 @pytest.mark.parametrize("seed", [11, 1009])
-def test_pre_rejection_is_only_a_necessary_condition(monkeypatch, seed):
-    # every candidate the evaluator accepts meets the live slot residues,
-    # and pre-rejection changes no verdict or witness
+def test_every_candidate_meets_the_live_slots(monkeypatch, seed):
+    # the candidates are built on the slot residues, so each one has every
+    # live slot's residue and no congruence rules one out before evaluation
     seen = []
     real = solver._candidates
 
@@ -845,21 +855,10 @@ def test_pre_rejection_is_only_a_necessary_condition(monkeypatch, seed):
             yield x
 
     monkeypatch.setattr(solver, "_candidates", recording)
-    corpus = random_conjunctions(seed, 1500)
-    accepted = rejected = 0
-    for conj in corpus:
-        seen.clear()
+    for conj in random_conjunctions(seed, 1500):
         solve(conj)
-        for x, slots in seen:
-            if evaluate_conj(conj, x):
-                assert solver._meets_slots(x, slots)
-                accepted += 1
-            elif not solver._meets_slots(x, slots):
-                rejected += 1
-    assert accepted > 700 and rejected > 50
-    got = [solve(c) for c in corpus]
-    monkeypatch.setattr(solver, "_meets_slots", lambda x, slots: True)
-    assert got == [solve(c) for c in corpus]
+    assert len(seen) > 700 and sum(bool(slots) for _, slots in seen) > 50
+    assert all(_meets_slots(x, slots) for x, slots in seen)
 
 
 @pytest.mark.parametrize(
