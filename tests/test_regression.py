@@ -48,7 +48,6 @@ SOLVE_MIX_DIGEST = (
 # descent and escape points only.
 PARENT_RESULTS = Path(__file__).with_name("solve_mix_parent.txt")
 NEW_UNSAT_ORACLE_STRIDE = 10
-NO_WITNESS_BUILT = "witness assembly failed outside the complete fragment"
 
 # report fields added after the digest was pinned; dropped before hashing so
 # the digest covers exactly the fields every version emits
@@ -134,5 +133,6 @@ def test_solve_mix_digest():
         if digest.hexdigest()[:12] != rest[0]:
             assert rest[1:] == ["moved"]
     assert new_unsat > 1000
-    assert NO_WITNESS_BUILT not in {res.reason for res in solved}
+    unbuilt = "witness assembly failed outside the complete fragment"
+    assert unbuilt not in {res.reason for res in solved}
     assert hashlib.sha256(text.encode()).hexdigest() == SOLVE_MIX_DIGEST
