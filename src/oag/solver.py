@@ -10,14 +10,14 @@ Shape of the decision: ``solve`` runs the phases below in order over one
 
 1.  ``_normalize`` sorts the literals by role.  Positive congruence literals
     are rewritten to coefficient 1 and prime-power modulus (one already in
-    that form is kept as it is), order literals k*x <cmp> t become bounds
-    on x that carry their hull point t/k, divided once here (the tightest
-    low and high, by hull point, are picked once, for phases 4 and 5),
-    equalities pin x and subgroup-coset literals pin single coordinates.  A
-    literal that no x satisfies, or two pins that disagree, give UNSAT.  A
-    negated literal of constant truth (``formulas._constant_truth``) is
-    dropped when true and refuted after phase 4 when false; the others stay
-    live.
+    that form is kept as it is).  An order literal k*x <cmp> t is divided
+    once, to its hull point t/k: of the bounds on x only the tightest low
+    and high, by hull point, are kept as the literals are read, and an
+    equality pins x to its hull point, which must lie in the group.
+    Subgroup-coset literals pin single coordinates.  A literal that no x
+    satisfies, or two pins that disagree, give UNSAT.  A negated literal of
+    constant truth (``formulas._constant_truth``) is dropped when true and
+    refuted after phase 4 when false; the others stay live.
 2.  ``_decide_pinned``: an equality pin determines x, so the conjunction
     reduces to evaluation (SAT) or refutation (UNSAT).
 3.  ``_solve_slots``: a normalized congruence splits coordinatewise, and on
@@ -40,10 +40,11 @@ Shape of the decision: ``solve`` runs the phases below in order over one
     with no normalizing.  A pinned coordinate has no slot; ``_missed``
     checks that its pin has the ``block_residues`` of every congruence
     value there.
-4.  ``_intersect_bounds``: order bounds are intersected in the divisible
-    hull by comparing their hull points.  An empty interval is UNSAT;
-    equal bounds force x, which ``_decide_pinned`` decides.  So does a
-    subgroup literal set that pins every coordinate.
+4.  ``_intersect_bounds``: the tightest bounds are intersected in the
+    divisible hull by comparing their hull points.  An empty interval is
+    UNSAT; equal bounds force x to their hull point, UNSAT off the group
+    and otherwise decided by ``_decide_pinned``, as is a subgroup literal
+    set that pins every coordinate.
 5.  ``_descend`` walks the coordinates of the two tightest hull points: a
     pin drops each bound it meets strictly, and a pin outside a live bound
     is UNSAT (``pin-outside-bounds``, citing the pins up to it and the
@@ -55,13 +56,13 @@ Shape of the decision: ``solve`` runs the phases below in order over one
     Z gap with no class point and no usable endpoint, is UNSAT
     (``order-gap-off-class``, citing the two bounds and the coordinate's
     carriers).  Below the placement the coordinates are free.
-6.  ``_candidates`` builds the witness rather than searching for it.  The
-    descent point puts the slot residues under the descent's values; with
-    live negated literals the escape points follow, which step the
-    placement through its gap and move the free coordinates.  Each
-    candidate has every live slot's residue, and the first one the
-    evaluator accepts is the witness.  If there is none the answer is
-    UNKNOWN, with the reason.
+6.  ``_candidates`` builds the witness rather than searching for it, from
+    the one tightest bound per side that phase 1 kept.  The descent point
+    puts the slot residues under the descent's values; with live negated
+    literals the escape points follow, which step the placement through its
+    gap and move the free coordinates.  Each candidate has every live
+    slot's residue, and the first one the evaluator accepts is the witness.
+    If there is none the answer is UNKNOWN, with the reason.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, NamedTuple, NoReturn
@@ -112,7 +113,6 @@ from .numutil import (
     factorize,
     int_above,
     int_below,
-    int_valuation,
     residue_mod,
 )
 
@@ -138,20 +138,12 @@ class CertEntry:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.coordinate is not None:
-            out["coordinate"] = self.coordinate
-        if self.basis is not None:
-            out["basis"] = self.basis
-        if self.modulus is not None:
-            out["modulus"] = self.modulus
-        if self.excluded is not None:
-            out["excluded"] = list(self.excluded)
-        if self.literals:
-            out["literals"] = list(self.literals)
-        if self.note:
-            out["note"] = self.note
-        return out
+        """The fields that differ from their defaults, tuples as lists."""
+        return {
+            f.name: list(v) if type(v) is tuple else v
+            for f in fields(self)
+            if (v := getattr(self, f.name)) != f.default
+        }
 
 
 @dataclass(frozen=True)
@@ -199,15 +191,13 @@ class _Cong(NamedTuple):
     src: int
 
 
-@dataclass(frozen=True)
-class _Bound:
-    t: Element
-    k: int  # > 0
+class _Bound(NamedTuple):
+    """An order bound on x: the hull point t/k of k*x <cmp> t, coordinatewise,
+    so a coordinate may leave its block (see ``_in_group``)."""
+
+    hull: Element
     strict: bool
     src: int
-    # the hull point t/k, coordinatewise: compared and read, never assembled,
-    # so a coordinate may leave its block
-    hull: Element
 
 
 # (coordinate, basis) -> (modulus, residue); the basis is a span basis index,
@@ -222,10 +212,8 @@ class _Problem:
 
     conj: Conjunction
     congs: list[_Cong] = field(default_factory=list)
-    lows: list[_Bound] = field(default_factory=list)
-    highs: list[_Bound] = field(default_factory=list)
-    low: _Bound | None = None  # the tightest of the lows
-    high: _Bound | None = None  # the tightest of the highs
+    low: _Bound | None = None  # the tightest lower bound read so far
+    high: _Bound | None = None  # the tightest upper bound read so far
     pin: tuple[Element, int] | None = None  # (x, source literal)
     coord_pins: dict[int, tuple[object, int]] = field(default_factory=dict)
     negs: list[int] = field(default_factory=list)  # live negated literals
@@ -280,28 +268,26 @@ def _normalize(conj: Conjunction) -> _Problem:
             if lit.k == 1 and len(pf) <= 1:
                 # already in normal form (or vacuous, modulus 1): no rewrite;
                 # most congruences of a verify take this path
-                prob.congs.extend(
-                    _Cong(p, e, lit.alpha.s, t, idx) for p, e in pf.items()
-                )
-                continue
-            try:
-                res = normalize_type_I(lit, bank, group)
-            except NotReducibleError:
-                _refute(
-                    "congruence-term-not-reducible",
-                    (idx,),
-                    "k*x is always p-divisible above the cut but the term is "
-                    "not; the literal is unsatisfiable",
-                )
-            bank = res.params
-            for piece in res.literals:
-                if piece.m == 1:  # a modulus-1 piece is vacuous
-                    continue
-                # each piece's modulus is a power of one prime of the literal's
-                p = next(q for q in pf if piece.m % q == 0)
-                e = int_valuation(piece.m, p)
-                value = term_value(piece.term, bank, group)
-                prob.congs.append(_Cong(p, e, piece.alpha.s, value, idx))
+                pieces = [(pf, lit.alpha.s, t)]
+            else:
+                try:
+                    res = normalize_type_I(lit, bank, group)
+                except NotReducibleError:
+                    _refute(
+                        "congruence-term-not-reducible",
+                        (idx,),
+                        "k*x is always p-divisible above the cut but the term "
+                        "is not; the literal is unsatisfiable",
+                    )
+                bank = res.params
+                pieces = [
+                    (factorize(pc.m), pc.alpha.s, term_value(pc.term, bank, group))
+                    for pc in res.literals
+                    if pc.m != 1  # a modulus-1 piece is vacuous
+                ]
+            # each piece's modulus is a prime power (or 1, vacuous)
+            for pf, cut, value in pieces:
+                prob.congs.extend(_Cong(p, e, cut, value, idx) for p, e in pf.items())
         elif lit.kind is LitKind.ORD:
             k, cmp = lit.k, lit.cmp
             if k < 0:
@@ -311,21 +297,27 @@ def _normalize(conj: Conjunction) -> _Problem:
                 if block.kind == "GP" else _divide(v, k)
                 for block, v in zip(group.blocks, t.coords)
             ))
+            # keep the tightest bound per side: the larger low (smaller high)
+            # hull point, a strict bound on a tie, else the first one read
+            strict = cmp in (">", "<")
             if cmp in (">", ">="):
-                prob.lows.append(_Bound(t, k, cmp == ">", idx, hull))
+                cur = prob.low
+                if cur is None or (compare(hull, cur.hull) or strict - cur.strict) > 0:
+                    prob.low = _Bound(hull, strict, idx)
             elif cmp != "=":
-                prob.highs.append(_Bound(t, k, cmp == "<", idx, hull))
+                cur = prob.high
+                if cur is None or (compare(hull, cur.hull) or cur.strict - strict) < 0:
+                    prob.high = _Bound(hull, strict, idx)
             else:
-                v = _quotient(t, k, group.K)
-                if v is None:
+                if not _in_group(group, hull):
                     _refute(
                         "equality-indivisible",
                         (idx,),
                         f"k*x = t has no solution: t is not divisible by {k}",
                     )
-                if prob.pin is not None and prob.pin[0] != v:
+                if prob.pin is not None and prob.pin[0] != hull:
                     _refute("pin-conflict", (prob.pin[1], idx))
-                prob.pin = (v, idx)
+                prob.pin = (hull, idx)
         elif lit.kind is LitKind.INGRP:
             if lit.k < 0:
                 t = neg(t)
@@ -348,13 +340,6 @@ def _normalize(conj: Conjunction) -> _Problem:
                 prob.negs.append(idx)
             elif not truth and prob.false_lit is None:
                 prob.false_lit = idx
-    # the tightest bounds: a strict one wins a tie, else the first stays
-    if prob.lows:
-        prob.low = max(prob.lows, key=functools.cmp_to_key(
-            lambda a, b: compare(a.hull, b.hull) or a.strict - b.strict))
-    if prob.highs:
-        prob.high = min(prob.highs, key=functools.cmp_to_key(
-            lambda a, b: compare(a.hull, b.hull) or b.strict - a.strict))
     return prob
 
 
@@ -439,6 +424,12 @@ def _in_block(block: BlockKind, value) -> bool:
     return True
 
 
+def _in_group(group: GroupSpec, hull: Element) -> bool:
+    """Whether every coordinate of a hull point t/k is a value of its block:
+    exactly when t is k-divisible, and then the hull point is t/k."""
+    return all(map(_in_block, group.blocks, hull.coords))
+
+
 def _solve_slot(coord: int, basis: int | None, congs: list[_Cong]) -> tuple[int, int]:
     """Solve the congruences on one slot to (modulus, residue).
 
@@ -500,18 +491,14 @@ def _intersect_bounds(prob: _Problem) -> None:
     if c is Ordering.EQ:
         if low.strict or high.strict:
             _refute("order-bounds-empty", cited, "equal bounds with a strict side")
-        x = _quotient(low.t, low.k, prob.conj.group.K)
-        if x is None:
+        if not _in_group(prob.conj.group, low.hull):
             _refute(
                 "order-pin-indivisible",
                 cited,
                 "x is forced to a hull point outside the group",
             )
         _decide_pinned(
-            prob.conj,
-            x,
-            cited,
-            "equal order bounds force x uniquely",
+            prob.conj, low.hull, cited, "equal order bounds force x uniquely"
         )
 
 
@@ -519,44 +506,45 @@ def _candidates(prob: _Problem, slots: _Slots, walk) -> Iterator[Element]:
     """Distinct candidate witnesses, in a fixed order.
 
     First the descent point: the live slot residues under the coordinates
-    ``_descend`` fixes.  With T live negated literals, and only then, the
-    escape points n = 1..T+1 follow: the placement steps to the next point
-    of its gap, a free span coordinate gains one slot modulus on the n-th
-    fresh basis symbol and a free scalar coordinate n slot moduli.  No step
-    moves a slot residue or the order of x against a bound.  A fresh symbol
-    satisfies every negated (dis)equality or subgroup literal whose cut lies
-    past it, and on a scalar coordinate such a literal rules out at most one
-    n.  ``walk`` is ``_descend``'s result.
+    ``_descend`` fixes against the tightest low and high bound, the only
+    bounds ``_normalize`` keeps.  With T live negated literals, and only
+    then, the escape points n = 1..T+1 follow: the placement steps to the
+    next point of its gap, a free span coordinate gains one slot modulus on
+    the n-th fresh basis symbol and a free scalar coordinate n slot moduli.
+    No step moves a slot residue or the order of x against a bound.  A fresh
+    symbol satisfies every negated (dis)equality or subgroup literal whose
+    cut lies past it, and on a scalar coordinate such a literal rules out at
+    most one n.  ``walk`` is ``_descend``'s result.
     """
     group = prob.conj.group
     residues = {key: r for key, (_, r) in slots.items()}
     pins, points, free = walk
-    seen: set[Element] = set()
-
-    def escapes():
-        shifts = []
-        for i in range(free, group.K):
-            if i not in pins:
-                basis = None
-                if group.blocks[i].kind == "GP":
-                    support = (b for t in prob.conj.term_values for b, _ in t.coords[i])
-                    basis = max(support, default=0) + 1
-                shifts.append((i, basis, _slot(prob, slots, i, basis)[0]))
-        placed = pins
-        for n in range(1, len(prob.negs) + 2):
-            point = next(points, None)
-            if point is not None:
-                placed = {**placed, free - 1: (point, None)}
-            moved = dict(residues)
-            for i, basis, m in shifts:
-                if basis is None:
-                    moved[i, None] = residues.get((i, None), 0) + n * m
-                else:
-                    moved[i, basis + n - 1] = m
-            yield _assemble(group, placed, moved)
-
-    descent = (_assemble(group, pins, residues),)
-    for x in itertools.chain(descent, escapes() if prob.negs else ()):
+    descent = _assemble(group, pins, residues)
+    if descent is not None:
+        yield descent
+    if not prob.negs:
+        return
+    shifts = []
+    for i in range(free, group.K):
+        if i not in pins:
+            basis = None
+            if group.blocks[i].kind == "GP":
+                support = (b for t in prob.conj.term_values for b, _ in t.coords[i])
+                basis = max(support, default=0) + 1
+            shifts.append((i, basis, _slot(prob, slots, i, basis)[0]))
+    seen = {descent}
+    placed = pins
+    for n in range(1, len(prob.negs) + 2):
+        point = next(points, None)
+        if point is not None:
+            placed = {**placed, free - 1: (point, None)}
+        moved = dict(residues)
+        for i, basis, m in shifts:
+            if basis is None:
+                moved[i, None] = residues.get((i, None), 0) + n * m
+            else:
+                moved[i, basis + n - 1] = m
+        x = _assemble(group, placed, moved)
         if x is not None and x not in seen:
             seen.add(x)
             yield x

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -36,7 +37,7 @@ from oag import (
 )
 from oag import solver
 from oag.formulas import LitKind
-from oag.groups import span_coefficient
+from oag.groups import _quotient, span_coefficient
 from oag.numutil import crt_pair, factorize, residue_mod
 from helpers import (
     assert_canonical,
@@ -274,7 +275,8 @@ def test_escape_point_takes_a_fresh_basis_symbol():
 
 
 @pytest.mark.parametrize(
-    "spec, param", [("lex(Z)", "(1)"), ("lex(Q, Gp(2))", "(0 | b1)")]
+    "spec, param",
+    [("lex(Z)", "(1)"), ("lex(Q, Gp(2))", "(0 | b1)"), ("lex(Zloc(2), Q)", "(1 | 0)")],
 )
 def test_equal_bounds_on_an_indivisible_point(spec, param):
     # 2x >= a0 and 2x <= a0 force x = a0/2, which is not in the group
@@ -957,9 +959,19 @@ def test_pin_outside_bounds_is_unsat(spec, formula, params, coordinate):
 _BOUND_KS = [k for a in range(1, 7) for k in (a, -a)]
 
 
-def _cross_multiplied(b1, b2):
-    """Reference order of two bounds' hull points t1/k1 and t2/k2."""
-    return compare(scale(b2.k, b1.t), scale(b1.k, b2.t))
+def _bound_of(spec, lit, t):
+    """The order bound ``_normalize`` makes of one literal on its own."""
+    prob = solver._normalize(Conjunction(spec, (lit,), (t,)))
+    return prob.low or prob.high
+
+
+def _cross_multiplied(k1, t1, k2, t2):
+    """Reference order of the hull points t1/k1 and t2/k2: with each k made
+    positive (negating its t), compare k2*t1 with k1*t2."""
+    (k1, t1), (k2, t2) = (
+        (abs(k), t if k > 0 else scale(-1, t)) for k, t in ((k1, t1), (k2, t2))
+    )
+    return compare(scale(k2, t1), scale(k1, t2))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -976,12 +988,74 @@ def test_hull_points_order_bounds_as_cross_multiplication(seed, k1, k2, cut):
     # the second term is k2*u off by d below the cut, so the hull points
     # tie on the coordinates above it (on all of them when cut >= K)
     d = Element(spec, spec.zero().coords[:cut] + d.coords[cut:])
-    lits = (ord_lit(k1, ">", Term.of({0: 1})), ord_lit(k2, "<=", Term.of({1: 1})))
-    c = Conjunction(spec, lits, (scale(k1, u), scale(k2, u) + d))
-    prob = solver._normalize(c)
-    b1, b2 = sorted(prob.lows + prob.highs, key=lambda b: b.src)
-    assert compare(b1.hull, b2.hull) is _cross_multiplied(b1, b2)
-    assert compare(b2.hull, b1.hull) is _cross_multiplied(b2, b1)
+    t1, t2 = scale(k1, u), scale(k2, u) + d
+    b1 = _bound_of(spec, ord_lit(k1, ">", Term.of({0: 1})), t1)
+    b2 = _bound_of(spec, ord_lit(k2, "<=", Term.of({0: 1})), t2)
+    assert b1.strict and not b2.strict
+    assert compare(b1.hull, b2.hull) is _cross_multiplied(k1, t1, k2, t2)
+    assert compare(b2.hull, b1.hull) is _cross_multiplied(k2, t2, k1, t1)
+
+
+def _reference_tightest(lows, highs):
+    """The tightest low and high by hull point, a strict bound winning a tie
+    and otherwise the first one staying, picked after the fact by a ``max``
+    and a ``min`` over ``cmp_to_key``."""
+    low = max(lows, default=None, key=functools.cmp_to_key(
+        lambda a, b: compare(a.hull, b.hull) or a.strict - b.strict))
+    high = min(highs, default=None, key=functools.cmp_to_key(
+        lambda a, b: compare(a.hull, b.hull) or b.strict - a.strict))
+    return low, high
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.tuples(
+            st.sampled_from(_BOUND_KS),
+            st.sampled_from(["<", "<=", ">", ">="]),
+            st.integers(0, 2),
+        ),
+        min_size=2,
+        max_size=8,
+    ),
+)
+def test_normalize_keeps_the_tightest_bound_per_side(seed, shapes):
+    rng = random.Random(seed)
+    spec = random_spec(rng, max_blocks=3)
+    # two base points, and a third that shares coordinate 0 with the first,
+    # so that hull points tie often and the strict-tie rule decides
+    u, v = random_element(rng, spec), random_element(rng, spec)
+    w = Element(spec, u.coords[:1] + v.coords[1:])
+    terms = tuple(scale(k, (u, v, w)[j]) for k, _, j in shapes)
+    lows, highs = [], []
+    for i, ((k, cmp, _), t) in enumerate(zip(shapes, terms)):
+        b = _bound_of(spec, ord_lit(k, cmp, Term.of({0: 1})), t)._replace(src=i)
+        # k*x > t bounds x from below exactly when k > 0
+        (lows if (k > 0) == (cmp[0] == ">") else highs).append(b)
+    lits = tuple(ord_lit(k, cmp, Term.of({i: 1})) for i, (k, cmp, _) in enumerate(shapes))
+    prob = solver._normalize(Conjunction(spec, lits, terms))
+    assert (prob.low, prob.high) == _reference_tightest(lows, highs)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["lex(Z)", "lex(Q)", "lex(Zloc(2))", "lex(Zloc(3))", "lex(Gp(2))", "lex(Gp(3))", None],
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(_BOUND_KS), st.booleans())
+def test_a_hull_point_is_in_the_group_exactly_when_t_divides(spec, seed, k, divisible):
+    rng = random.Random(seed)
+    spec = parse_spec(spec) if spec else random_spec(rng, max_blocks=3)
+    u = random_element(rng, spec)
+    t = scale(k, u) if divisible else u
+    hull = _bound_of(spec, ord_lit(k, ">=", Term.of({0: 1})), t).hull
+    q = _quotient(t if k > 0 else scale(-1, t), abs(k), spec.K)
+    assert solver._in_group(spec, hull) is (q is not None)
+    if q is not None:
+        assert hull == q
+    if divisible:
+        assert hull == u
 
 
 @pytest.mark.parametrize(
