@@ -196,6 +196,18 @@ class Conjunction:
         offset in many conjunctions is shifted once."""
         return {0: self.literals}
 
+    # the conjunctions ``conjoin`` merged into this one, in order, so their
+    # literals follow one another here; None on one made otherwise
+    _parts = None
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Data derived from this conjunction as a part of conjoined ones,
+        per literal offset, kept by the solver (``solver._normalize``): a
+        part that sits at the same offset in many conjunctions is read once.
+        It lives as long as the part does."""
+        return {}
+
 
 def classify(lit: Literal) -> LiteralType:
     if lit.kind is LitKind.CONG:
@@ -288,7 +300,7 @@ def conjoin(first: Conjunction, *rest: Conjunction) -> Conjunction:
     """Conjunction of formulas over one group; each later bank is appended
     and its term indices shifted past the banks before it."""
     literals, params = first.literals, first.params
-    values = first.term_values
+    values, parts = first.term_values, first._parts or (first,)
     for c in rest:
         if c.group is not first.group and c.group != first.group:
             raise PreconditionError("conjunctions over different group specs")
@@ -296,16 +308,21 @@ def conjoin(first: Conjunction, *rest: Conjunction) -> Conjunction:
         moved = c._shifted.get(off)
         if moved is None:
             moved = c._shifted[off] = tuple(_shift(l, off) for l in c.literals)
+        parts += c._parts or (c,)
         literals += moved
         params += c.params
         values += c.term_values
     # each part passed Conjunction's checks over this group, and a shifted
     # term names the same parameter in the merged bank, so the merge skips
     # the re-run of those checks; the parts' values are the merged ones and
-    # fill the cached_property slot
+    # fill the cached_property slot, and the parts, flattened, fill _parts
     out = object.__new__(Conjunction)
     out.__dict__.update(
-        group=first.group, literals=literals, params=params, term_values=values
+        group=first.group,
+        literals=literals,
+        params=params,
+        term_values=values,
+        _parts=parts,
     )
     return out
 

@@ -10,10 +10,11 @@ Shape of the decision: ``solve`` runs the phases below in order over one
 
 1.  ``_normalize`` sorts the literals by role.  Positive congruence literals
     are rewritten to coefficient 1 and prime-power modulus (one already in
-    that form is kept as it is).  An order literal k*x <cmp> t is divided
-    once, to its hull point t/k: of the bounds on x only the tightest low
-    and high, by hull point, are kept as the literals are read, and an
-    equality pins x to its hull point, which must lie in the group.
+    that form is kept as it is), once per part and offset of a conjoined
+    conjunction (``Conjunction._memo``).  An order literal k*x <cmp> t is
+    divided once, to its hull point t/k: of the bounds on x only the
+    tightest low and high, by hull point, are kept as the literals are read,
+    and an equality pins x to its hull point, which must lie in the group.
     Subgroup-coset literals pin single coordinates.  A literal that no x
     satisfies, or two pins that disagree, give UNSAT.  A negated literal of
     constant truth (``formulas._constant_truth``) is dropped when true and
@@ -23,23 +24,19 @@ Shape of the decision: ``solve`` runs the phases below in order over one
 3.  ``_solve_slots``: a normalized congruence splits coordinatewise, and on
     each block coordinate only finitely many basis coefficients are
     constrained.  A slot maps (coordinate, basis) to (modulus, residue), the
-    basis None on scalar blocks.  Which blocks a congruence mod p^e
-    constrains, and modulo what, is ``groups.block_modulus`` (memoized per
-    prime and modulus): on a block of modulus 1 (Q, or Zloc or Gp of
-    another prime) it constrains nothing.  Only the live slots, where some
-    constraining congruence value is nonzero, are solved and kept, in
-    coordinate then basis order; one pass over the congruences finds them.
-    ``_solve_slot`` keeps per prime, in one pass over the slot's targets,
-    the top exponent, the nonzero targets and the top exponent of the zero
-    targets (a zero target, the common case, asks only for residue 0), and
-    solves them to a residue class per prime, combined by CRT; an empty
-    class yields an UNSAT certificate listing the exhausted residues.  On
-    every other slot ``_solve_slot`` gives (M, 0), M the product of the
-    largest prime powers of the congruences on the coordinate; ``_slot``
-    reads either kind.  The residues are ints, which ``_assemble`` places
-    with no normalizing.  A pinned coordinate has no slot; ``_missed``
-    checks that its pin has the ``block_residues`` of every congruence
-    value there.
+    basis None on scalar blocks.  A congruence mod p^e constrains the blocks
+    whose ``groups.block_modulus`` for the prime p is above 1: Z, and Zloc
+    and Gp of p.  Only the live slots, where a constraining value is nonzero
+    (``_Cong.live``, listed in phase 1), are solved and kept, in coordinate
+    then basis order.  ``_solve_slot`` solves a slot, in one pass per prime,
+    to a residue class modulo the top prime power (a zero target asks only
+    for residue 0) and combines the primes by CRT; an empty class yields an
+    UNSAT certificate listing the exhausted residues.  On every other slot
+    it gives (M, 0), M the product of the largest prime powers of the
+    congruences on the coordinate; ``_slot`` reads either kind.  The
+    residues are ints, which ``_assemble`` places with no normalizing.  A
+    pinned coordinate has no slot; ``_missed`` checks that its pin has the
+    ``block_residues`` of every congruence value there.
 4.  ``_intersect_bounds``: the tightest bounds are intersected in the
     divisible hull by comparing their hull points.  An empty interval is
     UNSAT; equal bounds force x to their hull point, UNSAT off the group
@@ -97,7 +94,6 @@ from .groups import (
     _quotient,
     _raw_element,
     block_divide,
-    block_modulus,
     block_residues,
     block_sign,
     compare,
@@ -177,10 +173,6 @@ def _refute(
     raise _Decided(SolveResult(SolveStatus.UNSAT, certificate=(entry,)))
 
 
-def _unknown(reason: str) -> SolveResult:
-    return SolveResult(SolveStatus.UNKNOWN, reason=reason)
-
-
 class _Cong(NamedTuple):
     """Normalized positive congruence: x = value mod (cut + p^e G)."""
 
@@ -189,6 +181,7 @@ class _Cong(NamedTuple):
     alpha_s: int
     value: Element
     src: int
+    live: tuple[tuple[int, tuple[int | None, ...]], ...] = ()  # (coordinate, bases)
 
 
 class _Bound(NamedTuple):
@@ -249,98 +242,117 @@ def solve(conj: Conjunction) -> SolveResult:
     for x in _candidates(prob, slots, walk):
         if evaluate_conj(conj, x):
             return SolveResult(SolveStatus.SAT, witness=x)
+    why = "witness assembly failed"
     if prob.negs:
-        return _unknown(
-            "the negated literals exclude every escape point; outside the "
-            "complete fragment"
-        )
-    return _unknown("witness assembly failed outside the complete fragment")
+        why = "the negated literals exclude every escape point;"
+    why += " outside the complete fragment"
+    return SolveResult(SolveStatus.UNKNOWN, reason=why)
 
 
 def _normalize(conj: Conjunction) -> _Problem:
-    """Phase 1: sort the literals by role, refuting those no x satisfies."""
+    """Phase 1: sort the literals by role, refuting those no x satisfies.
+    A part's congruences are kept in its ``_memo`` for its offset, so the
+    parts ``verify`` conjoins path after path are normalized once."""
     group = conj.group
     prob = _Problem(conj)
-    bank = conj.params
-    for idx, (lit, t) in enumerate(zip(conj.literals, conj.term_values)):
-        if lit.kind is LitKind.CONG:
-            pf = factorize(lit.m)
-            if lit.k == 1 and len(pf) <= 1:
-                # already in normal form (or vacuous, modulus 1): no rewrite;
-                # most congruences of a verify take this path
-                pieces = [(pf, lit.alpha.s, t)]
+    parts, off = conj._parts, 0
+    for part in parts or (conj,):
+        memo = {} if parts is None else part._memo.setdefault(off, {})
+        for j, (lit, t) in enumerate(zip(part.literals, part.term_values)):
+            idx = off + j
+            if lit.kind is LitKind.CONG:
+                congs = memo.get(j)
+                if congs is None:
+                    congs = memo[j] = _congs_of(group, lit, t, part.params, idx)
+                prob.congs += congs
+            elif lit.kind is LitKind.ORD:
+                k, cmp = lit.k, lit.cmp
+                if k < 0:
+                    k, t, cmp = -k, neg(t), _CMP_FLIP[cmp]
+                hull = t if k == 1 else _raw_element(group, tuple(
+                    tuple((i, _divide(c, k)) for i, c in v)
+                    if block.kind == "GP" else _divide(v, k)
+                    for block, v in zip(group.blocks, t.coords)
+                ))
+                # keep the tightest bound per side: the larger low (smaller
+                # high) hull point, a strict bound on a tie, else the earlier one
+                strict = cmp in (">", "<")
+                if cmp in (">", ">="):
+                    cur = prob.low
+                    if not cur or (compare(hull, cur.hull) or strict - cur.strict) > 0:
+                        prob.low = _Bound(hull, strict, idx)
+                elif cmp != "=":
+                    cur = prob.high
+                    if not cur or (compare(hull, cur.hull) or cur.strict - strict) < 0:
+                        prob.high = _Bound(hull, strict, idx)
+                else:
+                    if not _in_group(group, hull):
+                        _refute(
+                            "equality-indivisible",
+                            (idx,),
+                            f"k*x = t has no solution: t is not divisible by {k}",
+                        )
+                    if prob.pin is not None and prob.pin[0] != hull:
+                        _refute("pin-conflict", (prob.pin[1], idx))
+                    prob.pin = (hull, idx)
+            elif lit.kind is LitKind.INGRP:
+                if lit.k < 0:
+                    t = neg(t)
+                for i in range(lit.alpha.s):
+                    q = block_divide(group.blocks[i], t.coords[i], abs(lit.k))
+                    if q is None:
+                        _refute(
+                            "coset-pin-indivisible",
+                            (idx,),
+                            "k*x pinned to a value outside the block",
+                            coordinate=i,
+                        )
+                    prev = prob.coord_pins.get(i)
+                    if prev is not None and prev[0] != q:
+                        _refute("pin-conflict", (prev[1], idx), coordinate=i)
+                    prob.coord_pins[i] = (q, idx)
             else:
-                try:
-                    res = normalize_type_I(lit, bank, group)
-                except NotReducibleError:
-                    _refute(
-                        "congruence-term-not-reducible",
-                        (idx,),
-                        "k*x is always p-divisible above the cut but the term "
-                        "is not; the literal is unsatisfiable",
-                    )
-                bank = res.params
-                pieces = [
-                    (factorize(pc.m), pc.alpha.s, term_value(pc.term, bank, group))
-                    for pc in res.literals
-                    if pc.m != 1  # a modulus-1 piece is vacuous
-                ]
-            # each piece's modulus is a prime power (or 1, vacuous)
-            for pf, cut, value in pieces:
-                prob.congs.extend(_Cong(p, e, cut, value, idx) for p, e in pf.items())
-        elif lit.kind is LitKind.ORD:
-            k, cmp = lit.k, lit.cmp
-            if k < 0:
-                k, t, cmp = -k, neg(t), _CMP_FLIP[cmp]
-            hull = t if k == 1 else _raw_element(group, tuple(
-                tuple((i, _divide(c, k)) for i, c in v)
-                if block.kind == "GP" else _divide(v, k)
-                for block, v in zip(group.blocks, t.coords)
-            ))
-            # keep the tightest bound per side: the larger low (smaller high)
-            # hull point, a strict bound on a tie, else the first one read
-            strict = cmp in (">", "<")
-            if cmp in (">", ">="):
-                cur = prob.low
-                if cur is None or (compare(hull, cur.hull) or strict - cur.strict) > 0:
-                    prob.low = _Bound(hull, strict, idx)
-            elif cmp != "=":
-                cur = prob.high
-                if cur is None or (compare(hull, cur.hull) or cur.strict - strict) < 0:
-                    prob.high = _Bound(hull, strict, idx)
-            else:
-                if not _in_group(group, hull):
-                    _refute(
-                        "equality-indivisible",
-                        (idx,),
-                        f"k*x = t has no solution: t is not divisible by {k}",
-                    )
-                if prob.pin is not None and prob.pin[0] != hull:
-                    _refute("pin-conflict", (prob.pin[1], idx))
-                prob.pin = (hull, idx)
-        elif lit.kind is LitKind.INGRP:
-            if lit.k < 0:
-                t = neg(t)
-            for i in range(lit.alpha.s):
-                q = block_divide(group.blocks[i], t.coords[i], abs(lit.k))
-                if q is None:
-                    _refute(
-                        "coset-pin-indivisible",
-                        (idx,),
-                        "k*x pinned to a value outside the block",
-                        coordinate=i,
-                    )
-                prev = prob.coord_pins.get(i)
-                if prev is not None and prev[0] != q:
-                    _refute("pin-conflict", (prev[1], idx), coordinate=i)
-                prob.coord_pins[i] = (q, idx)
-        else:
-            truth = _constant_truth(lit, t)
-            if truth is None:
-                prob.negs.append(idx)
-            elif not truth and prob.false_lit is None:
-                prob.false_lit = idx
+                truth = _constant_truth(lit, t)
+                if truth is None:
+                    prob.negs.append(idx)
+                elif not truth and prob.false_lit is None:
+                    prob.false_lit = idx
+        off += len(part.literals)
     return prob
+
+
+def _congs_of(group: GroupSpec, lit, t: Element, bank, idx: int) -> tuple[_Cong, ...]:
+    """A positive congruence literal, of term value t over the bank, as
+    congruences of coefficient 1 and prime-power modulus."""
+    pf = factorize(lit.m)
+    # one already in normal form (or vacuous, modulus 1) is kept as it is;
+    # most congruences of a verify are
+    pieces = [(p, e, lit.alpha.s, t) for p, e in pf.items()]
+    if lit.k != 1 or len(pf) > 1:
+        try:
+            res = normalize_type_I(lit, bank, group)
+        except NotReducibleError:
+            _refute(
+                "congruence-term-not-reducible",
+                (idx,),
+                "k*x is always p-divisible above the cut but the term is not; "
+                "the literal is unsatisfiable",
+            )
+        # each piece's modulus is a prime power, or 1 (vacuous)
+        pieces = [
+            (p, e, pc.alpha.s, term_value(pc.term, res.params, group))
+            for pc in res.literals
+            for p, e in factorize(pc.m).items()
+        ]
+    blocks = group.blocks
+    return tuple(
+        _Cong(p, e, s, v, idx, tuple(
+            (i, tuple(b for b, _ in v.coords[i]) if blocks[i].kind == "GP" else (None,))
+            for i in itertools.compress(range(s), v.coords)
+            if blocks[i].p == p or blocks[i].kind == "Z"  # as in _carriers
+        ))
+        for p, e, s, v in pieces
+    )
 
 
 def _decide_pinned(
@@ -363,28 +375,20 @@ def _carriers(prob: _Problem, i: int) -> list[_Cong]:
     """The congruences that constrain coordinate i: those reaching it whose
     prime the block carries residues for (block modulus above 1)."""
     block = prob.conj.group.blocks[i]
-    return [c for c in prob.congs if c.alpha_s > i and block_modulus(block, c.p) != 1]
+    z, bp = block.kind == "Z", block.p
+    # block_modulus(block, p) != 1 for a prime p: Z, or the block's own prime
+    return [c for c in prob.congs if c.alpha_s > i and (z or c.p == bp)]
 
 
 def _solve_slots(prob: _Problem) -> _Slots:
     """Phase 3: the residue class of every live slot, in coordinate then
     basis order; pins are checked and slots refuted in that order too."""
-    blocks = prob.conj.group.blocks
-    # the live bases of each coordinate, in one pass over the congruences
     live: dict[int, set[int | None]] = {}
     for c in prob.congs:
-        coords = c.value.coords
-        for i in itertools.compress(range(c.alpha_s), coords):
-            if block_modulus(blocks[i], c.p) != 1:
-                if blocks[i].kind == "GP":
-                    # a span's pairs as a dict: its keys are the bases
-                    live.setdefault(i, set()).update(dict(coords[i]))
-                else:
-                    live[i] = {None}
-    reach = max((c.alpha_s for c in prob.congs), default=0)
-    pinned = {i for i in prob.coord_pins if i < reach}
+        for i, bases in c.live:
+            live.setdefault(i, set()).update(bases)
     slots: _Slots = {}
-    for i in sorted(live.keys() | pinned):
+    for i in sorted(live.keys() | prob.coord_pins.keys()):
         if i in prob.coord_pins:
             pin, src = prob.coord_pins[i]
             c = _missed(prob, i, pin)
@@ -435,36 +439,32 @@ def _solve_slot(coord: int, basis: int | None, congs: list[_Cong]) -> tuple[int,
 
     Per prime the solution set is a single residue class modulo the largest
     prime power, or empty; empty refutes with a certificate enumerating the
-    excluded residues.  The classes of distinct primes combine by CRT.
+    excluded residues.  One pass per prime reads the top exponent of the
+    zero targets (a zero target asks only for residue 0, so the top one
+    speaks for all), the nonzero targets and the first of the top exponent.
+    The classes of distinct primes combine by CRT.
     """
-    # per prime, in one pass: the top exponent, the top exponent of the zero
-    # targets (a zero target asks only for residue 0, so the top one speaks
-    # for all) and the nonzero (exponent, target) pairs
-    by_prime: dict[int, list] = {}
-    for c in congs:
-        v = c.value.coords[coord]
-        if v and basis is not None:
-            v = span_coefficient(v, basis)
-        top = by_prime.get(c.p)
-        if top is None:
-            top = by_prime[c.p] = [0, 0, []]
-        if c.e > top[0]:
-            top[0] = c.e
-        if v:
-            top[2].append((c.e, v))
-        elif c.e > top[1]:
-            top[1] = c.e
     m, r = 1, 0
-    for p in sorted(by_prime):
-        e_max, e_zero, targets = by_prime[p]
-        mp = p**e_max
-        rp = 0
-        if e_zero < e_max:
-            rp = next(residue_mod(v, mp) for e, v in targets if e == e_max)
+    for p in sorted({c.p for c in congs}):
+        e_zero = e_top = 0
+        targets = []
+        for c in congs:
+            if c.p == p:
+                v = c.value.coords[coord]
+                if v and basis is not None:
+                    v = span_coefficient(v, basis)
+                if not v:
+                    if c.e > e_zero:
+                        e_zero = c.e
+                else:
+                    targets.append((c.e, v))
+                    if c.e > e_top:
+                        e_top, top = c.e, v
+        mp = p ** max(e_zero, e_top)
+        rp = residue_mod(top, mp) if e_top > e_zero else 0
         conflict = rp % p**e_zero
         for e, v in targets:
-            q = p**e
-            conflict = conflict or (rp - residue_mod(v, q)) % q
+            conflict = conflict or (rp - residue_mod(v, p**e)) % p**e
         if conflict:
             _refute(
                 "congruence-conflict",

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -18,6 +19,7 @@ from oag import (
     check_k_inconsistent,
     compare,
     cong,
+    conjoin,
     divide_exact,
     evaluate_conj,
     gen_chain_pattern,
@@ -37,7 +39,7 @@ from oag import (
 )
 from oag import solver
 from oag.formulas import LitKind
-from oag.groups import _quotient, span_coefficient
+from oag.groups import _quotient, block_modulus, span_coefficient
 from oag.numutil import crt_pair, factorize, residue_mod
 from helpers import (
     assert_canonical,
@@ -624,10 +626,38 @@ def _slot_value(c, i, b):
     return v if b is None else span_coefficient(v, b)
 
 
-@pytest.mark.parametrize("seed", [11, 1009])
-def test_solve_slots_match_solving_every_slot(seed):
+def _chain_conjunctions(p, depth, width, row_pairs):
+    """The path conjunctions of chain(p, depth, width), and with row_pairs
+    also every pair of columns of a row, conjoined from one set of
+    instances as verify conjoins them."""
+    pattern = gen_chain_pattern(p, depth, width).pattern
+    inst = [[pattern.instantiate(i, j) for j in range(width)] for i in range(depth)]
+    out = [
+        conjoin(*(inst[i][j] for i, j in enumerate(eta)))
+        for eta in itertools.product(range(width), repeat=depth)
+    ]
+    if row_pairs:
+        out += [conjoin(*pair) for row in inst for pair in itertools.combinations(row, 2)]
+    return out
+
+
+# K <= 3 conjunctions of every literal kind; the K = 28 Gp(2) spans of the
+# benchmark's chain with its 18 conflicting row pairs, and a chain of another
+# prime; Z slots that two primes constrain, in the order-gap corpus
+_SLOT_CORPORA = {
+    "11": lambda: random_conjunctions(11, 300),
+    "1009": lambda: random_conjunctions(1009, 300),
+    "chain-2-6-3": lambda: _chain_conjunctions(2, 6, 3, row_pairs=True),
+    "chain-3-4-3": lambda: _chain_conjunctions(3, 4, 3, row_pairs=False),
+    "order-gap-4242": lambda: order_gap_conjunctions(4242, 2000),
+}
+
+
+@pytest.mark.parametrize("corpus", list(_SLOT_CORPORA))
+def test_solve_slots_match_solving_every_slot(corpus):
+    conjs = _SLOT_CORPORA[corpus]()
     compared = zero_slots = 0
-    for conj in random_conjunctions(seed, 300):
+    for conj in conjs:
         try:
             prob = solver._normalize(conj)
         except solver._Decided:
@@ -658,7 +688,7 @@ def test_solve_slots_match_solving_every_slot(seed):
                     _slot_value(c, i, b) for c in prob.congs if c.alpha_s > i
                 )
             )
-    assert compared > 200 and zero_slots > 0
+    assert compared > min(200, len(conjs) - 1) and zero_slots > 0
 
 
 def _solve_slot_reference(coord, basis, congs):
@@ -690,6 +720,60 @@ def _solve_slot_reference(coord, basis, congs):
         r = crt_pair(r, m, rp, mp)
         m *= mp
     return m, r
+
+
+def _normalized(conj):
+    """solver._normalize's record without the conjunction, or its verdict."""
+    try:
+        prob = solver._normalize(conj)
+    except solver._Decided as decided:
+        return decided.result
+    return [getattr(prob, f.name) for f in dataclasses.fields(prob)[1:]]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_conjoined_parts_normalize_as_one_conjunction(seed):
+    # _normalize reads the congruences of a part of a conjoined conjunction
+    # from the part's memo for its offset.  Parts conjoined again and again,
+    # at several offsets and twice in one conjunction, give what a fresh
+    # conjunction of the same literals gives, rewritten congruences and
+    # refutations (cited by their index in the whole) included
+    rng = random.Random(seed)
+    by_spec = {}
+    for c in order_gap_conjunctions(seed, 300) + random_conjunctions(seed, 300):
+        by_spec.setdefault(str(c.group), []).append(c)
+    rewritten = later_refuted = 0
+    for parts in by_spec.values():
+        for _ in range(2 * len(parts)):
+            merged = conjoin(*rng.choices(parts, k=rng.randint(1, 3)))
+            fresh = Conjunction(merged.group, merged.literals, merged.params)
+            got = _normalized(merged)
+            assert got == _normalized(fresh)
+            assert solve(merged) == solve(fresh)
+            rewritten += any(
+                lit.kind is LitKind.CONG and lit.k != 1 for lit in merged.literals
+            ) and not isinstance(got, SolveResult)
+            later_refuted += isinstance(got, SolveResult) and any(
+                e.kind == "congruence-term-not-reducible"
+                and e.literals[0] >= len(merged._parts[0].literals)
+                for e in got.certificate
+            )
+    assert rewritten > 200 and later_refuted > 20
+
+
+def test_carrier_rule_matches_block_modulus():
+    # phase 3 counts a block as carrying residues for a prime q exactly when
+    # block_modulus(block, q) != 1, both where it finds the live slots and
+    # where it picks the congruences on a coordinate
+    blocks = ["Z", "Q"] + [f"{k}({p})" for k in ("Zloc", "Gp") for p in (2, 3, 5, 7)]
+    for text, q in itertools.product(blocks, (2, 3, 5, 7, 11, 13)):
+        g = parse_spec(f"lex({text})")
+        a0 = "(b0)" if text.startswith("Gp") else "(1)"
+        prob = solver._normalize(conj_of(g, f"cong[{q}, cut1](1x, 1*a0)", a0))
+        carries = block_modulus(g.blocks[0], q) != 1
+        assert bool(solver._carriers(prob, 0)) is carries, (text, q)
+        assert bool(prob.congs[0].live) is carries, (text, q)
+        assert len(solver._solve_slots(prob)) == carries, (text, q)
 
 
 def test_solve_slot_matches_the_per_target_rule():
