@@ -23,6 +23,7 @@ rewrite chain stays auditable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -76,9 +77,10 @@ class Term:
     def __post_init__(self):
         acc: dict[int, int] = {}
         for idx, c in self.coeffs:
-            if idx < 0:
+            # operator.index: a float or Fraction raises TypeError, not truncated
+            if operator.index(idx) < 0:
                 raise ValueError("parameter indices must be >= 0")
-            acc[idx] = acc.get(idx, 0) + int(c)
+            acc[idx] = acc.get(idx, 0) + operator.index(c)
         object.__setattr__(
             self, "coeffs", tuple(sorted((i, c) for i, c in acc.items() if c))
         )
@@ -115,8 +117,11 @@ class Literal:
     cmp: str | None = None
 
     def __post_init__(self):
-        if self.k == 0:
+        # a float or Fraction k or m raises TypeError here, not inside solve
+        if operator.index(self.k) == 0:
             raise ValueError("the coefficient of x must be nonzero")
+        if self.m is not None:
+            operator.index(self.m)
         if self.kind in (LitKind.CONG, LitKind.NCONG):
             if self.m is None or self.m < 1:
                 raise ValueError("congruence literals need a positive modulus")

@@ -23,20 +23,20 @@ Shape of the decision: ``solve`` runs the phases below in order over one
     reduces to evaluation (SAT) or refutation (UNSAT).
 3.  ``_solve_slots``: a normalized congruence splits coordinatewise, and on
     each block coordinate only finitely many basis coefficients are
-    constrained.  A slot maps (coordinate, basis) to (modulus, residue), the
-    basis None on scalar blocks.  A congruence mod p^e constrains the blocks
-    whose ``groups.block_modulus`` for the prime p is above 1: Z, and Zloc
-    and Gp of p.  Only the live slots, where a constraining value is nonzero
-    (``_Cong.live``, listed in phase 1), are solved and kept, in coordinate
-    then basis order.  ``_solve_slot`` solves a slot, in one pass per prime,
-    to a residue class modulo the top prime power (a zero target asks only
-    for residue 0) and combines the primes by CRT; an empty class yields an
-    UNSAT certificate listing the exhausted residues.  On every other slot
-    it gives (M, 0), M the product of the largest prime powers of the
-    congruences on the coordinate; ``_slot`` reads either kind.  The
-    residues are ints, which ``_assemble`` places with no normalizing.  A
-    pinned coordinate has no slot; ``_missed`` checks that its pin has the
-    ``block_residues`` of every congruence value there.
+    constrained: a slot is a coordinate, or a basis of a span coordinate.
+    A congruence mod p^e constrains the blocks whose ``groups.block_modulus``
+    for the prime p is above 1: Z, and Zloc and Gp of p.  Only the live
+    slots, where a constraining value is nonzero (``_Cong.live``, listed in
+    phase 1), are solved, in coordinate then basis order.  ``_solve_slot``
+    solves a slot, in one pass per prime, to a residue class modulo the top
+    prime power (a zero target asks only for residue 0) and combines the
+    primes by CRT; an empty class yields an UNSAT certificate listing the
+    exhausted residues.  The modulus M, the product of the largest prime
+    powers of the congruences on the coordinate, is the same on every basis,
+    so each live coordinate keeps (M, its residues as a block value), which
+    ``_assemble`` places as it is; on any other coordinate ``_solve_slot``
+    gives (M, 0).  A pinned coordinate has no slot; ``_missed`` checks that
+    its pin has the ``block_residues`` of every congruence value there.
 4.  ``_intersect_bounds``: the tightest bounds are intersected in the
     divisible hull by comparing their hull points.  An empty interval is
     UNSAT; equal bounds force x to their hull point, UNSAT off the group
@@ -193,10 +193,10 @@ class _Bound(NamedTuple):
     src: int
 
 
-# (coordinate, basis) -> (modulus, residue); the basis is a span basis index,
-# None on scalar blocks.  ``_solve_slots`` keeps the live slots only.  Keys
-# per coordinate on block_residues measured slower, with no fewer lines.
-_Slots = dict[tuple[int, int | None], tuple[int, int]]
+# coordinate -> (modulus, residues), the residues a block value: an int on
+# a scalar block, the sorted (basis, residue) pairs of nonzero residue on a
+# span block.  ``_solve_slots`` keeps the live coordinates only.
+_Slots = dict[int, tuple[int, object]]
 
 
 @dataclass
@@ -401,8 +401,12 @@ def _solve_slots(prob: _Problem) -> _Slots:
                 )
             continue
         here = _carriers(prob, i)
+        pairs = []
         for b in sorted(live[i]):
-            slots[i, b] = _solve_slot(i, b, here)
+            m, r = _solve_slot(i, b, here)  # m is the same on every basis
+            if r:
+                pairs.append((b, r))
+        slots[i] = (m, r if b is None else tuple(pairs))
     return slots
 
 
@@ -517,7 +521,7 @@ def _candidates(prob: _Problem, slots: _Slots, walk) -> Iterator[Element]:
     most one n.  ``walk`` is ``_descend``'s result.
     """
     group = prob.conj.group
-    residues = {key: r for key, (_, r) in slots.items()}
+    residues = {i: v for i, (_, v) in slots.items()}
     pins, points, free = walk
     descent = _assemble(group, pins, residues)
     if descent is not None:
@@ -531,7 +535,8 @@ def _candidates(prob: _Problem, slots: _Slots, walk) -> Iterator[Element]:
             if group.blocks[i].kind == "GP":
                 support = (b for t in prob.conj.term_values for b, _ in t.coords[i])
                 basis = max(support, default=0) + 1
-            shifts.append((i, basis, _slot(prob, slots, i, basis)[0]))
+            m = (slots.get(i) or _solve_slot(i, None, _carriers(prob, i)))[0]
+            shifts.append((i, basis, m))
     seen = {descent}
     placed = pins
     for n in range(1, len(prob.negs) + 2):
@@ -541,18 +546,14 @@ def _candidates(prob: _Problem, slots: _Slots, walk) -> Iterator[Element]:
         moved = dict(residues)
         for i, basis, m in shifts:
             if basis is None:
-                moved[i, None] = residues.get((i, None), 0) + n * m
+                moved[i] = residues.get(i, 0) + n * m
             else:
-                moved[i, basis + n - 1] = m
+                # above every basis of the term values, so the pairs stay sorted
+                moved[i] = residues.get(i, ()) + ((basis + n - 1, m),)
         x = _assemble(group, placed, moved)
         if x is not None and x not in seen:
             seen.add(x)
             yield x
-
-
-def _slot(prob: _Problem, slots: _Slots, i: int, basis: int | None) -> tuple[int, int]:
-    """The (modulus, residue) of a slot, live or not."""
-    return slots.get((i, basis)) or _solve_slot(i, basis, _carriers(prob, i))
 
 
 def _descend(prob: _Problem, slots: _Slots):
@@ -617,14 +618,14 @@ def _descend(prob: _Problem, slots: _Slots):
             elif fits_hi:
                 pins[j], low = (hi, None), None
             else:
-                cited = {low.src, high.src} | {c.src for c in _carriers(prob, j)}
+                here = _carriers(prob, j)
                 _refute(
                     "order-gap-off-class",
-                    tuple(sorted(cited)),
+                    tuple(sorted({low.src, high.src} | {c.src for c in here})),
                     f"no {'integer' if block.kind == 'Z' else 'value'} of the slot's "
                     "class lies between the order bounds",
                     coordinate=j,
-                    modulus=_slot(prob, slots, j, 0 if block.kind == "GP" else None)[0],
+                    modulus=(slots.get(j) or _solve_slot(j, None, here))[0],
                 )
     return pins, iter(()), group.K
 
@@ -637,10 +638,13 @@ def _gap_points(prob: _Problem, slots: _Slots, j: int, lo, hi) -> Iterator:
     slot residues; the real value of those and of the bounds is enclosed
     numerically, and the candidate is still checked exactly."""
     block = prob.conj.group.blocks[j]
-    m, r = _slot(prob, slots, j, 0 if block.kind == "GP" else None)
-    fixed = tuple(
-        (b, v) for (i, b), (_, v) in slots.items() if i == j and b and v
-    )
+    m, r = slots.get(j) or _solve_slot(j, None, _carriers(prob, j))
+    fixed: SpanPairs = ()
+    if block.kind == "GP":
+        # the b0 residue, and the pairs above it; r is 0 off the live slots
+        r, fixed = 0, r or ()
+        if fixed and fixed[0][0] == 0:
+            r, fixed = fixed[0][1], fixed[1:]
     while (point := _gap_point(block, m, r, fixed, lo, hi)) is not None:
         yield point
         lo, hi = (lo, point) if lo is None else (point, hi)
@@ -679,30 +683,15 @@ def _gap_point(block: BlockKind, m: int, r: int, fixed: SpanPairs, lo, hi):
 def _assemble(
     group: GroupSpec,
     coord_pins: dict[int, tuple[object, int | None]],
-    values: dict[tuple[int, int | None], object],
+    values: dict[int, object],
 ) -> Element | None:
-    """Build an element from (coordinate, basis) values, zero elsewhere, with
-    the coordinate pins laid over them; None if a value leaves its block.
-    An int, and a span of int coefficients, is canonical in every block and
-    is placed as it is; the slot residues are such values.  Every other
-    value, and every pin, is normalized."""
-    given: dict[int, object] = {}
-    for (i, b), v in values.items():
-        if not v or i in coord_pins:
-            continue
-        if b is None:
-            given[i] = v
-        else:
-            given.setdefault(i, {})[b] = v
+    """Build an element from per-coordinate block values in normal form (the
+    slot residues), zero elsewhere, with the coordinate pins normalized and
+    laid over them; None if a pin leaves its block."""
     blocks, coords = group.blocks, list(group.zero().coords)
+    for i, v in values.items():
+        coords[i] = v
     try:
-        for i, v in given.items():
-            if type(v) is int:
-                coords[i] = v
-            elif type(v) is dict and all(type(c) is int for c in v.values()):
-                coords[i] = tuple(sorted(v.items()))
-            else:
-                coords[i] = _norm_block_value(blocks[i], v)
         for i, (v, _) in coord_pins.items():
             coords[i] = _norm_block_value(blocks[i], v)
     except ValueError:

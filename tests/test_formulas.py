@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +63,35 @@ def test_conjunction_rejects_cut_past_the_blocks(make):
         Conjunction(G, (make(ConvexCut(5)),), (A0,))
     with pytest.raises(PreconditionError):
         Conjunction(G, (make(ConvexCut(3)),), (A0,))
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(3, 2), Fraction(2)])
+def test_term_rejects_a_non_integer_coefficient_or_index(bad):
+    # int() would truncate 1.5 to 1, and 1x = 1.5*a0 would then format as
+    # 1x = 1*a0 and solve SAT over lex(Z) at a0 = (2)
+    with pytest.raises(TypeError):
+        Term.of({0: bad})
+    with pytest.raises(TypeError):
+        Term(((bad, 1),))
+    with pytest.raises(TypeError):
+        ord_lit(1, "=", Term.of({0: bad}))
+    assert Term.of({0: 3, 1: -2}).coeffs == ((0, 3), (1, -2))
+
+
+@pytest.mark.parametrize("bad", [1.5, 4.0, Fraction(4)])
+def test_literal_rejects_a_non_integer_k_or_m(bad):
+    cut, term = ConvexCut(1), Term.of({0: 1})
+    for make in (
+        lambda: ord_lit(bad, "<", term),
+        lambda: neq(bad, term),
+        lambda: in_group(bad, cut, term),
+        lambda: cong(bad, 4, cut, term),
+        lambda: cong(1, bad, cut, term),
+        lambda: ncong(1, bad, cut, term),
+    ):
+        with pytest.raises(TypeError):
+            make()
+    assert cong(3, 4, cut, term).m == 4
 
 
 def test_term_values_follow_literal_order():

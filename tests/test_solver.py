@@ -594,8 +594,10 @@ def _every_slot_key(prob):
 
 def _every_slot_solved(prob):
     """Reference for solver._solve_slots: every slot, live or not, goes
-    through _solve_slot.  Pinned coordinates are skipped without checking
-    the pins."""
+    through _solve_slot, and the slots of a coordinate fold into its
+    (modulus, residues), the nonzero residues of a span block as sorted
+    (basis, residue) pairs; every basis of a coordinate has one modulus.
+    Pinned coordinates are skipped without checking the pins."""
     blocks = prob.conj.group.blocks
     slots = {}
     for i, b in _every_slot_key(prob):
@@ -603,7 +605,13 @@ def _every_slot_solved(prob):
             c for c in prob.congs
             if c.alpha_s > i and (blocks[i].kind == "Z" or c.p == blocks[i].p)
         ]
-        slots[i, b] = solver._solve_slot(i, b, here)
+        m, r = solver._solve_slot(i, b, here)
+        if b is None:
+            slots[i] = (m, r)
+            continue
+        m0, pairs = slots.setdefault(i, (m, ()))
+        assert m0 == m, (i, b)
+        slots[i] = (m, pairs + ((b, r),) if r else pairs)
     return slots
 
 
@@ -614,11 +622,18 @@ def _slots_or_verdict(fn, prob):
         return decided.result
 
 
-def _every_slot_expanded(prob):
-    """The live slots of phase 3, and every other slot as solver._slot
-    reads it for the placement and the escape points."""
+def _every_coordinate_expanded(prob):
+    """The live coordinates of phase 3, and on every other unpinned
+    coordinate the modulus the solver reads there, with zero residues."""
     live = solver._solve_slots(prob)
-    return {key: solver._slot(prob, live, *key) for key in _every_slot_key(prob)}
+    blocks = prob.conj.group.blocks
+    return {
+        i: live.get(i) or (
+            solver._solve_slot(i, None, solver._carriers(prob, i))[0],
+            () if blocks[i].kind == "GP" else 0,
+        )
+        for i in dict.fromkeys(i for i, _ in _every_slot_key(prob))
+    }
 
 
 def _slot_value(c, i, b):
@@ -662,7 +677,7 @@ def test_solve_slots_match_solving_every_slot(corpus):
             prob = solver._normalize(conj)
         except solver._Decided:
             continue
-        got = _slots_or_verdict(_every_slot_expanded, prob)
+        got = _slots_or_verdict(_every_coordinate_expanded, prob)
         if isinstance(got, SolveResult) and any(
             e.kind == "pin-congruence-conflict" for e in got.certificate
         ):
@@ -670,21 +685,23 @@ def test_solve_slots_match_solving_every_slot(corpus):
         assert got == _slots_or_verdict(_every_slot_solved, prob)
         compared += 1
         if isinstance(got, list):
-            # phase 3 keeps exactly the slots where a congruence carrying a
-            # residue on the block has a nonzero value
+            # phase 3 keeps exactly the coordinates where a congruence
+            # carrying residues on the block has a nonzero value
             blocks = conj.group.blocks
             live = [
-                ((i, b), slot) for (i, b), slot in got
+                (i, slot) for i, slot in got
                 if any(
-                    _slot_value(c, i, b) for c in prob.congs
+                    c.value.coords[i] for c in prob.congs
                     if c.alpha_s > i
                     and (blocks[i].kind == "Z" or c.p == blocks[i].p)
                 )
             ]
             assert list(solver._solve_slots(prob).items()) == live
+            # a slot no congruence value reaches still takes its modulus
+            moduli = {i: m for i, (m, _) in got}
             zero_slots += sum(
-                1 for (i, b), (m, r) in got
-                if m > 1 and not any(
+                1 for i, b in _every_slot_key(prob)
+                if moduli[i] > 1 and not any(
                     _slot_value(c, i, b) for c in prob.congs if c.alpha_s > i
                 )
             )
@@ -920,31 +937,77 @@ def test_descent_regressions(spec, formula, params, witness):
 
 
 def _meets_slots(x, slots) -> bool:
-    """Whether x has every live slot's residue."""
-    for (i, b), (m, r) in slots.items():
-        v = x.coords[i] if b is None else span_coefficient(x.coords[i], b)
-        if residue_mod(v, m) != r:
-            return False
+    """Whether x has every live coordinate's residues: on a span block the
+    listed residue on each listed basis and residue 0 on every other."""
+    for i, (m, v) in slots.items():
+        if type(v) is int:
+            if residue_mod(x.coords[i], m) != v:
+                return False
+            continue
+        want = dict(v)
+        for b in want.keys() | dict(x.coords[i]).keys():
+            if residue_mod(span_coefficient(x.coords[i], b), m) != want.get(b, 0):
+                return False
     return True
+
+
+def _appends_a_fresh_basis(x, slots, prob) -> bool:
+    """Whether x puts a basis above every term value's support on a live
+    span coordinate whose residues it keeps below that basis."""
+    for i, (m, v) in slots.items():
+        if type(v) is tuple and v and x.coords[i][:-1] == v:
+            support = (b for t in prob.conj.term_values for b, _ in t.coords[i])
+            if x.coords[i][-1][0] > max(support, default=-1):
+                return True
+    return False
+
+
+# escape points that append a fresh basis to a live span coordinate, which
+# the random corpora do not reach: the package smoke input, and solve-mix
+# items 10391 of seed 1009 and 855 of seed 11
+_FRESH_BASIS_INPUTS = [
+    (
+        "lex(Gp(2))",
+        "cong[4, cut1](1x, 1*a0) & !1x = 1*a0 & !1x = 1*a1",
+        "(b1); (b1 + 4*b2)",
+    ),
+    (
+        "lex(Z, Gp(3), Z)",
+        "!cong[2, cut3](-3x, -2*a2) & cong[1, cut3](5x, -2*a0 + -3*a1) & "
+        "cong[9, cut3](5x, -2*a1)",
+        "(5 | 4/5*b1 | 5); (-1 | -24*b0 + 21/5*b3 | -6); (-2 | 0 | -1)",
+    ),
+    (
+        "lex(Gp(5), Gp(2), Q)",
+        "!ing[cut1](5x, 3*a0) & cong[4, cut2](-3x, 1*a0)",
+        "(0 | -22/7*b0 - 6/7*b1 | 13/3)",
+    ),
+]
 
 
 @pytest.mark.parametrize("seed", [11, 1009])
 def test_every_candidate_meets_the_live_slots(monkeypatch, seed):
     # the candidates are built on the slot residues, so each one has every
-    # live slot's residue and no congruence rules one out before evaluation
+    # live slot's residue and no congruence rules one out before evaluation;
+    # each is canonical too, the escape points that append a fresh basis to
+    # a live span coordinate among them
     seen = []
     real = solver._candidates
 
     def recording(prob, slots, *args):
         for x in real(prob, slots, *args):
-            seen.append((x, slots))
+            seen.append((x, slots, prob))
             yield x
 
     monkeypatch.setattr(solver, "_candidates", recording)
-    for conj in random_conjunctions(seed, 1500):
+    fresh = [conj_of(parse_spec(g), f, a) for g, f, a in _FRESH_BASIS_INPUTS]
+    for conj in random_conjunctions(seed, 1500) + fresh:
         solve(conj)
-    assert len(seen) > 700 and sum(bool(slots) for _, slots in seen) > 50
-    assert all(_meets_slots(x, slots) for x, slots in seen)
+    assert len(seen) > 700 and sum(bool(slots) for _, slots, _ in seen) > 50
+    assert all(_meets_slots(x, slots) for x, slots, _ in seen)
+    for x, _, _ in seen:
+        assert_canonical(x)
+    assert any(_appends_a_fresh_basis(*item) for item in seen)
 
 
 @pytest.mark.parametrize(
@@ -956,32 +1019,48 @@ def test_every_candidate_meets_the_live_slots(monkeypatch, seed):
     ],
 )
 def test_assemble_rejects_a_value_outside_its_block(spec, key, value):
-    assert solver._assemble(parse_spec(spec), {}, {key: value}) is None
+    # pins are the one input _assemble normalizes; the value is pinned at
+    # the (coordinate, basis) key, the basis None on a scalar block
+    i, b = key
+    pin = value if b is None else ((b, value),)
+    assert solver._assemble(parse_spec(spec), {i: (pin, None)}, {}) is None
+
+
+def _slot_values(rng, spec):
+    """Random slot residues of every coordinate as _solve_slots keeps them:
+    an int on a scalar block, sorted nonzero int pairs on a span block."""
+    values = {}
+    for i, block in enumerate(spec.blocks):
+        if block.kind == "GP":
+            pairs = {b: rng.randint(-9, 9) for b in rng.sample(range(6), 3)}
+            values[i] = tuple((b, c) for b, c in sorted(pairs.items()) if c)
+        else:
+            values[i] = rng.randint(-9, 9)
+    return values
 
 
 def test_assemble_matches_the_element_constructor():
-    # zero values of either type and zero span coefficients are skipped, and
-    # only the given coordinates are normalized; the coordinates must still
-    # equal the constructor's in value and type
+    # pins of any form, zero pins of either type and zero span coefficients
+    # among them, are normalized and laid over the slot values; the
+    # coordinates must still equal the constructor's in value and type
     rng = random.Random(5)
     for _ in range(300):
         spec = random_spec(rng)
-        values, dense = {}, []
+        values = _slot_values(rng, spec)
+        dense = list(values.values())
+        pins = {}
         for i, block in enumerate(spec.blocks):
+            if rng.random() < 0.5:
+                continue
             v = random_block_value(rng, block)
             if block.kind == "GP":
-                pairs = {**dict(v), 4: Fraction(0)}
-                values.update(((i, b), c) for b, c in pairs.items())
-            else:
-                if rng.random() < 0.4:
-                    v = rng.choice([0, Fraction(0)])
-                values[i, None] = v
-            dense.append(v)
-        pins = {}
-        if rng.random() < 0.5:
-            i = rng.randrange(spec.K)
-            pins[i] = (random_block_value(rng, spec.blocks[i]), 0)
-            dense[i] = pins[i][0]
+                v = tuple({**dict(v), 4: Fraction(0)}.items())
+            elif rng.random() < 0.4:
+                v = rng.choice([0, Fraction(0)])
+            pins[i] = (v, rng.choice([0, None]))
+            dense[i] = v
+            if rng.random() < 0.3:
+                del values[i]
         got = solver._assemble(spec, pins, values)
         want = Element(spec, tuple(dense))
         assert got == want
@@ -989,21 +1068,20 @@ def test_assemble_matches_the_element_constructor():
 
 
 def test_assemble_places_int_slot_values_canonically():
-    # int scalars and int span coefficients skip normalization; the result
-    # must still be canonical and equal the constructor's
+    # the slot values skip normalization, and a pin laid over one is
+    # normalized; the result must still be canonical and equal the
+    # constructor's
     rng = random.Random(23)
     for _ in range(300):
         spec = random_spec(rng)
-        values, dense = {}, []
-        for i, block in enumerate(spec.blocks):
-            if block.kind == "GP":
-                pairs = {b: rng.randint(-9, 9) for b in rng.sample(range(6), 3)}
-                values.update(((i, b), c) for b, c in pairs.items())
-                dense.append(tuple(pairs.items()))
-            else:
-                values[i, None] = rng.randint(-9, 9)
-                dense.append(values[i, None])
-        got = solver._assemble(spec, {}, values)
+        values = _slot_values(rng, spec)
+        dense = list(values.values())
+        pins = {}
+        if rng.random() < 0.5:
+            i = rng.randrange(spec.K)
+            pins[i] = (random_block_value(rng, spec.blocks[i]), None)
+            dense[i] = pins[i][0]
+        got = solver._assemble(spec, pins, values)
         assert_canonical(got)
         assert got == Element(spec, tuple(dense))
 
