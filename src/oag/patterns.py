@@ -17,6 +17,7 @@ concrete certified lower-bound data matching the invariant computations in
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,11 +214,12 @@ def verify(
     drawn from the recorded seed.  Every SAT witness is re-checked through
     the literal evaluator independently of how the solver produced it.
     When a cross-check radius is given, every UNSAT row verdict is also
-    corroborated by the brute-force oracle finding no witness.
+    corroborated by the brute-force oracle finding no witness.  A budget or
+    radius that is not an integer raises TypeError.
     """
-    if path_budget < 1:
+    if operator.index(path_budget) < 1:
         raise ValueError("the path budget must be positive")
-    if cross_check_radius is not None and cross_check_radius < 1:
+    if cross_check_radius is not None and operator.index(cross_check_radius) < 1:
         raise ValueError("the cross-check radius must be a positive integer")
     # each (row, column) instance is built once, so its term values are
     # computed once and shared by the row checks and every path through it

@@ -36,7 +36,12 @@ Shape of the decision: ``solve`` runs the phases below in order over one
     so each live coordinate keeps (M, its residues as a block value), which
     ``_assemble`` places as it is; on any other coordinate ``_solve_slot``
     gives (M, 0).  A pinned coordinate has no slot; ``_missed`` checks that
-    its pin has the ``block_residues`` of every congruence value there.
+    its pin has the ``block_residues`` of every congruence value there.  A
+    coordinate where one part of a conjoined conjunction alone is live is
+    kept in that part's memo, keyed by every congruence's (prime, exponent,
+    cut): the other parts are zero there, so ``_solve_slot`` reads of them
+    only their top exponent per prime, which the key fixes.  A refutation
+    is never kept.
 4.  ``_intersect_bounds``: the tightest bounds are intersected in the
     divisible hull by comparing their hull points.  An empty interval is
     UNSAT; equal bounds force x to their hull point, UNSAT off the group
@@ -383,10 +388,22 @@ def _carriers(prob: _Problem, i: int) -> list[_Cong]:
 def _solve_slots(prob: _Problem) -> _Slots:
     """Phase 3: the residue class of every live slot, in coordinate then
     basis order; pins are checked and slots refuted in that order too."""
+    memos, off = [], 0  # per literal of a conjoined conjunction, its part's memo
+    for part in prob.conj._parts or ():
+        memos += [part._memo[off]] * len(part.literals)
+        off += len(part.literals)
     live: dict[int, set[int | None]] = {}
+    alone: dict[int, dict | None] = {}  # the memo of the one part live there
     for c in prob.congs:
         for i, bases in c.live:
             live.setdefault(i, set()).update(bases)
+            if memos:
+                m = memos[c.src]
+                alone[i] = m if alone.setdefault(i, m) is m else None
+    # with the part fixed, every congruence's (prime, exponent, cut) fixes
+    # the other parts' top exponent per prime on each coordinate: all that
+    # _solve_slot reads of their zero targets
+    shape = tuple((c.p, c.e, c.alpha_s) for c in prob.congs) if alone else ()
     slots: _Slots = {}
     for i in sorted(live.keys() | prob.coord_pins.keys()):
         if i in prob.coord_pins:
@@ -400,6 +417,10 @@ def _solve_slots(prob: _Problem) -> _Slots:
                     modulus=c.p**c.e,
                 )
             continue
+        memo, key = alone.get(i), (i, shape)
+        if memo is not None and key in memo:
+            slots[i] = memo[key]
+            continue
         here = _carriers(prob, i)
         pairs = []
         for b in sorted(live[i]):
@@ -407,6 +428,8 @@ def _solve_slots(prob: _Problem) -> _Slots:
             if r:
                 pairs.append((b, r))
         slots[i] = (m, r if b is None else tuple(pairs))
+        if memo is not None:
+            memo[key] = slots[i]  # never a refutation: that raised
     return slots
 
 
@@ -742,13 +765,14 @@ def oracle_search(
     prefix, and the sum itself is built only for the witness.
     Incomplete by design; meant to corroborate SAT answers and to hunt
     counterexamples to UNSAT answers.  A search of nothing would corroborate
-    anything, so a radius, support bound or budget below 1 is rejected.
+    anything, so a radius, support bound or budget below 1 is rejected, and
+    one that is not an integer raises TypeError.
     """
-    if radius < 1:
+    if operator.index(radius) < 1:
         raise ValueError("the oracle radius must be a positive integer")
-    if max_support < 1:
+    if operator.index(max_support) < 1:
         raise ValueError("the oracle support bound must be a positive integer")
-    if candidate_budget < 1:
+    if operator.index(candidate_budget) < 1:
         raise ValueError("the oracle candidate budget must be a positive integer")
     group = conj.group
     gens: list[Element] = []

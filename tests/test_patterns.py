@@ -1,3 +1,4 @@
+from fractions import Fraction
 
 import pytest
 
@@ -283,6 +284,16 @@ def test_generator_input_validation():
         gen_optimal_pattern([9], [1], 3)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, Fraction(2)])
+def test_verify_rejects_a_non_integer_budget_or_radius(bad):
+    # a path budget of 2.5 sampled 3 paths
+    pattern = gen_chain_pattern(2, 2, 2).pattern
+    with pytest.raises(TypeError):
+        verify(pattern, bad)
+    with pytest.raises(TypeError):
+        verify(pattern, 4, cross_check_radius=bad)
+
+
 def test_verify_computes_each_instance_term_once(monkeypatch):
     # every (row, column) instance is built once per verify call, and the
     # row checks and all paths reuse its term values
@@ -305,7 +316,7 @@ def test_verify_computes_each_instance_term_once(monkeypatch):
 
 def _path_work(monkeypatch, width):
     """verify chain(2, 3, width) over every path, counting the _solve_slot
-    calls of each path solve and every evaluate_conj call."""
+    calls of all path solves and every evaluate_conj call."""
     import oag.patterns
     import oag.solver
 
@@ -336,18 +347,18 @@ def _path_work(monkeypatch, width):
     report = verify(gen_chain_pattern(2, 3, width).pattern, width**3)
     assert report.verified and len(report.paths) == width**3
     sat = sum(p.status == "SAT" for p in report.paths)
-    return set(per_path), evals[0], sat
+    return sum(per_path), evals[0], sat
 
 
 def test_path_work_does_not_grow_with_K(monkeypatch):
-    # K = 12 and K = 20: a path solves the same live slots, and a SAT path
-    # costs two evaluations, the solver's accept and verify's confirmation
-    with monkeypatch.context() as mp:
-        narrow = _path_work(mp, 2)
-    with monkeypatch.context() as mp:
-        wide = _path_work(mp, 4)
-    assert narrow[0] == wide[0] and len(narrow[0]) == 1
-    for _, evals, sat in (narrow, wide):
+    # K = 12 and K = 20: the 3*width (row, column) instances are each live on
+    # one coordinate, solved once over all paths and then read from the
+    # instance's memo, and a SAT path costs two evaluations, the solver's
+    # accept and verify's confirmation
+    for width in (2, 4):
+        with monkeypatch.context() as mp:
+            slot_calls, evals, sat = _path_work(mp, width)
+        assert slot_calls <= 3 * width
         assert evals == 2 * sat
 
 

@@ -39,6 +39,10 @@ SOLVE_MIX_SEEDS = (11, 1009, 5, 77)
 SOLVE_MIX_DIGEST = (
     "f955a98d9a9c91c6a34e2cd3ff5e14eaf261132799e24ae1b56566d993fa48aa"
 )
+# every path of chain(2, 6, 3), the benchmark's chain-verify op
+CHAIN_BENCH_OP_DIGEST = (
+    "53b1a771f1974d933a719fca9f57267d8ddd3ae97db94a42c9d848872b4a10ca"
+)
 # The 6000 results of test_solve_mix_digest as the solver gave them before
 # its residue-move search was retired (commit 691399b), one line each: the
 # status; for a decided result the first 12 hex digits of the sha256 of its
@@ -97,6 +101,13 @@ def test_chain_verify_digest():
         verify(g, 30, seed=5).to_json_dict(include_pairs=True),
     ]
     assert _digest(reports) == CHAIN_VERIFY_DIGEST
+
+
+def test_chain_benchmark_op_digest():
+    # its 729 paths read the slots of each (row, column) instance from the
+    # instance's memo, so a key that reuses a slot wrongly shows here
+    report = verify(gen_chain_pattern(2, 6, 3).pattern, 729)
+    assert _digest(report.to_json_dict(include_pairs=True)) == CHAIN_BENCH_OP_DIGEST
 
 
 def test_solve_mix_digest():

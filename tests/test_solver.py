@@ -357,6 +357,15 @@ def test_oracle_rejects_an_empty_search(limits):
         oracle_search(c, 1, **limits)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, Fraction(2)])
+@pytest.mark.parametrize("name", ["radius", "max_support", "candidate_budget"])
+def test_oracle_rejects_a_non_integer_limit(name, bad):
+    # a budget of 2.5 ran as if it were 3
+    c = conj_of(G, "cong[2, cut2](1x, 1*a0)", "(0 | b0)")
+    with pytest.raises(TypeError):
+        oracle_search(c, **{"radius": 1, name: bad})
+
+
 def test_check_k_inconsistent_contradictory_pair():
     g = parse_spec("lex(Gp(2))")
     cols = [
@@ -776,6 +785,67 @@ def test_conjoined_parts_normalize_as_one_conjunction(seed):
                 for e in got.certificate
             )
     assert rewritten > 200 and later_refuted > 20
+
+
+# parts to conjoin with the part P below, which asks for x = 2 mod 8 on its
+# Z coordinate: there they ask for residue 0 mod 2, 2, 8, 16 and 3, the cut
+# of "equal, cut0" passes no coordinate, and the last, live on P's Z
+# coordinate too, asks for 1 mod 2
+_OTHER_PARTS = {
+    "smaller": ("cong[2, cut1](1x, 1*a0)", "(0 | b0)"),
+    "smaller again": ("cong[2, cut1](1x, 1*a0)", "(0 | b1)"),
+    "equal": ("cong[8, cut1](1x, 1*a0)", "(0 | b0)"),
+    "equal, cut0": ("cong[8, cut0](1x, 1*a0)", "(0 | b0)"),
+    "larger": ("cong[16, cut1](1x, 1*a0)", "(0 | b0)"),
+    "other prime": ("cong[3, cut1](1x, 1*a0)", "(0 | b0)"),
+    "live too": ("cong[2, cut1](1x, 1*a0)", "(1 | b0)"),
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_slot_memo_keys_the_other_parts_top_exponents(monkeypatch, reverse):
+    # phase 3 keeps a coordinate on which one part of a conjoined conjunction
+    # alone is live in that part's memo, keyed by the other parts' top
+    # exponent per prime there.  Shared parts, first used in either order,
+    # give what parts made fresh for each conjunction give: only an equal
+    # key reuses, a refutation is never kept, and a coordinate where two
+    # parts are live is solved anew
+    g = parse_spec("lex(Z, Gp(2))")
+    texts = {"P": ("cong[8, cut2](1x, 1*a0)", "(2 | 2*b0 + 6*b1)"), **_OTHER_PARTS}
+
+    def parts():
+        return {name: conj_of(g, *text) for name, text in texts.items()}
+
+    calls = []
+    real_slot = solver._solve_slot
+    monkeypatch.setattr(
+        solver, "_solve_slot", lambda *args: calls.append(args) or real_slot(*args)
+    )
+
+    def run(conj):
+        prob = solver._normalize(conj)
+        return solve(conj), _slots_or_verdict(solver._solve_slots, prob)
+
+    shared = parts()
+    names = sorted(_OTHER_PARTS, reverse=reverse)
+    second = [n for n in names if n.startswith("smaller")][1]
+    got = {}
+    for name in names:
+        for order in ((name, "P"), ("P", name)):
+            fresh = parts()
+            want = run(conjoin(*(fresh[n] for n in order)))
+            del calls[:]
+            got[order] = run(conjoin(*(shared[n] for n in order)))
+            assert got[order] == want, order
+            if name == second:
+                assert not calls  # the key of the other "smaller" part
+    for name, slot in (("smaller", (8, 2)), ("equal, cut0", (8, 2)), ("other prime", (24, 18))):
+        res, slots = got[(name, "P")]
+        assert res.status is SolveStatus.SAT and slots[0] == (0, slot)
+    for name in ("equal", "larger", "live too"):
+        res, _ = got[("P", name)]
+        assert [e.kind for e in res.certificate] == ["congruence-conflict"]
+        assert res.certificate[0].literals == (0, 1)
 
 
 def test_carrier_rule_matches_block_modulus():
