@@ -93,15 +93,7 @@ class Term:
         return Term(tuple((i, c * s) for i, c in self.coeffs))
 
     def shifted(self, offset: int) -> "Term":
-        # one offset on every index keeps the pairs sorted and zero-free, so
-        # only the smallest index needs checking
-        if self.coeffs and self.coeffs[0][0] + offset < 0:
-            raise ValueError("parameter indices must be >= 0")
-        out = object.__new__(Term)
-        object.__setattr__(
-            out, "coeffs", tuple((i + offset, c) for i, c in self.coeffs)
-        )
-        return out
+        return Term(tuple((i + offset, c) for i, c in self.coeffs))
 
     def max_param(self) -> int:
         return max((i for i, _ in self.coeffs), default=-1)
@@ -194,25 +186,6 @@ class Conjunction:
             term_value(l.term, self.params, self.group) for l in self.literals
         )
 
-    @cached_property
-    def _shifted(self) -> dict[int, tuple[Literal, ...]]:
-        """The literals with their term indices shifted by an offset, per
-        offset, as ``conjoin`` builds them: a part that sits at the same
-        offset in many conjunctions is shifted once."""
-        return {0: self.literals}
-
-    # the conjunctions ``conjoin`` merged into this one, in order, so their
-    # literals follow one another here; None on one made otherwise
-    _parts = None
-
-    @cached_property
-    def _memo(self) -> dict:
-        """Data derived from this conjunction as a part of conjoined ones,
-        per literal offset, kept by the solver (``solver._normalize``): a
-        part that sits at the same offset in many conjunctions is read once.
-        It lives as long as the part does."""
-        return {}
-
 
 def classify(lit: Literal) -> LiteralType:
     if lit.kind is LitKind.CONG:
@@ -304,41 +277,13 @@ def evaluate_conj(conj: Conjunction, x: Element) -> bool:
 def conjoin(first: Conjunction, *rest: Conjunction) -> Conjunction:
     """Conjunction of formulas over one group; each later bank is appended
     and its term indices shifted past the banks before it."""
-    literals, params = first.literals, first.params
-    values, parts = first.term_values, first._parts or (first,)
+    literals, params = list(first.literals), first.params
     for c in rest:
         if c.group is not first.group and c.group != first.group:
             raise PreconditionError("conjunctions over different group specs")
-        off = len(params)
-        moved = c._shifted.get(off)
-        if moved is None:
-            moved = c._shifted[off] = tuple(_shift(l, off) for l in c.literals)
-        parts += c._parts or (c,)
-        literals += moved
+        literals += (replace(l, term=l.term.shifted(len(params))) for l in c.literals)
         params += c.params
-        values += c.term_values
-    # each part passed Conjunction's checks over this group, and a shifted
-    # term names the same parameter in the merged bank, so the merge skips
-    # the re-run of those checks; the parts' values are the merged ones and
-    # fill the cached_property slot, and the parts, flattened, fill _parts
-    out = object.__new__(Conjunction)
-    out.__dict__.update(
-        group=first.group,
-        literals=literals,
-        params=params,
-        term_values=values,
-        _parts=parts,
-    )
-    return out
-
-
-def _shift(lit: Literal, offset: int) -> Literal:
-    """The literal with its term indices shifted by the offset.  Only the
-    term changes and the literal passed its checks when made, so the copy
-    skips dataclasses.replace's re-validation."""
-    moved = object.__new__(Literal)
-    moved.__dict__.update(lit.__dict__, term=lit.term.shifted(offset))
-    return moved
+    return Conjunction(first.group, literals, params)
 
 
 # --- congruence rewrites -------------------------------------------------

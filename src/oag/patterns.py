@@ -39,7 +39,7 @@ from .formulas import (
 )
 from .groups import Element, GroupSpec, PSPAN, RAT, add, scale, unit_element
 from .numutil import factorize, is_prime
-from .solver import SolveResult, SolveStatus, oracle_search, solve
+from .solver import Part, SolveResult, SolveStatus, oracle_search, solve
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,8 @@ class PatternRow:
             raise ValueError("a row needs at least one literal")
         if not self.columns:
             raise ValueError("a row needs at least one column")
-        if self.k < 2:
+        # operator.index: a float or Fraction arity raises TypeError here
+        if operator.index(self.k) < 2:
             raise ValueError("the inconsistency arity must be >= 2")
         arity = max(l.term.max_param() for l in self.template) + 1
         for col in self.columns:
@@ -164,20 +165,20 @@ _VERDICTS = {True: "true", False: "false", None: "unknown"}
 
 
 def _solve_k_subsets(
-    formulas: Sequence[Conjunction], k: int, radius: int | None = None
+    parts: Sequence[Part], k: int, radius: int | None = None
 ) -> tuple[bool | None, tuple[tuple[tuple[int, ...], SolveResult], ...], bool | None]:
-    """Conjoin and solve every k-subset of the formulas in lexicographic
-    order of index tuples.  Returns the verdict (False if a subset is SAT,
-    else None if one is UNKNOWN, else True, vacuously so when k exceeds the
-    number of formulas), the (indices, result) pairs, and whether the oracle
-    of the radius found no witness for any UNSAT subset (None: not run)."""
+    """Solve every k-subset of the parts in lexicographic order of index
+    tuples.  Returns the verdict (False if a subset is SAT, else None if one
+    is UNKNOWN, else True, vacuously so when k exceeds the number of parts),
+    the (indices, result) pairs, and whether the oracle of the radius found
+    no witness in the conjunction of any UNSAT subset (None: not run)."""
     pairs = []
     cross_ok: bool | None = None
-    for subset in itertools.combinations(range(len(formulas)), k):
-        merged = conjoin(*(formulas[j] for j in subset))
-        res = solve(merged)
+    for subset in itertools.combinations(range(len(parts)), k):
+        res = solve(*(parts[j] for j in subset))
         pairs.append((subset, res))
         if res.status is SolveStatus.UNSAT and radius is not None:
+            merged = conjoin(*(parts[j].conj for j in subset))
             ok = oracle_search(merged, radius) is None
             cross_ok = ok if cross_ok is None else (cross_ok and ok)
     statuses = {res.status for _, res in pairs}
@@ -195,9 +196,9 @@ def check_k_inconsistent(
 ) -> bool | None:
     """Whether every k-subset of the given formulas is jointly UNSAT: the
     verdict of ``_solve_k_subsets``."""
-    if k < 1:
+    if operator.index(k) < 1:
         raise ValueError("the arity must be a positive integer")
-    return _solve_k_subsets(formulas, k)[0]
+    return _solve_k_subsets([Part(f) for f in formulas], k)[0]
 
 
 def verify(
@@ -211,11 +212,15 @@ def verify(
 
     All paths are enumerated when their number fits the budget; otherwise a
     deterministic pseudo-random sample of path_budget distinct paths is
-    drawn from the recorded seed.  Every SAT witness is re-checked through
-    the literal evaluator independently of how the solver produced it.
-    When a cross-check radius is given, every UNSAT row verdict is also
-    corroborated by the brute-force oracle finding no witness.  A budget or
-    radius that is not an integer raises TypeError.
+    drawn from the recorded seed.  Each (row, column) instance is passed to
+    ``solve`` as one ``Part`` in every row subset and path through it, so
+    what the solver derives from it is derived once, and no path is built
+    as one conjunction.  Every SAT witness of a path is re-checked through
+    the literal evaluator, instance by instance, independently of how the
+    solver produced it.  When a cross-check radius is given, every UNSAT
+    row verdict is also corroborated by the brute-force oracle finding no
+    witness in the conjunction of the subset.  A budget or radius that is
+    not an integer raises TypeError.
     """
     if operator.index(path_budget) < 1:
         raise ValueError("the path budget must be positive")
@@ -224,7 +229,7 @@ def verify(
     # each (row, column) instance is built once, so its term values are
     # computed once and shared by the row checks and every path through it
     inst = [
-        [pattern.instantiate(i, j) for j in range(len(row.columns))]
+        [Part(pattern.instantiate(i, j)) for j in range(len(row.columns))]
         for i, row in enumerate(pattern.rows)
     ]
     rows = []
@@ -256,11 +261,11 @@ def verify(
 
     path_results = []
     for eta in etas:
-        conj = conjoin(*(inst[i][j] for i, j in enumerate(eta)))
-        res = solve(conj)
+        path = [inst[i][j] for i, j in enumerate(eta)]
+        res = solve(*path)
         confirmed = False
         if res.status is SolveStatus.SAT:
-            confirmed = evaluate_conj(conj, res.witness)
+            confirmed = all(evaluate_conj(p.conj, res.witness) for p in path)
         elif res.status is SolveStatus.UNKNOWN:
             unknowns.append(f"path {eta} undecided: {res.reason}")
         path_results.append(

@@ -5,16 +5,22 @@ has been checked by the literal evaluator; UNSAT answers always come with a
 certificate.  Anything the procedure cannot settle is reported UNKNOWN,
 never guessed.
 
-Shape of the decision: ``solve`` runs the phases below in order over one
-``_Problem`` record, and a phase that settles the answer raises ``_Decided``.
+Shape of the decision: ``solve`` decides the conjunction of its arguments,
+numbering their literals as ``formulas.conjoin`` numbers those of the
+conjunction it builds, so the certificates cite the same indices.  An
+argument is a ``Conjunction`` or a ``Part``, which keeps what phases 1 and 3
+derive from its conjunction per literal offset, so that ``verify``, which
+passes each (row, column) instance as one ``Part`` on every path through it,
+derives it once.  The phases below run in order over one ``_Problem``
+record, and a phase that settles the answer raises ``_Decided``.
 
 1.  ``_normalize`` sorts the literals by role.  Positive congruence literals
     are rewritten to coefficient 1 and prime-power modulus (one already in
-    that form is kept as it is), once per part and offset of a conjoined
-    conjunction (``Conjunction._memo``).  An order literal k*x <cmp> t is
-    divided once, to its hull point t/k: of the bounds on x only the
-    tightest low and high, by hull point, are kept as the literals are read,
-    and an equality pins x to its hull point, which must lie in the group.
+    that form is kept as it is), once per ``Part`` and offset (``Part.memo``).
+    An order literal k*x <cmp> t is divided once, to its hull point t/k: of
+    the bounds on x only the tightest low and high, by hull point, are kept
+    as the literals are read, and an equality pins x to its hull point,
+    which must lie in the group.
     Subgroup-coset literals pin single coordinates.  A literal that no x
     satisfies, or two pins that disagree, give UNSAT.  A negated literal of
     constant truth (``formulas._constant_truth``) is dropped when true and
@@ -37,11 +43,10 @@ Shape of the decision: ``solve`` runs the phases below in order over one
     ``_assemble`` places as it is; on any other coordinate ``_solve_slot``
     gives (M, 0).  A pinned coordinate has no slot; ``_missed`` checks that
     its pin has the ``block_residues`` of every congruence value there.  A
-    coordinate where one part of a conjoined conjunction alone is live is
-    kept in that part's memo, keyed by every congruence's (prime, exponent,
-    cut): the other parts are zero there, so ``_solve_slot`` reads of them
-    only their top exponent per prime, which the key fixes.  A refutation
-    is never kept.
+    coordinate where one ``Part`` alone is live is kept in its memo, keyed
+    by every congruence's (prime, exponent, cut): the other arguments are
+    zero there, so ``_solve_slot`` reads of them only their top exponent per
+    prime, which the key fixes.  A refutation is never kept.
 4.  ``_intersect_bounds``: the tightest bounds are intersected in the
     divisible hull by comparing their hull points.  An empty interval is
     UNSAT; equal bounds force x to their hull point, UNSAT off the group
@@ -77,7 +82,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, NamedTuple, NoReturn
 
-from .errors import NotReducibleError
+from .errors import NotReducibleError, PreconditionError
 from .formulas import (
     _CMP_FLIP,
     Conjunction,
@@ -204,11 +209,27 @@ class _Bound(NamedTuple):
 _Slots = dict[int, tuple[int, object]]
 
 
-@dataclass
-class _Problem:
-    """A conjunction's literals sorted by role (see ``_normalize``)."""
+@dataclass(eq=False)
+class Part:
+    """A conjunction passed to ``solve`` together with what phases 1 and 3
+    derive from it there, per literal offset: its literals' normalized
+    congruences, by their index among ``solve``'s literals, and the slots of
+    the coordinates where it alone is live, by (coordinate, shape) key.  It
+    lives as long as the record does."""
 
     conj: Conjunction
+    memo: dict[int, dict] = field(default_factory=dict, repr=False)
+
+
+@dataclass
+class _Problem:
+    """The literals of ``solve``'s arguments, numbered in order, sorted by
+    role (see ``_normalize``)."""
+
+    group: GroupSpec
+    literals: tuple = ()  # every argument's, in order
+    values: tuple[Element, ...] = ()  # their term values
+    memos: tuple[dict | None, ...] = ()  # per literal, its Part's memo for its offset
     congs: list[_Cong] = field(default_factory=list)
     low: _Bound | None = None  # the tightest lower bound read so far
     high: _Bound | None = None  # the tightest upper bound read so far
@@ -218,13 +239,17 @@ class _Problem:
     false_lit: int | None = None  # the first literal that holds at no x
 
 
-def solve(conj: Conjunction) -> SolveResult:
-    """Decide a conjunction; see the module docstring for the procedure."""
+def solve(*parts: Conjunction | Part) -> SolveResult:
+    """Decide the conjunction of the arguments, one or more conjunctions
+    over one group, each plain or in a ``Part``: the answer is the one for
+    ``formulas.conjoin`` of their conjunctions, and so are the literal
+    indices it cites.  No argument, or two groups, is a PreconditionError.
+    See the module docstring for the procedure."""
     try:
-        prob = _normalize(conj)
+        prob = _normalize(*parts)
         if prob.pin is not None:
             _decide_pinned(
-                conj, prob.pin[0], None, "the equality literal determines x uniquely"
+                prob, prob.pin[0], None, "the equality literal determines x uniquely"
             )
         slots = _solve_slots(prob)
         _intersect_bounds(prob)
@@ -234,10 +259,10 @@ def solve(conj: Conjunction) -> SolveResult:
                 (prob.false_lit,),
                 "the literal holds at no x",
             )
-        if len(prob.coord_pins) == conj.group.K:
+        if len(prob.coord_pins) == prob.group.K:
             _decide_pinned(
-                conj,
-                _assemble(conj.group, prob.coord_pins, {}),
+                prob,
+                _assemble(prob.group, prob.coord_pins, {}),
                 None,
                 "the subgroup literals determine every coordinate of x",
             )
@@ -245,7 +270,7 @@ def solve(conj: Conjunction) -> SolveResult:
     except _Decided as decided:
         return decided.result
     for x in _candidates(prob, slots, walk):
-        if evaluate_conj(conj, x):
+        if _satisfies(prob, x):
             return SolveResult(SolveStatus.SAT, witness=x)
     why = "witness assembly failed"
     if prob.negs:
@@ -254,75 +279,88 @@ def solve(conj: Conjunction) -> SolveResult:
     return SolveResult(SolveStatus.UNKNOWN, reason=why)
 
 
-def _normalize(conj: Conjunction) -> _Problem:
+def _normalize(*parts: Conjunction | Part) -> _Problem:
     """Phase 1: sort the literals by role, refuting those no x satisfies.
-    A part's congruences are kept in its ``_memo`` for its offset, so the
-    parts ``verify`` conjoins path after path are normalized once."""
-    group = conj.group
-    prob = _Problem(conj)
-    parts, off = conj._parts, 0
-    for part in parts or (conj,):
-        memo = {} if parts is None else part._memo.setdefault(off, {})
-        for j, (lit, t) in enumerate(zip(part.literals, part.term_values)):
-            idx = off + j
-            if lit.kind is LitKind.CONG:
-                congs = memo.get(j)
-                if congs is None:
-                    congs = memo[j] = _congs_of(group, lit, t, part.params, idx)
-                prob.congs += congs
-            elif lit.kind is LitKind.ORD:
-                k, cmp = lit.k, lit.cmp
-                if k < 0:
-                    k, t, cmp = -k, neg(t), _CMP_FLIP[cmp]
-                hull = t if k == 1 else _raw_element(group, tuple(
-                    tuple((i, _divide(c, k)) for i, c in v)
-                    if block.kind == "GP" else _divide(v, k)
-                    for block, v in zip(group.blocks, t.coords)
-                ))
-                # keep the tightest bound per side: the larger low (smaller
-                # high) hull point, a strict bound on a tie, else the earlier one
-                strict = cmp in (">", "<")
-                if cmp in (">", ">="):
-                    cur = prob.low
-                    if not cur or (compare(hull, cur.hull) or strict - cur.strict) > 0:
-                        prob.low = _Bound(hull, strict, idx)
-                elif cmp != "=":
-                    cur = prob.high
-                    if not cur or (compare(hull, cur.hull) or cur.strict - strict) < 0:
-                        prob.high = _Bound(hull, strict, idx)
-                else:
-                    if not _in_group(group, hull):
-                        _refute(
-                            "equality-indivisible",
-                            (idx,),
-                            f"k*x = t has no solution: t is not divisible by {k}",
-                        )
-                    if prob.pin is not None and prob.pin[0] != hull:
-                        _refute("pin-conflict", (prob.pin[1], idx))
-                    prob.pin = (hull, idx)
-            elif lit.kind is LitKind.INGRP:
-                if lit.k < 0:
-                    t = neg(t)
-                for i in range(lit.alpha.s):
-                    q = block_divide(group.blocks[i], t.coords[i], abs(lit.k))
-                    if q is None:
-                        _refute(
-                            "coset-pin-indivisible",
-                            (idx,),
-                            "k*x pinned to a value outside the block",
-                            coordinate=i,
-                        )
-                    prev = prob.coord_pins.get(i)
-                    if prev is not None and prev[0] != q:
-                        _refute("pin-conflict", (prev[1], idx), coordinate=i)
-                    prob.coord_pins[i] = (q, idx)
+    A ``Part``'s congruences are kept in its memo for its offset, so the
+    parts ``verify`` passes path after path are normalized once."""
+    group = None
+    literals = values = memos = banks = ()
+    for part in parts:
+        conj, memo = part, None
+        if type(part) is Part:
+            conj, memo = part.conj, part.memo.setdefault(len(literals), {})
+        if group is None:
+            group = conj.group
+        elif conj.group is not group and conj.group != group:
+            raise PreconditionError("conjunctions over different group specs")
+        literals += conj.literals
+        values += conj.term_values
+        memos += (memo,) * len(conj.literals)
+        banks += (conj.params,) * len(conj.literals)
+    if group is None:
+        raise PreconditionError("solve needs at least one conjunction")
+    prob = _Problem(group, literals, values, memos)
+    for idx, (lit, t) in enumerate(zip(literals, values)):
+        if lit.kind is LitKind.CONG:
+            memo = memos[idx]
+            congs = None if memo is None else memo.get(idx)
+            if congs is None:
+                congs = _congs_of(group, lit, t, banks[idx], idx)
+                if memo is not None:
+                    memo[idx] = congs
+            prob.congs += congs
+        elif lit.kind is LitKind.ORD:
+            k, cmp = lit.k, lit.cmp
+            if k < 0:
+                k, t, cmp = -k, neg(t), _CMP_FLIP[cmp]
+            hull = t if k == 1 else _raw_element(group, tuple(
+                tuple((i, _divide(c, k)) for i, c in v)
+                if block.kind == "GP" else _divide(v, k)
+                for block, v in zip(group.blocks, t.coords)
+            ))
+            # keep the tightest bound per side: the larger low (smaller
+            # high) hull point, a strict bound on a tie, else the earlier one
+            strict = cmp in (">", "<")
+            if cmp in (">", ">="):
+                cur = prob.low
+                if not cur or (compare(hull, cur.hull) or strict - cur.strict) > 0:
+                    prob.low = _Bound(hull, strict, idx)
+            elif cmp != "=":
+                cur = prob.high
+                if not cur or (compare(hull, cur.hull) or cur.strict - strict) < 0:
+                    prob.high = _Bound(hull, strict, idx)
             else:
-                truth = _constant_truth(lit, t)
-                if truth is None:
-                    prob.negs.append(idx)
-                elif not truth and prob.false_lit is None:
-                    prob.false_lit = idx
-        off += len(part.literals)
+                if not _in_group(group, hull):
+                    _refute(
+                        "equality-indivisible",
+                        (idx,),
+                        f"k*x = t has no solution: t is not divisible by {k}",
+                    )
+                if prob.pin is not None and prob.pin[0] != hull:
+                    _refute("pin-conflict", (prob.pin[1], idx))
+                prob.pin = (hull, idx)
+        elif lit.kind is LitKind.INGRP:
+            if lit.k < 0:
+                t = neg(t)
+            for i in range(lit.alpha.s):
+                q = block_divide(group.blocks[i], t.coords[i], abs(lit.k))
+                if q is None:
+                    _refute(
+                        "coset-pin-indivisible",
+                        (idx,),
+                        "k*x pinned to a value outside the block",
+                        coordinate=i,
+                    )
+                prev = prob.coord_pins.get(i)
+                if prev is not None and prev[0] != q:
+                    _refute("pin-conflict", (prev[1], idx), coordinate=i)
+                prob.coord_pins[i] = (q, idx)
+        else:
+            truth = _constant_truth(lit, t)
+            if truth is None:
+                prob.negs.append(idx)
+            elif not truth and prob.false_lit is None:
+                prob.false_lit = idx
     return prob
 
 
@@ -360,17 +398,22 @@ def _congs_of(group: GroupSpec, lit, t: Element, bank, idx: int) -> tuple[_Cong,
     )
 
 
+def _satisfies(prob: _Problem, x: Element) -> bool:
+    """Whether x satisfies every literal, by the one evaluator's rule."""
+    return all(map(_holds, prob.literals, itertools.repeat(x), prob.values))
+
+
 def _decide_pinned(
-    conj: Conjunction, x: Element, cited: tuple[int, ...] | None, note: str
+    prob: _Problem, x: Element, cited: tuple[int, ...] | None, note: str
 ) -> NoReturn:
     """x is forced: SAT if it satisfies the conjunction, otherwise UNSAT
     citing `cited`, or the literals x fails when `cited` is None."""
-    if evaluate_conj(conj, x):
+    if _satisfies(prob, x):
         raise _Decided(SolveResult(SolveStatus.SAT, witness=x))
     if cited is None:
         cited = tuple(
             i
-            for i, (lit, t) in enumerate(zip(conj.literals, conj.term_values))
+            for i, (lit, t) in enumerate(zip(prob.literals, prob.values))
             if not _holds(lit, x, t)
         )
     _refute("pin-refuted", cited, note)
@@ -379,7 +422,7 @@ def _decide_pinned(
 def _carriers(prob: _Problem, i: int) -> list[_Cong]:
     """The congruences that constrain coordinate i: those reaching it whose
     prime the block carries residues for (block modulus above 1)."""
-    block = prob.conj.group.blocks[i]
+    block = prob.group.blocks[i]
     z, bp = block.kind == "Z", block.p
     # block_modulus(block, p) != 1 for a prime p: Z, or the block's own prime
     return [c for c in prob.congs if c.alpha_s > i and (z or c.p == bp)]
@@ -388,22 +431,19 @@ def _carriers(prob: _Problem, i: int) -> list[_Cong]:
 def _solve_slots(prob: _Problem) -> _Slots:
     """Phase 3: the residue class of every live slot, in coordinate then
     basis order; pins are checked and slots refuted in that order too."""
-    memos, off = [], 0  # per literal of a conjoined conjunction, its part's memo
-    for part in prob.conj._parts or ():
-        memos += [part._memo[off]] * len(part.literals)
-        off += len(part.literals)
     live: dict[int, set[int | None]] = {}
-    alone: dict[int, dict | None] = {}  # the memo of the one part live there
+    alone: dict[int, dict | None] = {}  # the memo of the one Part live there
     for c in prob.congs:
+        m = prob.memos[c.src]
         for i, bases in c.live:
             live.setdefault(i, set()).update(bases)
-            if memos:
-                m = memos[c.src]
-                alone[i] = m if alone.setdefault(i, m) is m else None
+            alone[i] = m if alone.setdefault(i, m) is m else None
     # with the part fixed, every congruence's (prime, exponent, cut) fixes
     # the other parts' top exponent per prime on each coordinate: all that
-    # _solve_slot reads of their zero targets
-    shape = tuple((c.p, c.e, c.alpha_s) for c in prob.congs) if alone else ()
+    # _solve_slot reads of their zero targets.  A memo holds its part's
+    # congruences by now, so it is never empty
+    shared = any(alone.values())
+    shape = tuple((c.p, c.e, c.alpha_s) for c in prob.congs) if shared else ()
     slots: _Slots = {}
     for i in sorted(live.keys() | prob.coord_pins.keys()):
         if i in prob.coord_pins:
@@ -436,7 +476,7 @@ def _solve_slots(prob: _Problem) -> _Slots:
 def _missed(prob: _Problem, i: int, value) -> _Cong | None:
     """The first congruence reaching coordinate i whose value there has other
     ``block_residues`` than `value`, a value of the block; None if none."""
-    block = prob.conj.group.blocks[i]
+    block = prob.group.blocks[i]
     for c in prob.congs:
         m = c.p**c.e
         if c.alpha_s > i and block_residues(block, value, m) != block_residues(
@@ -518,15 +558,13 @@ def _intersect_bounds(prob: _Problem) -> None:
     if c is Ordering.EQ:
         if low.strict or high.strict:
             _refute("order-bounds-empty", cited, "equal bounds with a strict side")
-        if not _in_group(prob.conj.group, low.hull):
+        if not _in_group(prob.group, low.hull):
             _refute(
                 "order-pin-indivisible",
                 cited,
                 "x is forced to a hull point outside the group",
             )
-        _decide_pinned(
-            prob.conj, low.hull, cited, "equal order bounds force x uniquely"
-        )
+        _decide_pinned(prob, low.hull, cited, "equal order bounds force x uniquely")
 
 
 def _candidates(prob: _Problem, slots: _Slots, walk) -> Iterator[Element]:
@@ -543,7 +581,7 @@ def _candidates(prob: _Problem, slots: _Slots, walk) -> Iterator[Element]:
     cut lies past it, and on a scalar coordinate such a literal rules out at
     most one n.  ``walk`` is ``_descend``'s result.
     """
-    group = prob.conj.group
+    group = prob.group
     residues = {i: v for i, (_, v) in slots.items()}
     pins, points, free = walk
     descent = _assemble(group, pins, residues)
@@ -556,7 +594,7 @@ def _candidates(prob: _Problem, slots: _Slots, walk) -> Iterator[Element]:
         if i not in pins:
             basis = None
             if group.blocks[i].kind == "GP":
-                support = (b for t in prob.conj.term_values for b, _ in t.coords[i])
+                support = (b for t in prob.values for b, _ in t.coords[i])
                 basis = max(support, default=0) + 1
             m = (slots.get(i) or _solve_slot(i, None, _carriers(prob, i)))[0]
             shifts.append((i, basis, m))
@@ -596,7 +634,7 @@ def _descend(prob: _Problem, slots: _Slots):
     bound's value.  With none usable the descent refutes
     (``order-gap-off-class``).
     """
-    group = prob.conj.group
+    group = prob.group
     pins = dict(prob.coord_pins)
     low, high = prob.low, prob.high
     for j, block in enumerate(group.blocks):
@@ -660,7 +698,7 @@ def _gap_points(prob: _Problem, slots: _Slots, j: int, lo, hi) -> Iterator:
     is placed by its b0 coefficient, the other coefficients keeping their
     slot residues; the real value of those and of the bounds is enclosed
     numerically, and the candidate is still checked exactly."""
-    block = prob.conj.group.blocks[j]
+    block = prob.group.blocks[j]
     m, r = slots.get(j) or _solve_slot(j, None, _carriers(prob, j))
     fixed: SpanPairs = ()
     if block.kind == "GP":

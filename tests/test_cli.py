@@ -239,13 +239,13 @@ def test_pattern_optimal_rejects_bad_spec(capsys):
 def test_pattern_with_a_sat_row_pair_exits_1(capsys, monkeypatch):
     import oag.patterns
 
-    # a row pair of chain(2, 1, 2) has 2 literals, a path 1
+    # a row pair of chain(2, 1, 2) has 2 instances, a path 1
     real = oag.patterns.solve
     monkeypatch.setattr(
         oag.patterns,
         "solve",
-        lambda conj: SolveResult(SolveStatus.SAT, witness=conj.group.zero())
-        if len(conj.literals) == 2 else real(conj),
+        lambda *parts: SolveResult(SolveStatus.SAT, witness=parts[0].conj.group.zero())
+        if len(parts) == 2 else real(*parts),
     )
     code, out, _ = run(
         capsys, "pattern", "chain", "--p", "2", "--depth", "1", "--width", "2",

@@ -343,7 +343,7 @@ def test_conjoin_many_matches_nested_binary_calls():
     assert many.literals == nested.literals
     assert many.params == nested.params
     assert many.term_values == nested.term_values
-    # the merged values are filled from the parts; recompute them from scratch
+    # the merged values equal those computed from scratch
     fresh = Conjunction(g, many.literals, many.params)
     assert many.term_values == fresh.term_values
     assert conjoin(parts[0]) == parts[0]
@@ -352,10 +352,11 @@ def test_conjoin_many_matches_nested_binary_calls():
         conjoin(parts[0], parts[1], other)
 
 
-def test_conjoin_shifts_a_part_once_per_offset():
+def test_conjoin_shifts_each_part_by_its_offset():
     # b sits at offset 2 in conjoin(a, b) and again in conjoin(a, b, b), where
     # it also sits at 3; a sits at 1 in conjoin(b, a).  The literals must be
-    # those of a fresh shift whether or not the part has been shifted before
+    # those of a fresh shift whether or not the part has been merged before,
+    # and the parts themselves stay as they were
     g = parse_spec("lex(Q, Gp(2))")
     a = Conjunction(
         g,
@@ -383,8 +384,8 @@ def test_conjoin_shifts_a_part_once_per_offset():
 
 
 def test_conjoin_matches_a_checked_conjunction_on_pattern_paths():
-    # conjoin skips Conjunction's checks on the merge; over random paths of
-    # generated patterns it must equal the conjunction built with them
+    # over random paths of generated patterns, conjoin must equal the
+    # conjunction built from the shifted literals and the appended banks
     rng = random.Random(17)
     patterns = [
         gen_chain_pattern(2, 3, 2).pattern,

@@ -12,6 +12,7 @@ from oag import (
     SolveStatus,
     Term,
     check_sp_lemma,
+    check_k_inconsistent,
     cong,
     count_convex_rows,
     dp_rank_bound,
@@ -294,6 +295,47 @@ def test_verify_rejects_a_non_integer_budget_or_radius(bad):
         verify(pattern, 4, cross_check_radius=bad)
 
 
+@pytest.mark.parametrize("bad", [2.0, Fraction(2)], ids=["float", "Fraction"])
+def test_pattern_row_rejects_a_non_integer_arity(bad):
+    # PatternRow(template, columns, 2.0) was built, and verify then failed
+    # inside itertools.combinations
+    g = GroupSpec((PSPAN(2),))
+    template = (cong(1, 2, ConvexCut(1), Term.of({0: 1})),)
+    columns = tuple((unit_element(g, 0, basis=j),) for j in range(3))
+    with pytest.raises(TypeError):
+        PatternRow(template, columns, bad)
+    instances = InpPattern(g, (PatternRow(template, columns, 2),)).instantiate
+    with pytest.raises(TypeError):
+        check_k_inconsistent([instances(0, j) for j in range(3)], bad)
+
+
+def test_verify_builds_a_conjunction_only_for_the_cross_check(monkeypatch):
+    # verify passes each path to solve as its instances; conjoin builds the
+    # conjunction the oracle searches, once per UNSAT row subset, and only
+    # with a cross-check radius
+    import oag.patterns
+
+    merged = []
+    real = oag.patterns.conjoin
+    monkeypatch.setattr(
+        oag.patterns, "conjoin", lambda *c: merged.append(c) or real(*c)
+    )
+    patterns = [
+        gen_chain_pattern(2, 3, 2).pattern,
+        gen_optimal_pattern([2, 3], [1, 1], 2).pattern,
+    ]
+    for pattern in patterns:
+        assert verify(pattern, 100).verified
+    assert not merged
+    for pattern in patterns:
+        rep = verify(pattern, 100, cross_check_radius=1)
+        assert rep.verified and all(r.cross_checked for r in rep.rows)
+    assert len(merged) == sum(
+        len(r.pair_results) for pattern in patterns
+        for r in verify(pattern, 100).rows
+    )
+
+
 def test_verify_computes_each_instance_term_once(monkeypatch):
     # every (row, column) instance is built once per verify call, and the
     # row checks and all paths reuse its term values
@@ -316,7 +358,8 @@ def test_verify_computes_each_instance_term_once(monkeypatch):
 
 def _path_work(monkeypatch, width):
     """verify chain(2, 3, width) over every path, counting the _solve_slot
-    calls of all path solves and every evaluate_conj call."""
+    calls of all path solves and every literal evaluation."""
+    import oag.formulas
     import oag.patterns
     import oag.solver
 
@@ -327,22 +370,22 @@ def _path_work(monkeypatch, width):
         slot_calls[0] += 1
         return real_slot(*args)
 
-    def counting_eval(conj, x, _real=evaluate_conj):
+    def counting_holds(lit, x, t, _real=oag.formulas._holds):
         evals[0] += 1
-        return _real(conj, x)
+        return _real(lit, x, t)
 
-    def path_solve(conj):
-        # row pairs reach solve here too; a row pair has 2 literals, a path 3
-        if len(conj.literals) != 3:
-            return real_solve(conj)
+    def path_solve(*parts):
+        # row pairs reach solve here too; a row pair has 2 parts, a path 3
+        if len(parts) != 3:
+            return real_solve(*parts)
         before = slot_calls[0]
-        res = real_solve(conj)
+        res = real_solve(*parts)
         per_path.append(slot_calls[0] - before)
         return res
 
     monkeypatch.setattr(oag.solver, "_solve_slot", counting_slot)
-    monkeypatch.setattr(oag.solver, "evaluate_conj", counting_eval)
-    monkeypatch.setattr(oag.patterns, "evaluate_conj", counting_eval)
+    monkeypatch.setattr(oag.solver, "_holds", counting_holds)
+    monkeypatch.setattr(oag.formulas, "_holds", counting_holds)
     monkeypatch.setattr(oag.patterns, "solve", path_solve)
     report = verify(gen_chain_pattern(2, 3, width).pattern, width**3)
     assert report.verified and len(report.paths) == width**3
@@ -353,13 +396,13 @@ def _path_work(monkeypatch, width):
 def test_path_work_does_not_grow_with_K(monkeypatch):
     # K = 12 and K = 20: the 3*width (row, column) instances are each live on
     # one coordinate, solved once over all paths and then read from the
-    # instance's memo, and a SAT path costs two evaluations, the solver's
-    # accept and verify's confirmation
+    # instance's memo, and each of a SAT path's 3 literals is evaluated
+    # twice, by the solver's accept and by verify's confirmation
     for width in (2, 4):
         with monkeypatch.context() as mp:
             slot_calls, evals, sat = _path_work(mp, width)
         assert slot_calls <= 3 * width
-        assert evals == 2 * sat
+        assert evals == 2 * 3 * sat
 
 
 def test_unknown_verdicts_reach_the_report_and_exit_code(monkeypatch, capsys):
@@ -367,7 +410,7 @@ def test_unknown_verdicts_reach_the_report_and_exit_code(monkeypatch, capsys):
     from oag.cli import main
 
     unknown = SolveResult(SolveStatus.UNKNOWN, reason="stubbed")
-    monkeypatch.setattr(oag.patterns, "solve", lambda conj: unknown)
+    monkeypatch.setattr(oag.patterns, "solve", lambda *parts: unknown)
     g = GroupSpec((PSPAN(2),))
     template = (cong(1, 2, ConvexCut(1), Term.of({0: 1})),)
     columns = tuple((unit_element(g, 0, basis=j),) for j in range(2))

@@ -13,6 +13,7 @@ from oag import (
     Element,
     InpPattern,
     PatternRow,
+    PreconditionError,
     SolveResult,
     SolveStatus,
     Term,
@@ -390,11 +391,13 @@ def test_check_k_inconsistent_propagates_an_unknown_subset(monkeypatch):
     cols = [conj_of(g, "cong[2, cut1](1x, 1*a0)", f"(b{j})") for j in range(3)]
     real_solve = oag.patterns.solve
     unknown = SolveResult(SolveStatus.UNKNOWN, reason="stubbed")
-    undecided = cols[0].params + cols[2].params
+    undecided = [cols[0], cols[2]]
 
-    def solve_but_one(conj):
+    def solve_but_one(*parts):
         # the subset of columns 0 and 2 is left undecided
-        return unknown if conj.params == undecided else real_solve(conj)
+        if [p.conj for p in parts] == undecided:
+            return unknown
+        return real_solve(*parts)
 
     monkeypatch.setattr(oag.patterns, "solve", solve_but_one)
     assert check_k_inconsistent(cols, 2) is None
@@ -588,8 +591,8 @@ def test_span_placement_encloses_fixed_residues(spec, formula, params, witness):
 def _every_slot_key(prob):
     """Every slot key, pinned coordinates skipped: on a span block one per
     basis of the term supports plus a fresh one."""
-    group = prob.conj.group
-    terms = prob.conj.term_values + tuple(c.value for c in prob.congs)
+    group = prob.group
+    terms = prob.values + tuple(c.value for c in prob.congs)
     for i, block in enumerate(group.blocks):
         if i in prob.coord_pins:
             continue
@@ -607,7 +610,7 @@ def _every_slot_solved(prob):
     (modulus, residues), the nonzero residues of a span block as sorted
     (basis, residue) pairs; every basis of a coordinate has one modulus.
     Pinned coordinates are skipped without checking the pins."""
-    blocks = prob.conj.group.blocks
+    blocks = prob.group.blocks
     slots = {}
     for i, b in _every_slot_key(prob):
         here = [
@@ -635,7 +638,7 @@ def _every_coordinate_expanded(prob):
     """The live coordinates of phase 3, and on every other unpinned
     coordinate the modulus the solver reads there, with zero residues."""
     live = solver._solve_slots(prob)
-    blocks = prob.conj.group.blocks
+    blocks = prob.group.blocks
     return {
         i: live.get(i) or (
             solver._solve_slot(i, None, solver._carriers(prob, i))[0],
@@ -650,40 +653,48 @@ def _slot_value(c, i, b):
     return v if b is None else span_coefficient(v, b)
 
 
-def _chain_conjunctions(p, depth, width, row_pairs):
-    """The path conjunctions of chain(p, depth, width), and with row_pairs
-    also every pair of columns of a row, conjoined from one set of
-    instances as verify conjoins them."""
+def _chain_paths(p, depth, width, row_pairs):
+    """The paths of chain(p, depth, width), and with row_pairs also every
+    pair of columns of a row, as tuples of Part records shared by all of
+    them, as verify passes them to solve."""
     pattern = gen_chain_pattern(p, depth, width).pattern
-    inst = [[pattern.instantiate(i, j) for j in range(width)] for i in range(depth)]
+    inst = [
+        [solver.Part(pattern.instantiate(i, j)) for j in range(width)]
+        for i in range(depth)
+    ]
     out = [
-        conjoin(*(inst[i][j] for i, j in enumerate(eta)))
+        tuple(inst[i][j] for i, j in enumerate(eta))
         for eta in itertools.product(range(width), repeat=depth)
     ]
     if row_pairs:
-        out += [conjoin(*pair) for row in inst for pair in itertools.combinations(row, 2)]
+        out += [pair for row in inst for pair in itertools.combinations(row, 2)]
     return out
+
+
+def _alone(conjs):
+    return [(c,) for c in conjs]
 
 
 # K <= 3 conjunctions of every literal kind; the K = 28 Gp(2) spans of the
 # benchmark's chain with its 18 conflicting row pairs, and a chain of another
-# prime; Z slots that two primes constrain, in the order-gap corpus
+# prime; Z slots that two primes constrain, in the order-gap corpus.  Each
+# item is the argument tuple of solve
 _SLOT_CORPORA = {
-    "11": lambda: random_conjunctions(11, 300),
-    "1009": lambda: random_conjunctions(1009, 300),
-    "chain-2-6-3": lambda: _chain_conjunctions(2, 6, 3, row_pairs=True),
-    "chain-3-4-3": lambda: _chain_conjunctions(3, 4, 3, row_pairs=False),
-    "order-gap-4242": lambda: order_gap_conjunctions(4242, 2000),
+    "11": lambda: _alone(random_conjunctions(11, 300)),
+    "1009": lambda: _alone(random_conjunctions(1009, 300)),
+    "chain-2-6-3": lambda: _chain_paths(2, 6, 3, row_pairs=True),
+    "chain-3-4-3": lambda: _chain_paths(3, 4, 3, row_pairs=False),
+    "order-gap-4242": lambda: _alone(order_gap_conjunctions(4242, 2000)),
 }
 
 
 @pytest.mark.parametrize("corpus", list(_SLOT_CORPORA))
 def test_solve_slots_match_solving_every_slot(corpus):
-    conjs = _SLOT_CORPORA[corpus]()
+    items = _SLOT_CORPORA[corpus]()
     compared = zero_slots = 0
-    for conj in conjs:
+    for parts in items:
         try:
-            prob = solver._normalize(conj)
+            prob = solver._normalize(*parts)
         except solver._Decided:
             continue
         got = _slots_or_verdict(_every_coordinate_expanded, prob)
@@ -696,7 +707,7 @@ def test_solve_slots_match_solving_every_slot(corpus):
         if isinstance(got, list):
             # phase 3 keeps exactly the coordinates where a congruence
             # carrying residues on the block has a nonzero value
-            blocks = conj.group.blocks
+            blocks = prob.group.blocks
             live = [
                 (i, slot) for i, slot in got
                 if any(
@@ -714,7 +725,7 @@ def test_solve_slots_match_solving_every_slot(corpus):
                     _slot_value(c, i, b) for c in prob.congs if c.alpha_s > i
                 )
             )
-    assert compared > min(200, len(conjs) - 1) and zero_slots > 0
+    assert compared > min(200, len(items) - 1) and zero_slots > 0
 
 
 def _solve_slot_reference(coord, basis, congs):
@@ -748,43 +759,88 @@ def _solve_slot_reference(coord, basis, congs):
     return m, r
 
 
-def _normalized(conj):
-    """solver._normalize's record without the conjunction, or its verdict."""
+def _normalized(*parts):
+    """solver._normalize's record without the literals, whose terms index
+    their own part's bank, and the memos, or its verdict."""
     try:
-        prob = solver._normalize(conj)
+        prob = solver._normalize(*parts)
     except solver._Decided as decided:
         return decided.result
-    return [getattr(prob, f.name) for f in dataclasses.fields(prob)[1:]]
+    skip = ("literals", "memos")
+    return [getattr(prob, f.name) for f in dataclasses.fields(prob) if f.name not in skip]
 
 
 @pytest.mark.parametrize("seed", [3, 4])
-def test_conjoined_parts_normalize_as_one_conjunction(seed):
-    # _normalize reads the congruences of a part of a conjoined conjunction
-    # from the part's memo for its offset.  Parts conjoined again and again,
-    # at several offsets and twice in one conjunction, give what a fresh
-    # conjunction of the same literals gives, rewritten congruences and
-    # refutations (cited by their index in the whole) included
+def test_solve_of_parts_matches_solve_of_their_conjunction(seed):
+    # solve(*parts) numbers the literals as conjoin does and reads each
+    # Part's congruences and lone slots from its memo for its offset.  Part
+    # records shared across calls, 1-3 of them at several offsets, in both
+    # orders and one of them twice in a call, give what solve of the
+    # conjoined conjunction gives, rewritten congruences and refutations
+    # (cited by their index in the whole) included; so does every path of
+    # two generated patterns, its parts shared by all the paths, which are
+    # taken in a seeded order
     rng = random.Random(seed)
     by_spec = {}
     for c in order_gap_conjunctions(seed, 300) + random_conjunctions(seed, 300):
         by_spec.setdefault(str(c.group), []).append(c)
-    rewritten = later_refuted = 0
-    for parts in by_spec.values():
-        for _ in range(2 * len(parts)):
-            merged = conjoin(*rng.choices(parts, k=rng.randint(1, 3)))
-            fresh = Conjunction(merged.group, merged.literals, merged.params)
-            got = _normalized(merged)
-            assert got == _normalized(fresh)
-            assert solve(merged) == solve(fresh)
-            rewritten += any(
-                lit.kind is LitKind.CONG and lit.k != 1 for lit in merged.literals
-            ) and not isinstance(got, SolveResult)
-            later_refuted += isinstance(got, SolveResult) and any(
-                e.kind == "congruence-term-not-reducible"
-                and e.literals[0] >= len(merged._parts[0].literals)
-                for e in got.certificate
-            )
-    assert rewritten > 200 and later_refuted > 20
+    seen = dict.fromkeys(("rewritten", "later refuted", "twice", "offsets"), 0)
+    for conjs in by_spec.values():
+        parts = [solver.Part(c) for c in conjs]
+        for _ in range(2 * len(conjs)):
+            chosen = rng.choices(range(len(conjs)), k=rng.randint(1, 3))
+            for order in (chosen, chosen[::-1]):
+                merged = conjoin(*(conjs[n] for n in order))
+                args = [parts[n] for n in order]
+                got = _normalized(*args)
+                assert got == _normalized(merged)
+                assert solve(*args).to_json_dict() == solve(merged).to_json_dict()
+                seen["rewritten"] += any(
+                    lit.kind is LitKind.CONG and lit.k != 1 for lit in merged.literals
+                ) and not isinstance(got, SolveResult)
+                seen["later refuted"] += isinstance(got, SolveResult) and any(
+                    e.kind == "congruence-term-not-reducible"
+                    and e.literals[0] >= len(conjs[order[0]].literals)
+                    for e in got.certificate
+                )
+            seen["twice"] += len(set(chosen)) < len(chosen)
+        seen["offsets"] += sum(len(p.memo) > 1 for p in parts)
+    for pattern in (
+        gen_chain_pattern(2, 4, 3).pattern,
+        gen_optimal_pattern([2, 3], [2, 1], 3).pattern,
+    ):
+        inst = [
+            [pattern.instantiate(i, j) for j in range(len(row.columns))]
+            for i, row in enumerate(pattern.rows)
+        ]
+        parts = [[solver.Part(c) for c in row] for row in inst]
+        etas = list(itertools.product(*(range(len(row)) for row in inst)))
+        rng.shuffle(etas)
+        for eta in etas:
+            got = solve(*(parts[i][j] for i, j in enumerate(eta)))
+            want = solve(conjoin(*(inst[i][j] for i, j in enumerate(eta))))
+            assert got.to_json_dict() == want.to_json_dict()
+            assert got.status is SolveStatus.SAT
+    assert seen["rewritten"] > 500 and seen["later refuted"] > 50, seen
+    assert seen["twice"] > 100 and seen["offsets"] > 200, seen
+
+
+def test_solve_needs_conjunctions_over_one_group():
+    # the error conjoin raises for mismatched groups, also where the first
+    # argument alone refutes, and for no argument at all
+    refuted = conj_of(parse_spec("lex(Z)"), "ing[cut1](2x, 1*a0)", "(1)")
+    assert solve(refuted).status is SolveStatus.UNSAT
+    other = conj_of(parse_spec("lex(Q)"), "1x > 1*a0", "(1)")
+    for args in (
+        (refuted, other),
+        (other, refuted),
+        (solver.Part(refuted), other),
+        (solver.Part(refuted), solver.Part(other)),
+    ):
+        with pytest.raises(PreconditionError):
+            solve(*args)
+    with pytest.raises(PreconditionError):
+        solve()
 
 
 # parts to conjoin with the part P below, which asks for x = 2 mod 8 on its
@@ -804,17 +860,17 @@ _OTHER_PARTS = {
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_slot_memo_keys_the_other_parts_top_exponents(monkeypatch, reverse):
-    # phase 3 keeps a coordinate on which one part of a conjoined conjunction
-    # alone is live in that part's memo, keyed by the other parts' top
-    # exponent per prime there.  Shared parts, first used in either order,
-    # give what parts made fresh for each conjunction give: only an equal
-    # key reuses, a refutation is never kept, and a coordinate where two
-    # parts are live is solved anew
+    # phase 3 keeps a coordinate on which one Part passed to solve alone is
+    # live in that part's memo, keyed by the other parts' top exponent per
+    # prime there.  Shared Part records, first used in either order, give
+    # what records made fresh for each call give: only an equal key reuses,
+    # a refutation is never kept, and a coordinate where two parts are live
+    # is solved anew
     g = parse_spec("lex(Z, Gp(2))")
     texts = {"P": ("cong[8, cut2](1x, 1*a0)", "(2 | 2*b0 + 6*b1)"), **_OTHER_PARTS}
 
     def parts():
-        return {name: conj_of(g, *text) for name, text in texts.items()}
+        return {name: solver.Part(conj_of(g, *text)) for name, text in texts.items()}
 
     calls = []
     real_slot = solver._solve_slot
@@ -822,9 +878,9 @@ def test_slot_memo_keys_the_other_parts_top_exponents(monkeypatch, reverse):
         solver, "_solve_slot", lambda *args: calls.append(args) or real_slot(*args)
     )
 
-    def run(conj):
-        prob = solver._normalize(conj)
-        return solve(conj), _slots_or_verdict(solver._solve_slots, prob)
+    def run(*parts):
+        prob = solver._normalize(*parts)
+        return solve(*parts), _slots_or_verdict(solver._solve_slots, prob)
 
     shared = parts()
     names = sorted(_OTHER_PARTS, reverse=reverse)
@@ -833,9 +889,9 @@ def test_slot_memo_keys_the_other_parts_top_exponents(monkeypatch, reverse):
     for name in names:
         for order in ((name, "P"), ("P", name)):
             fresh = parts()
-            want = run(conjoin(*(fresh[n] for n in order)))
+            want = run(*(fresh[n] for n in order))
             del calls[:]
-            got[order] = run(conjoin(*(shared[n] for n in order)))
+            got[order] = run(*(shared[n] for n in order))
             assert got[order] == want, order
             if name == second:
                 assert not calls  # the key of the other "smaller" part
@@ -1026,7 +1082,7 @@ def _appends_a_fresh_basis(x, slots, prob) -> bool:
     span coordinate whose residues it keeps below that basis."""
     for i, (m, v) in slots.items():
         if type(v) is tuple and v and x.coords[i][:-1] == v:
-            support = (b for t in prob.conj.term_values for b, _ in t.coords[i])
+            support = (b for t in prob.values for b, _ in t.coords[i])
             if x.coords[i][-1][0] > max(support, default=-1):
                 return True
     return False
