@@ -213,10 +213,13 @@ def _finish_pattern(args, gen: GeneratedPattern) -> int:
             for r in report.rows:
                 cross = "" if r.cross_checked is None else f" (oracle corroborated: {r.cross_checked})"
                 print(f"row {r.index}: {r.k}-inconsistent: {r.verdict}{cross}")
-            sat = sum(1 for p in report.paths if p.status == "SAT")
+            n = len(report.paths)
+            sat = [p for p in report.paths if p.status == "SAT"]
+            failed = [p.eta for p in sat if not p.confirmed]
             print(
-                f"paths: {sat}/{len(report.paths)} SAT"
+                f"paths: {len(sat)}/{n} SAT, {len(sat) - len(failed)}/{n} confirmed"
                 + (f" (sampled from {report.total_paths})" if report.sampled else "")
+                + (f"; first unconfirmed: path {failed[0]}" if failed else "")
             )
             for u in report.unknowns:
                 print(f"unknown: {u}")

@@ -6,7 +6,8 @@ claimed inconsistency arity k.  The pattern is verified when
 
 * for every row, every k-subset of its columns is jointly unsatisfiable, and
 * for every path (one column chosen per row) the combined conjunction is
-  satisfiable, with an evaluator-confirmed witness.
+  satisfiable, with a witness that the solver's evaluator accepted and the
+  independent reference evaluator of :mod:`oag.checker` confirms.
 
 A verified pattern of depth n witnesses that no uniform bound below n can
 hold for the group, so the generators here produce, for any requested size,
@@ -24,6 +25,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, Sequence
 
+from .checker import InstanceCheck, confirm
 from .convex import ConvexCut, hsub, sorts
 from .errors import PreconditionError
 from .formulas import (
@@ -33,8 +35,8 @@ from .formulas import (
     Term,
     classify,
     conjoin,
-    evaluate_conj,
     cong,
+    evaluate_conj,  # verify does not call it; perfbench's tracer binds this name
     ord_lit,
 )
 from .groups import Element, GroupSpec, PSPAN, RAT, add, scale, unit_element
@@ -215,12 +217,14 @@ def verify(
     drawn from the recorded seed.  Each (row, column) instance is passed to
     ``solve`` as one ``Part`` in every row subset and path through it, so
     what the solver derives from it is derived once, and no path is built
-    as one conjunction.  Every SAT witness of a path is re-checked through
-    the literal evaluator, instance by instance, independently of how the
-    solver produced it.  When a cross-check radius is given, every UNSAT
-    row verdict is also corroborated by the brute-force oracle finding no
-    witness in the conjunction of the subset.  A budget or radius that is
-    not an integer raises TypeError.
+    as one conjunction.  ``solve`` accepts a path's SAT witness with the
+    literal evaluator of ``formulas``; ``verify`` then confirms it with the
+    reference evaluator of ``checker``, which shares no evaluation helper
+    with that one, against one ``InstanceCheck`` per instance, built once.
+    When a cross-check radius is given, every UNSAT row verdict is also
+    corroborated by the brute-force oracle finding no witness in the
+    conjunction of the subset.  A budget or radius that is not an integer
+    raises TypeError.
     """
     if operator.index(path_budget) < 1:
         raise ValueError("the path budget must be positive")
@@ -232,6 +236,7 @@ def verify(
         [Part(pattern.instantiate(i, j)) for j in range(len(row.columns))]
         for i, row in enumerate(pattern.rows)
     ]
+    checks = [[InstanceCheck(part.conj) for part in row] for row in inst]
     rows = []
     for i, row in enumerate(pattern.rows):
         verdict, pairs, cross_ok = _solve_k_subsets(inst[i], row.k, cross_check_radius)
@@ -265,7 +270,9 @@ def verify(
         res = solve(*path)
         confirmed = False
         if res.status is SolveStatus.SAT:
-            confirmed = all(evaluate_conj(p.conj, res.witness) for p in path)
+            confirmed = confirm(
+                [checks[i][j] for i, j in enumerate(eta)], res.witness
+            )
         elif res.status is SolveStatus.UNKNOWN:
             unknowns.append(f"path {eta} undecided: {res.reason}")
         path_results.append(

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -358,13 +359,16 @@ def test_verify_computes_each_instance_term_once(monkeypatch):
 
 def _path_work(monkeypatch, width):
     """verify chain(2, 3, width) over every path, counting the _solve_slot
-    calls of all path solves and every literal evaluation."""
+    calls of all path solves, every literal evaluation by _holds, and every
+    instance check by the reference evaluator."""
+    import oag.checker
     import oag.formulas
     import oag.patterns
     import oag.solver
 
-    slot_calls, evals, per_path = [0], [0], []
+    slot_calls, evals, checks, per_path = [0], [0], [0], []
     real_slot, real_solve = oag.solver._solve_slot, oag.patterns.solve
+    real_check = oag.checker.InstanceCheck.holds
 
     def counting_slot(*args):
         slot_calls[0] += 1
@@ -373,6 +377,10 @@ def _path_work(monkeypatch, width):
     def counting_holds(lit, x, t, _real=oag.formulas._holds):
         evals[0] += 1
         return _real(lit, x, t)
+
+    def counting_check(self, x, nonzero):
+        checks[0] += 1
+        return real_check(self, x, nonzero)
 
     def path_solve(*parts):
         # row pairs reach solve here too; a row pair has 2 parts, a path 3
@@ -386,23 +394,75 @@ def _path_work(monkeypatch, width):
     monkeypatch.setattr(oag.solver, "_solve_slot", counting_slot)
     monkeypatch.setattr(oag.solver, "_holds", counting_holds)
     monkeypatch.setattr(oag.formulas, "_holds", counting_holds)
+    monkeypatch.setattr(oag.checker.InstanceCheck, "holds", counting_check)
     monkeypatch.setattr(oag.patterns, "solve", path_solve)
     report = verify(gen_chain_pattern(2, 3, width).pattern, width**3)
     assert report.verified and len(report.paths) == width**3
     sat = sum(p.status == "SAT" for p in report.paths)
-    return sum(per_path), evals[0], sat
+    return sum(per_path), evals[0], checks[0], sat
 
 
 def test_path_work_does_not_grow_with_K(monkeypatch):
     # K = 12 and K = 20: the 3*width (row, column) instances are each live on
     # one coordinate, solved once over all paths and then read from the
-    # instance's memo, and each of a SAT path's 3 literals is evaluated
-    # twice, by the solver's accept and by verify's confirmation
+    # instance's memo.  Each of a SAT path's 3 literals is evaluated once by
+    # _holds, in the solver's accept check, and each of its 3 instances is
+    # checked once by the reference evaluator, in verify's confirmation
     for width in (2, 4):
         with monkeypatch.context() as mp:
-            slot_calls, evals, sat = _path_work(mp, width)
+            slot_calls, evals, checks, sat = _path_work(mp, width)
         assert slot_calls <= 3 * width
-        assert evals == 2 * 3 * sat
+        assert evals == 3 * sat
+        assert checks == 3 * sat
+
+
+def _stub_second_path(monkeypatch):
+    """Make every one-instance path of a depth-1 pattern SAT with the
+    witness of path (0,), which fails the instance of path (1,)."""
+    import oag.patterns
+
+    real = oag.patterns.solve
+    first = {}
+
+    def stub(*parts):
+        res = real(*parts)
+        if len(parts) == 1:
+            first.setdefault("witness", res.witness)
+            return SolveResult(SolveStatus.SAT, witness=first["witness"])
+        return res
+
+    monkeypatch.setattr(oag.patterns, "solve", stub)
+
+
+def test_an_unconfirmed_witness_fails_the_path_and_the_report(monkeypatch):
+    _stub_second_path(monkeypatch)
+    rep = verify(gen_chain_pattern(2, 1, 2).pattern, 100)
+    assert [(p.eta, p.status, p.confirmed) for p in rep.paths] == [
+        ((0,), "SAT", True),
+        ((1,), "SAT", False),
+    ]
+    assert rep.paths[0].witness == rep.paths[1].witness
+    assert all(r.verdict == "true" for r in rep.rows) and not rep.unknowns
+    assert not rep.verified
+
+
+def test_an_unconfirmed_witness_exits_1_and_names_the_path(monkeypatch, capsys):
+    from oag.cli import main
+
+    argv = ["pattern", "chain", "--p", "2", "--depth", "1", "--width", "2", "--verify"]
+    assert main(argv) == 0
+    assert "paths: 2/2 SAT, 2/2 confirmed" in capsys.readouterr().out.splitlines()
+    _stub_second_path(monkeypatch)
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "verified: False" in lines
+    assert (
+        "paths: 2/2 SAT, 1/2 confirmed; first unconfirmed: path (1,)" in lines
+    )
+    assert main(argv + ["--json"]) == 1
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert [p["confirmed"] for p in report["paths"]] == [True, False]
+    assert report["verified"] is False
 
 
 def test_unknown_verdicts_reach_the_report_and_exit_code(monkeypatch, capsys):

@@ -20,6 +20,7 @@ from oag import (
     solve,
     verify,
 )
+from oag.checker import InstanceCheck, confirm
 from oag.cli import main
 
 from helpers import assert_canonical, random_conjunctions
@@ -115,7 +116,8 @@ def test_solve_mix_digest():
     # default separators.  Against the parent results: a decided verdict
     # never changes, an UNSAT certificate never changes, a SAT witness
     # changes only where it is marked "moved", and every SAT witness passes
-    # the evaluator and is in canonical form.  A new verdict replaces an
+    # the evaluator, passes the reference evaluator of oag.checker, and is
+    # in canonical form.  A new verdict replaces an
     # UNKNOWN; every tenth new UNSAT is checked against the radius-2 oracle.
     # With no live negated literal the descent point is the one candidate,
     # and no item reaches the UNKNOWN reason left for its failure.
@@ -131,6 +133,7 @@ def test_solve_mix_digest():
     for conj, res, out, line in zip(corpus, solved, results, parent):
         if res.status is SolveStatus.SAT:
             assert evaluate_conj(conj, res.witness)
+            assert confirm([InstanceCheck(conj)], res.witness)
             assert_canonical(res.witness)
         status, *rest = line.split()
         if status == "UNKNOWN":
