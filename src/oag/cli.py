@@ -234,19 +234,17 @@ def _cmd_pattern_chain(args) -> int:
 def _split_optimal_spec(spec: GroupSpec) -> tuple[list[int], list[int]]:
     blocks = spec.blocks
     if blocks[0].kind != "Q" or len(blocks) < 2:
-        raise ParseError(
-            "the optimal construction needs lex(Q, Gp(p0)^k0, ...)", 0
-        )
+        raise ValueError("the optimal construction needs lex(Q, Gp(p0)^k0, ...)")
     primes: list[int] = []
     mults: list[int] = []
     for b in blocks[1:]:
         if b.kind != "GP":
-            raise ParseError("blocks after Q must all be Gp(p)", 0)
+            raise ValueError("blocks after Q must all be Gp(p)")
         if primes and primes[-1] == b.p:
             mults[-1] += 1
         else:
             if b.p in primes:
-                raise ParseError("Gp segments must have distinct primes", 0)
+                raise ValueError("Gp segments must have distinct primes")
             primes.append(b.p)
             mults.append(1)
     return primes, mults
