@@ -19,9 +19,10 @@ none of ``_holds``, ``in_coset``, ``in_subgroup``, ``coset_key``,
 * Order comparisons and disequalities compare k*x with t by
   ``groups.compare``, after ``groups.scale``.
 
-``verify`` builds one ``InstanceCheck`` per (row, column) instance and
-confirms a path witness with ``confirm``, which lists the witness's nonzero
-coordinates once for all the path's literals.
+``verify`` builds one ``InstanceCheck`` per (row, column) instance, all of
+them sharing one dict of per-(modulus, cut) tables, and confirms a path
+witness with ``confirm``, which lists the witness's nonzero coordinates
+once for all the path's literals.
 """
 
 from __future__ import annotations
@@ -80,13 +81,15 @@ class _LiteralCheck:
     """One literal with the value t of its term, ready to be decided at
     any x of the group.  An order literal or disequality keeps the
     orderings of k*x against t under which it holds.  A coset or subgroup
-    literal keeps its cut s, the modulus of each block below the cut, and
-    the term's nonzero coordinates below the cut that are not divisible
-    there, where k*x - t fails whenever x is zero."""
+    literal keeps its cut s, the modulus of each block below the cut and
+    which of those blocks are span blocks, both taken from ``tables`` (for
+    t's group, by (modulus, cut)) when given and filled in there, and the
+    term's nonzero coordinates below the cut that are not divisible there,
+    where k*x - t fails whenever x is zero."""
 
     __slots__ = ("k", "t", "orders", "positive", "s", "mods", "spans", "off")
 
-    def __init__(self, lit: Literal, t: Element):
+    def __init__(self, lit: Literal, t: Element, tables: dict | None = None):
         self.k, self.t = lit.k, t
         kind = lit.kind
         self.orders = (
@@ -98,10 +101,17 @@ class _LiteralCheck:
             return
         self.positive = kind in (LitKind.CONG, LitKind.INGRP)
         self.s = s = lit.alpha.s
-        blocks = t.spec.blocks[:s]
         m = lit.m if kind in (LitKind.CONG, LitKind.NCONG) else 0
-        self.mods = mods = tuple(_modulus(b, m) for b in blocks)
-        self.spans = spans = tuple(b.kind == "GP" for b in blocks)
+        table = None if tables is None else tables.get((m, s))
+        if table is None:
+            blocks = t.spec.blocks[:s]
+            table = (
+                tuple(_modulus(b, m) for b in blocks),
+                tuple(b.kind == "GP" for b in blocks),
+            )
+            if tables is not None:
+                tables[(m, s)] = table
+        self.mods, self.spans = mods, spans = table
         self.off = tuple(
             i
             for i, v in enumerate(t.coords[:s])
@@ -164,14 +174,16 @@ def holds(lit: Literal, x: Element, t: Element) -> bool:
 
 class InstanceCheck:
     """The literals of one conjunction with their term values, read once,
-    for deciding the conjunction at many x."""
+    for deciding the conjunction at many x.  The instances of one group may
+    share their per-(modulus, cut) tables through one ``tables`` dict."""
 
     __slots__ = ("group", "checks")
 
-    def __init__(self, conj: Conjunction):
+    def __init__(self, conj: Conjunction, tables: dict | None = None):
         self.group: GroupSpec = conj.group
         self.checks = tuple(
-            _LiteralCheck(lit, t) for lit, t in zip(conj.literals, conj.term_values)
+            _LiteralCheck(lit, t, tables)
+            for lit, t in zip(conj.literals, conj.term_values)
         )
 
     def holds(self, x: Element, nonzero: Sequence[int]) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 
 from .errors import PreconditionError
-from .groups import Element, GroupSpec, block_modulus, block_residues, coset_key
+from .groups import Element, GroupSpec, block_modulus, coset_key
 
 
 @dataclass(frozen=True, order=True)
@@ -50,9 +50,19 @@ def in_coset(x: Element, cut: ConvexCut, m: int) -> bool:
     blocks, coords = x.spec.blocks, x.coords
     if cut.s > len(blocks):  # a cut index is never negative
         _check_cut(x.spec, cut)
-    # coset_key's walk, stopped at the first residue (not coset_key was slower)
+    # coset_key's walk, stopped at the first residue (not coset_key was
+    # slower): a residue is nonzero exactly when the modulus of the block
+    # does not divide the numerator, as in numutil.residue_mod
     for i in compress(range(cut.s), coords):
-        if block_residues(blocks[i], coords[i], m):
+        block = blocks[i]
+        mod = block_modulus(block, m)
+        if mod == 1:
+            continue
+        if block.kind == "GP":
+            for _, c in coords[i]:
+                if c.numerator % mod:
+                    return False
+        elif coords[i].numerator % mod:
             return False
     return True
 

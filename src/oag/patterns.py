@@ -214,13 +214,17 @@ def verify(
 
     All paths are enumerated when their number fits the budget; otherwise a
     deterministic pseudo-random sample of path_budget distinct paths is
-    drawn from the recorded seed.  Each (row, column) instance is passed to
-    ``solve`` as one ``Part`` in every row subset and path through it, so
-    what the solver derives from it is derived once, and no path is built
-    as one conjunction.  ``solve`` accepts a path's SAT witness with the
-    literal evaluator of ``formulas``; ``verify`` then confirms it with the
+    drawn from the recorded seed.  Each (row, column) instance is built
+    once, as one ``Part``, the solver's record of it, and passed to
+    ``solve`` in every row subset and path through it: its congruences are
+    normalized and its own slot classes solved once, each path's slots are
+    merged from its instances' records, and no path is built as one
+    conjunction.  ``solve`` accepts a path's SAT witness with the literal
+    evaluator of ``formulas``; ``verify`` then confirms it with the
     reference evaluator of ``checker``, which shares no evaluation helper
-    with that one, against one ``InstanceCheck`` per instance, built once.
+    with that one, against one ``InstanceCheck`` per instance, built once
+    beside its ``Part``, the checks sharing their per-(modulus, cut)
+    tables.
     When a cross-check radius is given, every UNSAT row verdict is also
     corroborated by the brute-force oracle finding no witness in the
     conjunction of the subset.  A budget or radius that is not an integer
@@ -236,7 +240,8 @@ def verify(
         [Part(pattern.instantiate(i, j)) for j in range(len(row.columns))]
         for i, row in enumerate(pattern.rows)
     ]
-    checks = [[InstanceCheck(part.conj) for part in row] for row in inst]
+    tables: dict = {}  # the reference checks' per-(modulus, cut) tables
+    checks = [[InstanceCheck(part.conj, tables) for part in row] for row in inst]
     rows = []
     for i, row in enumerate(pattern.rows):
         verdict, pairs, cross_ok = _solve_k_subsets(inst[i], row.k, cross_check_radius)

@@ -8,10 +8,10 @@ never guessed.
 Shape of the decision: ``solve`` decides the conjunction of its arguments,
 numbering their literals as ``formulas.conjoin`` numbers those of the
 conjunction it builds, so the certificates cite the same indices.  An
-argument is a ``Conjunction`` or a ``Part``, which keeps what phases 1 and 3
-derive from its conjunction per literal offset, so that ``verify``, which
-passes each (row, column) instance as one ``Part`` on every path through it,
-derives it once.  The phases below run in order over one ``_Problem``
+argument is a ``Conjunction`` or a ``Part``, the record of what phases 1
+and 3 derive from its conjunction, so that ``verify``, which passes each
+(row, column) instance as one ``Part`` on every path through it, derives
+it once.  The phases below run in order over one ``_Problem``
 record, and a phase that settles the answer raises ``_Decided``.
 
 1.  ``_normalize`` sorts the literals by role.  Positive congruence literals
@@ -42,11 +42,15 @@ record, and a phase that settles the answer raises ``_Decided``.
     so each live coordinate keeps (M, its residues as a block value), which
     ``_assemble`` places as it is; on any other coordinate ``_solve_slot``
     gives (M, 0).  A pinned coordinate has no slot; ``_missed`` checks that
-    its pin has the ``block_residues`` of every congruence value there.  A
-    coordinate where one ``Part`` alone is live is kept in its memo, keyed
-    by every congruence's (prime, exponent, cut): the other arguments are
-    zero there, so ``_solve_slot`` reads of them only their top exponent per
-    prime, which the key fixes.  A refutation is never kept.
+    its pin has the ``block_residues`` of every congruence value there.
+    When every argument is a ``Part``, each one's own slot entries, solved
+    alone, are derived once (``_derive_slots``) and a coordinate takes the
+    entry of the part live there unless a pair of the parts clashes on it
+    (``_merge_slots``, by Ore's pairwise rule): the other parts ask there
+    only for residue 0 modulo their own prime powers.  A clash, or a part
+    conflicting on its own, leaves the coordinate to ``_solve_slot`` over
+    all its congruences, so a refutation and its certificate are those of
+    the conjoined conjunction.
 4.  ``_intersect_bounds``: the tightest bounds are intersected in the
     divisible hull by comparing their hull points.  An empty interval is
     UNSAT; equal bounds force x to their hull point, UNSAT off the group
@@ -76,6 +80,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -119,6 +124,7 @@ from .numutil import (
     factorize,
     int_above,
     int_below,
+    int_valuation,
     residue_mod,
 )
 
@@ -211,14 +217,24 @@ _Slots = dict[int, tuple[int, object]]
 
 @dataclass(eq=False)
 class Part:
-    """A conjunction passed to ``solve`` together with what phases 1 and 3
-    derive from it there, per literal offset: its literals' normalized
-    congruences, by their index among ``solve``'s literals, and the slots of
-    the coordinates where it alone is live, by (coordinate, shape) key.  It
-    lives as long as the record does."""
+    """A conjunction passed to ``solve``, with what phases 1 and 3 derive
+    from it, kept as long as the record is.  ``memo`` holds, per literal
+    offset, its literals' normalized congruences by their index among
+    ``solve``'s literals.  Once all its literals are read, ``_derive_slots``
+    fills in its congruences' (cut, prime, exponent) ``reach``, its own
+    ``slots`` and their ``tolerance``; ``clashes`` keeps ``_clashes`` with
+    each part that followed it in a call."""
 
     conj: Conjunction
-    memo: dict[int, dict] = field(default_factory=dict, repr=False)
+    memo: dict[int, dict[int, tuple[_Cong, ...]]] = field(
+        default_factory=dict, repr=False
+    )
+    reach: tuple[tuple[int, int, int], ...] = field(default=(), repr=False)
+    slots: dict[int, tuple | None] | None = field(default=None, repr=False)
+    tolerance: dict[int, tuple[dict[int, int], float]] = field(
+        default_factory=dict, repr=False
+    )
+    clashes: dict[Part, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -229,7 +245,7 @@ class _Problem:
     group: GroupSpec
     literals: tuple = ()  # every argument's, in order
     values: tuple[Element, ...] = ()  # their term values
-    memos: tuple[dict | None, ...] = ()  # per literal, its Part's memo for its offset
+    parts: list[Part] | None = None  # the arguments, when every one is a Part
     congs: list[_Cong] = field(default_factory=list)
     low: _Bound | None = None  # the tightest lower bound read so far
     high: _Bound | None = None  # the tightest upper bound read so far
@@ -284,83 +300,99 @@ def _normalize(*parts: Conjunction | Part) -> _Problem:
     A ``Part``'s congruences are kept in its memo for its offset, so the
     parts ``verify`` passes path after path are normalized once."""
     group = None
-    literals = values = memos = banks = ()
+    literals = values = ()
+    reads = []  # per argument: (it, its conjunction, its memo, its first index)
+    owned = []  # the Part arguments
     for part in parts:
-        conj, memo = part, None
+        offset = len(literals)
         if type(part) is Part:
-            conj, memo = part.conj, part.memo.setdefault(len(literals), {})
+            conj, memo = part.conj, part.memo.get(offset)
+            if memo is None:
+                memo = part.memo[offset] = {}
+            owned.append(part)
+        else:
+            conj, memo = part, None
         if group is None:
             group = conj.group
         elif conj.group is not group and conj.group != group:
             raise PreconditionError("conjunctions over different group specs")
+        reads.append((part, conj, memo, offset))
         literals += conj.literals
         values += conj.term_values
-        memos += (memo,) * len(conj.literals)
-        banks += (conj.params,) * len(conj.literals)
     if group is None:
         raise PreconditionError("solve needs at least one conjunction")
-    prob = _Problem(group, literals, values, memos)
-    for idx, (lit, t) in enumerate(zip(literals, values)):
-        if lit.kind is LitKind.CONG:
-            memo = memos[idx]
-            congs = None if memo is None else memo.get(idx)
-            if congs is None:
-                congs = _congs_of(group, lit, t, banks[idx], idx)
-                if memo is not None:
-                    memo[idx] = congs
-            prob.congs += congs
-        elif lit.kind is LitKind.ORD:
-            k, cmp = lit.k, lit.cmp
-            if k < 0:
-                k, t, cmp = -k, neg(t), _CMP_FLIP[cmp]
-            hull = t if k == 1 else _raw_element(group, tuple(
-                tuple((i, _divide(c, k)) for i, c in v)
-                if block.kind == "GP" else _divide(v, k)
-                for block, v in zip(group.blocks, t.coords)
-            ))
-            # keep the tightest bound per side: the larger low (smaller
-            # high) hull point, a strict bound on a tie, else the earlier one
-            strict = cmp in (">", "<")
-            if cmp in (">", ">="):
-                cur = prob.low
-                if not cur or (compare(hull, cur.hull) or strict - cur.strict) > 0:
-                    prob.low = _Bound(hull, strict, idx)
-            elif cmp != "=":
-                cur = prob.high
-                if not cur or (compare(hull, cur.hull) or cur.strict - strict) < 0:
-                    prob.high = _Bound(hull, strict, idx)
+    prob = _Problem(group, literals, values)
+    if len(owned) == len(reads):
+        prob.parts = owned
+    for part, conj, memo, offset in reads:
+        if memo is not None and len(memo) == len(conj.literals):
+            # only congruences, each normalized at this offset before
+            for congs in memo.values():
+                prob.congs += congs
+            continue
+        for idx, lit, t in zip(itertools.count(offset), conj.literals, conj.term_values):
+            if lit.kind is LitKind.CONG:
+                congs = None if memo is None else memo.get(idx)
+                if congs is None:
+                    congs = _congs_of(group, lit, t, conj.params, idx)
+                    if memo is not None:
+                        memo[idx] = congs
+                prob.congs += congs
+            elif lit.kind is LitKind.ORD:
+                k, cmp = lit.k, lit.cmp
+                if k < 0:
+                    k, t, cmp = -k, neg(t), _CMP_FLIP[cmp]
+                hull = t if k == 1 else _raw_element(group, tuple(
+                    tuple((i, _divide(c, k)) for i, c in v)
+                    if block.kind == "GP" else _divide(v, k)
+                    for block, v in zip(group.blocks, t.coords)
+                ))
+                # keep the tightest bound per side: the larger low (smaller
+                # high) hull point, a strict bound on a tie, else the earlier one
+                strict = cmp in (">", "<")
+                if cmp in (">", ">="):
+                    cur = prob.low
+                    if not cur or (compare(hull, cur.hull) or strict - cur.strict) > 0:
+                        prob.low = _Bound(hull, strict, idx)
+                elif cmp != "=":
+                    cur = prob.high
+                    if not cur or (compare(hull, cur.hull) or cur.strict - strict) < 0:
+                        prob.high = _Bound(hull, strict, idx)
+                else:
+                    if not _in_group(group, hull):
+                        _refute(
+                            "equality-indivisible",
+                            (idx,),
+                            f"k*x = t has no solution: t is not divisible by {k}",
+                        )
+                    if prob.pin is not None and prob.pin[0] != hull:
+                        _refute("pin-conflict", (prob.pin[1], idx))
+                    prob.pin = (hull, idx)
+            elif lit.kind is LitKind.INGRP:
+                if lit.k < 0:
+                    t = neg(t)
+                for i in range(lit.alpha.s):
+                    q = block_divide(group.blocks[i], t.coords[i], abs(lit.k))
+                    if q is None:
+                        _refute(
+                            "coset-pin-indivisible",
+                            (idx,),
+                            "k*x pinned to a value outside the block",
+                            coordinate=i,
+                        )
+                    prev = prob.coord_pins.get(i)
+                    if prev is not None and prev[0] != q:
+                        _refute("pin-conflict", (prev[1], idx), coordinate=i)
+                    prob.coord_pins[i] = (q, idx)
             else:
-                if not _in_group(group, hull):
-                    _refute(
-                        "equality-indivisible",
-                        (idx,),
-                        f"k*x = t has no solution: t is not divisible by {k}",
-                    )
-                if prob.pin is not None and prob.pin[0] != hull:
-                    _refute("pin-conflict", (prob.pin[1], idx))
-                prob.pin = (hull, idx)
-        elif lit.kind is LitKind.INGRP:
-            if lit.k < 0:
-                t = neg(t)
-            for i in range(lit.alpha.s):
-                q = block_divide(group.blocks[i], t.coords[i], abs(lit.k))
-                if q is None:
-                    _refute(
-                        "coset-pin-indivisible",
-                        (idx,),
-                        "k*x pinned to a value outside the block",
-                        coordinate=i,
-                    )
-                prev = prob.coord_pins.get(i)
-                if prev is not None and prev[0] != q:
-                    _refute("pin-conflict", (prev[1], idx), coordinate=i)
-                prob.coord_pins[i] = (q, idx)
-        else:
-            truth = _constant_truth(lit, t)
-            if truth is None:
-                prob.negs.append(idx)
-            elif not truth and prob.false_lit is None:
-                prob.false_lit = idx
+                truth = _constant_truth(lit, t)
+                if truth is None:
+                    prob.negs.append(idx)
+                elif not truth and prob.false_lit is None:
+                    prob.false_lit = idx
+        if memo is not None and part.slots is None:
+            # every literal of the part read: its congruences are all here
+            _derive_slots(group, part, [c for cs in memo.values() for c in cs])
     return prob
 
 
@@ -430,22 +462,18 @@ def _carriers(prob: _Problem, i: int) -> list[_Cong]:
 
 def _solve_slots(prob: _Problem) -> _Slots:
     """Phase 3: the residue class of every live slot, in coordinate then
-    basis order; pins are checked and slots refuted in that order too."""
-    live: dict[int, set[int | None]] = {}
-    alone: dict[int, dict | None] = {}  # the memo of the one Part live there
-    for c in prob.congs:
-        m = prob.memos[c.src]
-        for i, bases in c.live:
-            live.setdefault(i, set()).update(bases)
-            alone[i] = m if alone.setdefault(i, m) is m else None
-    # with the part fixed, every congruence's (prime, exponent, cut) fixes
-    # the other parts' top exponent per prime on each coordinate: all that
-    # _solve_slot reads of their zero targets.  A memo holds its part's
-    # congruences by now, so it is never empty
-    shared = any(alone.values())
-    shape = tuple((c.p, c.e, c.alpha_s) for c in prob.congs) if shared else ()
+    basis order; pins are checked and slots refuted in that order too.
+    When every argument is a ``Part``, a coordinate takes the slot entry
+    ``_merge_slots`` finds for it, if any; every other coordinate is
+    solved with all the congruences there."""
+    live = None
+    if prob.parts is None:
+        live = _live(prob.congs)
+        merged = dict.fromkeys(live)
+    else:
+        merged = _merge_slots(prob.parts)
     slots: _Slots = {}
-    for i in sorted(live.keys() | prob.coord_pins.keys()):
+    for i in sorted(merged.keys() | prob.coord_pins.keys()):
         if i in prob.coord_pins:
             pin, src = prob.coord_pins[i]
             c = _missed(prob, i, pin)
@@ -457,20 +485,104 @@ def _solve_slots(prob: _Problem) -> _Slots:
                     modulus=c.p**c.e,
                 )
             continue
-        memo, key = alone.get(i), (i, shape)
-        if memo is not None and key in memo:
-            slots[i] = memo[key]
-            continue
-        here = _carriers(prob, i)
-        pairs = []
-        for b in sorted(live[i]):
-            m, r = _solve_slot(i, b, here)  # m is the same on every basis
-            if r:
-                pairs.append((b, r))
-        slots[i] = (m, r if b is None else tuple(pairs))
-        if memo is not None:
-            memo[key] = slots[i]  # never a refutation: that raised
+        slot = merged[i]
+        if slot is None:
+            live = live or _live(prob.congs)
+            slot = _slot(i, live[i], _carriers(prob, i))
+        slots[i] = slot
     return slots
+
+
+def _live(congs) -> dict[int, set[int | None]]:
+    """The coordinates where some congruence is live, with its live bases."""
+    live: dict[int, set[int | None]] = {}
+    for c in congs:
+        for i, bases in c.live:
+            live.setdefault(i, set()).update(bases)
+    return live
+
+
+def _slot(i: int, bases, congs: list[_Cong]) -> tuple[int, object]:
+    """Coordinate i's (modulus, residues) under the congruences, its live
+    bases solved in order; the first conflict refutes."""
+    pairs = []
+    for b in sorted(bases):
+        m, r = _solve_slot(i, b, congs)  # m is the same on every basis
+        if r:
+            pairs.append((b, r))
+    return m, r if b is None else tuple(pairs)
+
+
+def _derive_slots(group: GroupSpec, part: Part, congs: list[_Cong]) -> None:
+    """Fill the part's ``reach``, ``slots`` and ``tolerance`` from its
+    congruences.  On a coordinate where the part is live, its slot entry is
+    its congruences there solved alone, or None when they conflict; its
+    tolerance is, per prime p, the largest t up to the top exponent with
+    every residue divisible by p^t, and a default for the primes it has no
+    congruence of there: 0 on a Z block, which carries every prime, and no
+    bound on another block, which carries its own prime only.  Where its
+    congruences conflict, the tolerance is 0 for every prime."""
+    part.reach = tuple((c.alpha_s, c.p, c.e) for c in congs)
+    own = _Problem(group, congs=congs)
+    part.slots, part.tolerance = {}, {}
+    for i, bases in _live(congs).items():
+        here = _carriers(own, i)
+        default = 0 if group.blocks[i].kind == "Z" else math.inf
+        try:
+            slot = _slot(i, bases, here)
+        except _Decided:
+            # no tolerance: every part that reaches here clashes with it
+            part.slots[i], part.tolerance[i] = None, ({}, 0)
+            continue
+        residues = [slot[1]] if None in bases else [r for _, r in slot[1]]
+        tol: dict[int, int] = {}
+        for c in here:
+            tol[c.p] = max(tol.get(c.p, 0), c.e)
+        for p, e in tol.items():
+            tol[p] = min([e] + [int_valuation(r, p) for r in residues if r])
+        part.slots[i], part.tolerance[i] = slot, (tol, default)
+
+
+def _clashes(a: Part, b: Part) -> tuple[int, ...]:
+    """The coordinates (one may come twice) where one of the two parts is
+    live and a congruence of the other reaches with an exponent above the
+    live part's tolerance for its prime, so that the live part's own slot
+    entry may not be the pair's.  Usually none, and the empty tuple is
+    shared.  Where both parts are live, neither clashes only when both
+    classes are 0 modulo the same prime powers, and then their entries are
+    equal."""
+    return tuple(
+        i
+        for x, y in ((a, b), (b, a))
+        for i, (tol, default) in x.tolerance.items()
+        if any(s > i and e > tol.get(p, default) for s, p, e in y.reach)
+    )
+
+
+def _merge_slots(parts: list[Part]) -> dict[int, tuple | None]:
+    """The slot entry of each coordinate where a part is live, by the Ore
+    merge of the parts' own classes; None where it must be solved in full.
+    Congruences on one slot are solvable together exactly when every two
+    are (O. Ore, 1952).  On a coordinate where one part alone is live, each
+    congruence of another part that reaches it is zero there, so it asks
+    for residue 0 modulo its own prime power; the lone part's class meets
+    that, with modulus and residues unchanged, exactly when the exponent is
+    at most the part's tolerance for its prime.  So the path keeps each
+    part's own entry unless a pair of its parts clashes there (``_clashes``,
+    kept per pair in ``Part.clashes``).  A clash or a part conflicting on
+    its own leaves the coordinate to ``_slot`` over ``_carriers``, whose
+    refutation is the canonical one."""
+    merged: dict[int, tuple | None] = {}
+    for a in parts:
+        merged.update(a.slots)
+    for n, a in enumerate(parts):
+        for b in parts[n + 1 :]:
+            clash = a.clashes.get(b)
+            if clash is None:
+                clash = a.clashes[b] = _clashes(a, b)
+            for i in clash:
+                merged[i] = None
+    return merged
 
 
 def _missed(prob: _Problem, i: int, value) -> _Cong | None:

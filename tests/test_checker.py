@@ -176,13 +176,25 @@ def test_checker_imports_neither_the_solver_nor_a_shared_helper():
 
 
 def test_confirm_agrees_with_evaluate_conj_on_pattern_paths():
+    # the checks share their per-(modulus, cut) tables, as verify builds
+    # them: the instances of a congruence row hold one pair of tuples, equal
+    # to the tuples an unshared check builds
     gens = [gen_chain_pattern(2, 3, 3), gen_optimal_pattern([2, 3], [2, 1], 2)]
     for gen in gens:
-        pattern = gen.pattern
+        pattern, tables = gen.pattern, {}
         checks = [
-            [InstanceCheck(pattern.instantiate(i, j)) for j in range(len(row.columns))]
+            [
+                InstanceCheck(pattern.instantiate(i, j), tables)
+                for j in range(len(row.columns))
+            ]
             for i, row in enumerate(pattern.rows)
         ]
+        for i, row in enumerate(checks):
+            alone = InstanceCheck(pattern.instantiate(i, 0)).checks
+            for n, (c, a) in enumerate(zip(row[0].checks, alone)):
+                if c.orders is None:
+                    assert (c.mods, c.spans) == (a.mods, a.spans)
+                    assert all(r.checks[n].mods is c.mods for r in row)
         etas = list(itertools.product(*(range(len(r.columns)) for r in pattern.rows)))
         for eta in etas:
             path = [checks[i][j] for i, j in enumerate(eta)]

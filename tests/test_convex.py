@@ -1,7 +1,15 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from oag import (
+    INT,
+    PLOCAL,
+    PSPAN,
+    RAT,
     ConvexCut,
+    Element,
+    GroupSpec,
     add,
     analyze,
     collapse_sorts,
@@ -16,6 +24,7 @@ from oag import (
     strongly_dependent,
     unit_element,
 )
+from oag.groups import coset_key
 from helpers import random_element, random_spec
 
 G3 = parse_spec("lex(Q, Gp(2), Gp(2))")
@@ -44,6 +53,26 @@ def test_in_coset_zero_subgroup_is_divisibility():
         x = random_element(rng, spec)
         n = rng.randint(1, 10)
         assert in_coset(x, ConvexCut(spec.K), n) == is_divisible(x, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.integers(1, 36))
+def test_in_coset_is_an_empty_coset_key(seed, m):
+    # in_coset tests each numerator against the block modulus where
+    # coset_key builds the residues; they agree at every cut, on all four
+    # block kinds, with negative and fractional coefficients, on x, on the
+    # multiple m*x (in mG) and on m*x plus the coordinates of y from a cut on
+    rng = random.Random(seed)
+    kinds = [INT, RAT, PLOCAL(rng.choice((2, 3, 5))), PSPAN(rng.choice((2, 3, 5)))]
+    blocks = kinds + list(random_spec(rng, max_blocks=2).blocks)
+    rng.shuffle(blocks)
+    spec = GroupSpec(tuple(blocks))
+    x, y = random_element(rng, spec), random_element(rng, spec)
+    s = rng.randint(0, spec.K)
+    tail = Element(spec, spec.zero().coords[:s] + y.coords[s:])
+    for v in (x, scale(m, x), add(scale(m, x), tail)):
+        for cut in range(spec.K + 1):
+            assert in_coset(v, ConvexCut(cut), m) == (coset_key(v, cut, m) == ())
 
 
 def test_in_coset_example():

@@ -359,20 +359,31 @@ def test_verify_computes_each_instance_term_once(monkeypatch):
 
 def _path_work(monkeypatch, width):
     """verify chain(2, 3, width) over every path, counting the _solve_slot
-    calls of all path solves, every literal evaluation by _holds, and every
-    instance check by the reference evaluator."""
+    calls of all path solves, the instance records derived and the pairs of
+    records compared over the whole call, every literal evaluation by
+    _holds, and every instance check by the reference evaluator."""
     import oag.checker
     import oag.formulas
     import oag.patterns
     import oag.solver
 
     slot_calls, evals, checks, per_path = [0], [0], [0], []
+    derived, compared = [], []
     real_slot, real_solve = oag.solver._solve_slot, oag.patterns.solve
+    real_derive, real_clashes = oag.solver._derive_slots, oag.solver._clashes
     real_check = oag.checker.InstanceCheck.holds
 
     def counting_slot(*args):
         slot_calls[0] += 1
         return real_slot(*args)
+
+    def counting_derive(group, part, congs):
+        derived.append(part)
+        return real_derive(group, part, congs)
+
+    def counting_clashes(a, b):
+        compared.append((a, b))
+        return real_clashes(a, b)
 
     def counting_holds(lit, x, t, _real=oag.formulas._holds):
         evals[0] += 1
@@ -392,6 +403,8 @@ def _path_work(monkeypatch, width):
         return res
 
     monkeypatch.setattr(oag.solver, "_solve_slot", counting_slot)
+    monkeypatch.setattr(oag.solver, "_derive_slots", counting_derive)
+    monkeypatch.setattr(oag.solver, "_clashes", counting_clashes)
     monkeypatch.setattr(oag.solver, "_holds", counting_holds)
     monkeypatch.setattr(oag.formulas, "_holds", counting_holds)
     monkeypatch.setattr(oag.checker.InstanceCheck, "holds", counting_check)
@@ -399,19 +412,26 @@ def _path_work(monkeypatch, width):
     report = verify(gen_chain_pattern(2, 3, width).pattern, width**3)
     assert report.verified and len(report.paths) == width**3
     sat = sum(p.status == "SAT" for p in report.paths)
-    return sum(per_path), evals[0], checks[0], sat
+    assert len(set(map(id, derived))) == len(derived)
+    assert len(set((id(a), id(b)) for a, b in compared)) == len(compared)
+    return sum(per_path), len(derived), len(compared), evals[0], checks[0], sat
 
 
 def test_path_work_does_not_grow_with_K(monkeypatch):
-    # K = 12 and K = 20: the 3*width (row, column) instances are each live on
-    # one coordinate, solved once over all paths and then read from the
-    # instance's memo.  Each of a SAT path's 3 literals is evaluated once by
-    # _holds, in the solver's accept check, and each of its 3 instances is
-    # checked once by the reference evaluator, in verify's confirmation
+    # K = 12 and K = 20: each of the 3*width (row, column) instances is live
+    # on one coordinate; its record is derived once per verify, and each
+    # pair of records is compared once: the width*(width-1)/2 row pairs of
+    # each row and the width^2 pairs of each two rows on the paths.  No
+    # path solves a slot: each path merges its instances' records.  Each of
+    # a SAT path's 3 literals is evaluated once by _holds, in the solver's
+    # accept check, and each of its 3 instances is checked once by the
+    # reference evaluator, in verify's confirmation
     for width in (2, 4):
         with monkeypatch.context() as mp:
-            slot_calls, evals, checks, sat = _path_work(mp, width)
-        assert slot_calls <= 3 * width
+            slot_calls, derived, compared, evals, checks, sat = _path_work(mp, width)
+        assert slot_calls == 0
+        assert derived == 3 * width
+        assert compared == 3 * width * (width - 1) // 2 + 3 * width**2
         assert evals == 3 * sat
         assert checks == 3 * sat
 

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -761,30 +762,96 @@ def _solve_slot_reference(coord, basis, congs):
 
 def _normalized(*parts):
     """solver._normalize's record without the literals, whose terms index
-    their own part's bank, and the memos, or its verdict."""
+    their own part's bank, and the Part records, or its verdict."""
     try:
         prob = solver._normalize(*parts)
     except solver._Decided as decided:
         return decided.result
-    skip = ("literals", "memos")
+    skip = ("literals", "parts")
     return [getattr(prob, f.name) for f in dataclasses.fields(prob) if f.name not in skip]
+
+
+# parts of one or two literals over specs with Z, Zloc and Gp coordinates,
+# for the cases where the merge of phase 3 solves a coordinate in full:
+# congruences of small values meet on shared coordinates, with primes 2 and
+# 3 on the Z coordinates, two congruences of one part may conflict, and
+# subgroup literals pin coordinates
+_MERGE_SPECS = ("lex(Z, Gp(2))", "lex(Z, Zloc(3), Z)", "lex(Gp(3), Z, Zloc(2))")
+
+
+def _merge_pool(rng, spec):
+    g = parse_spec(spec)
+
+    def param():
+        return "(" + " | ".join(
+            rng.choice(["0", "b0", "2*b0", "-b0", "b1", "b0 + 3*b1"])
+            if b.kind == "GP"
+            else rng.choice(["0", "0", "1", "2", "-3", "4", "6"])
+            for b in g.blocks
+        ) + ")"
+
+    def cong(n):
+        m = rng.choice([2, 3, 4, 6, 8, 9, 12])
+        k = rng.choice([1, 1, 2, -1])
+        return f"cong[{m}, cut{rng.randint(1, g.K)}]({k}x, 1*a{n})"
+
+    pool = []
+    for _ in range(24):
+        roll = rng.random()
+        if roll < 0.2:
+            pool.append(conj_of(g, f"ing[cut{rng.randint(1, 2)}](1x, 1*a0)", param()))
+        elif roll < 0.4:
+            pool.append(conj_of(g, f"{cong(0)} & {cong(1)}", f"{param()} ; {param()}"))
+        else:
+            pool.append(conj_of(g, cong(0), param()))
+    return pool
+
+
+def _merge_cases(parts, seen):
+    """Tally what phase 3 meets on the parts, solved from new records: a
+    coordinate where two of them are live, a congruence conflict, one
+    within a part, a coordinate that two primes constrain, a pin checked
+    against the congruences, and any coordinate the merge leaves to the
+    full solve."""
+    records = [solver.Part(p.conj) for p in parts]
+    slots = None
+    try:
+        prob = solver._normalize(*records)
+        slots = solver._solve_slots(prob)
+    except solver._Decided as decided:
+        kinds = [e.kind for e in decided.result.certificate]
+        seen["conflict"] += "congruence-conflict" in kinds
+        seen["pins"] += "pin-congruence-conflict" in kinds
+    derived = [r for r in records if r.slots is not None]
+    seen["own conflict"] += any(None in r.slots.values() for r in derived)
+    if slots is None:
+        return
+    live = [i for r in derived for i in r.slots]
+    seen["shared"] += len(live) > len(set(live))
+    seen["crt"] += any(len(factorize(m)) > 1 for m, _ in slots.values())
+    seen["pins"] += bool(prob.coord_pins) and bool(slots)
+    seen["full"] += None in solver._merge_slots(prob.parts).values()
 
 
 @pytest.mark.parametrize("seed", [3, 4])
 def test_solve_of_parts_matches_solve_of_their_conjunction(seed):
-    # solve(*parts) numbers the literals as conjoin does and reads each
-    # Part's congruences and lone slots from its memo for its offset.  Part
-    # records shared across calls, 1-3 of them at several offsets, in both
-    # orders and one of them twice in a call, give what solve of the
-    # conjoined conjunction gives, rewritten congruences and refutations
-    # (cited by their index in the whole) included; so does every path of
-    # two generated patterns, its parts shared by all the paths, which are
-    # taken in a seeded order
+    # solve(*parts) numbers the literals as conjoin does, reads each Part's
+    # congruences from its memo for its offset and merges the parts' own
+    # slot entries.  Part records shared across calls, 1-3 of them at
+    # several offsets, in both orders and one of them twice in a call, give
+    # what solve of the conjoined conjunction gives, rewritten congruences
+    # and refutations (cited by their index in the whole) included; so does
+    # every path of two generated patterns, its parts shared by all the
+    # paths, which are taken in a seeded order, and every row pair, each
+    # UNSAT, the congruence rows' by a slot conflict; and so do 2-4 shared
+    # parts of one or two literals where the merge solves coordinates in
+    # full: two parts live on a coordinate, a conflict between parts or
+    # within one, two primes on a Z coordinate (CRT), a pin
     rng = random.Random(seed)
     by_spec = {}
     for c in order_gap_conjunctions(seed, 300) + random_conjunctions(seed, 300):
         by_spec.setdefault(str(c.group), []).append(c)
-    seen = dict.fromkeys(("rewritten", "later refuted", "twice", "offsets"), 0)
+    seen = dict.fromkeys(("rewritten", "later refuted", "twice", "offsets", "row conflicts"), 0)
     for conjs in by_spec.values():
         parts = [solver.Part(c) for c in conjs]
         for _ in range(2 * len(conjs)):
@@ -821,8 +888,28 @@ def test_solve_of_parts_matches_solve_of_their_conjunction(seed):
             want = solve(conjoin(*(inst[i][j] for i, j in enumerate(eta))))
             assert got.to_json_dict() == want.to_json_dict()
             assert got.status is SolveStatus.SAT
+        for i, row in enumerate(inst):
+            for a, b in itertools.combinations(range(len(row)), 2):
+                got = solve(parts[i][a], parts[i][b])
+                assert got.to_json_dict() == solve(conjoin(row[a], row[b])).to_json_dict()
+                assert got.status is SolveStatus.UNSAT
+                seen["row conflicts"] += got.certificate[0].kind == "congruence-conflict"
     assert seen["rewritten"] > 500 and seen["later refuted"] > 50, seen
     assert seen["twice"] > 100 and seen["offsets"] > 200, seen
+    assert seen["row conflicts"] == 4 * 3 + 3 * 3, seen  # 4 and 3 congruence rows
+    merges = dict.fromkeys(("shared", "conflict", "own conflict", "crt", "pins", "full"), 0)
+    for spec in _MERGE_SPECS:
+        conjs = _merge_pool(rng, spec)
+        parts = [solver.Part(c) for c in conjs]
+        for _ in range(150):
+            chosen = rng.choices(range(len(conjs)), k=rng.randint(2, 4))
+            for order in (chosen, chosen[::-1]):
+                args = [parts[n] for n in order]
+                got = solve(*args)
+                want = solve(conjoin(*(conjs[n] for n in order)))
+                assert got.to_json_dict() == want.to_json_dict()
+                _merge_cases(args, merges)
+    assert min(merges.values()) > 20, merges
 
 
 def test_solve_needs_conjunctions_over_one_group():
@@ -859,13 +946,18 @@ _OTHER_PARTS = {
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-def test_slot_memo_keys_the_other_parts_top_exponents(monkeypatch, reverse):
-    # phase 3 keeps a coordinate on which one Part passed to solve alone is
-    # live in that part's memo, keyed by the other parts' top exponent per
-    # prime there.  Shared Part records, first used in either order, give
-    # what records made fresh for each call give: only an equal key reuses,
-    # a refutation is never kept, and a coordinate where two parts are live
-    # is solved anew
+def test_merge_keeps_a_lone_parts_slot_within_its_tolerance(monkeypatch, reverse):
+    # phase 3 keeps the slot entry of a coordinate on which one Part passed
+    # to solve alone is live, as the part solved it on its own, when every
+    # other part's exponent there is at most the part's tolerance: P's
+    # residue 2 mod 8 on its Z coordinate is divisible by 2^1, so it
+    # tolerates 0 mod 2 and nothing above.  Shared Part records, first used
+    # in either order, give what records made fresh for each call give: a
+    # part that stays within the tolerance, or does not reach the
+    # coordinate, costs no _solve_slot call, and every other one (a larger
+    # exponent, another prime, a part live there too) has the coordinate,
+    # and only it, solved anew with all its congruences, so a refutation is
+    # the one the full solve gives
     g = parse_spec("lex(Z, Gp(2))")
     texts = {"P": ("cong[8, cut2](1x, 1*a0)", "(2 | 2*b0 + 6*b1)"), **_OTHER_PARTS}
 
@@ -883,8 +975,11 @@ def test_slot_memo_keys_the_other_parts_top_exponents(monkeypatch, reverse):
         return solve(*parts), _slots_or_verdict(solver._solve_slots, prob)
 
     shared = parts()
+    run(shared["P"])  # P's own entries, derived once
+    assert shared["P"].slots == {0: (8, 2), 1: (8, ((0, 2), (1, 6)))}
+    assert shared["P"].tolerance == {0: ({2: 1}, 0), 1: ({2: 1}, math.inf)}
+    within = {"smaller", "smaller again", "equal, cut0"}
     names = sorted(_OTHER_PARTS, reverse=reverse)
-    second = [n for n in names if n.startswith("smaller")][1]
     got = {}
     for name in names:
         for order in ((name, "P"), ("P", name)):
@@ -893,8 +988,9 @@ def test_slot_memo_keys_the_other_parts_top_exponents(monkeypatch, reverse):
             del calls[:]
             got[order] = run(*(shared[n] for n in order))
             assert got[order] == want, order
-            if name == second:
-                assert not calls  # the key of the other "smaller" part
+            assert {c[0] for c in calls} == (set() if name in within else {0}), order
+        clashes = set(solver._clashes(shared["P"], shared[name]))
+        assert clashes == (set() if name in within else {0}), name
     for name, slot in (("smaller", (8, 2)), ("equal, cut0", (8, 2)), ("other prime", (24, 18))):
         res, slots = got[(name, "P")]
         assert res.status is SolveStatus.SAT and slots[0] == (0, slot)
@@ -902,6 +998,22 @@ def test_slot_memo_keys_the_other_parts_top_exponents(monkeypatch, reverse):
         res, _ = got[("P", name)]
         assert [e.kind for e in res.certificate] == ["congruence-conflict"]
         assert res.certificate[0].literals == (0, 1)
+
+
+def test_a_part_conflicting_on_its_own_clashes_where_it_is_live():
+    # A asks for 1 and 0 mod 2 on basis b0 of its Gp(2) coordinate, so it
+    # has no slot entry there; B, live there too with residue 0 mod 4,
+    # tolerates A's exponents.  In either order the coordinate is solved in
+    # full and refuted as the conjoined conjunction is
+    g = parse_spec("lex(Gp(2))")
+    a = conj_of(g, "cong[2, cut1](1x, 1*a0) & cong[2, cut1](1x, 1*a1)", "(b0) ; (0)")
+    b = conj_of(g, "cong[4, cut1](1x, 1*a0)", "(4*b0)")
+    for order in ((a, b), (b, a)):
+        parts = [solver.Part(c) for c in order]
+        got = solve(*parts)
+        assert got.to_json_dict() == solve(conjoin(*order)).to_json_dict()
+        assert [e.kind for e in got.certificate] == ["congruence-conflict"]
+        assert set(solver._clashes(*parts)) == {0}
 
 
 def test_carrier_rule_matches_block_modulus():
