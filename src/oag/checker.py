@@ -1,10 +1,13 @@
 """A reference literal evaluator, independent of the solver's.
 
-``solve`` accepts a SAT witness through the literal evaluator of
-:mod:`oag.formulas`.  This module decides the same literals a second time,
-written from the definitions.  It imports nothing from ``solver`` and uses
-none of ``_holds``, ``in_coset``, ``in_subgroup``, ``coset_key``,
-``block_residues``, ``block_modulus``, ``sub`` or ``residue_mod``:
+``solve`` accepts a SAT witness only through this module: each argument of
+``solve`` gets one ``InstanceCheck``, and ``confirm`` decides the candidate
+against all of them.  The literals are decided here from the definitions,
+a second time beside the evaluator of :mod:`oag.formulas` (``_holds``, which
+the oracle and ``evaluate`` use), and property tests tie the two.  This
+module imports nothing from ``solver`` and uses none of ``_holds``,
+``in_coset``, ``in_subgroup``, ``coset_key``, ``block_residues``,
+``block_modulus``, ``sub`` or ``residue_mod``:
 
 * A literal other than an order comparison or a disequality says whether
   k*x - t lies in H_s + mG, where H_s is the convex subgroup of the
@@ -19,10 +22,12 @@ none of ``_holds``, ``in_coset``, ``in_subgroup``, ``coset_key``,
 * Order comparisons and disequalities compare k*x with t by
   ``groups.compare``, after ``groups.scale``.
 
+A check reads each literal once and then decides it at any x from x's
+nonzero coordinates, which ``confirm`` lists once for all the literals.
 ``verify`` builds one ``InstanceCheck`` per (row, column) instance, all of
-them sharing one dict of per-(modulus, cut) tables, and confirms a path
-witness with ``confirm``, which lists the witness's nonzero coordinates
-once for all the path's literals.
+them sharing one dict of per-(modulus, cut) tables, and attaches it to the
+instance's ``solver.Part``; ``solve`` builds the check of a plain
+conjunction itself, at its first candidate.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import isqrt, log
+from math import gcd, isqrt, log
 
 
 # Miller-Rabin to the first 13 prime bases is deterministic below this bound
@@ -14,6 +14,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 _FACTORIZE_MEMO = 2048  # moduli kept by factorize's memo, least recent out first
+_TRIAL_LIMIT = 1 << 10  # factorize trial-divides below this, then Pollard-Brent
 
 
 def is_prime(n: int) -> bool:
@@ -72,15 +73,23 @@ def _primes_up_to(n: int) -> list[int]:
 
 @lru_cache(maxsize=_FACTORIZE_MEMO)
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}; {} for n == 1.
-    Memoized, as the same few moduli come back on every solve: the dict is
-    shared between callers and must not be mutated."""
+    """Prime factorization of n >= 1 as {prime: exponent}, primes ascending;
+    {} for n == 1.  Trial division finds the primes below ``_TRIAL_LIMIT``.
+    A cofactor left past it is a prime when ``is_prime`` says so, and is
+    otherwise split by Pollard-Brent; at or above ``_MR_BOUND`` such a
+    cofactor raises is_prime's ValueError.  Memoized, as the same few
+    moduli come back on every solve: the dict is shared between callers and
+    must not be mutated."""
     if n < 1:
         raise ValueError("can only factor positive integers")
     out: dict[int, int] = {}
     m = n
     p = 2
     while p * p <= m:
+        if p >= _TRIAL_LIMIT:
+            for q in sorted(_large_factors(m)):
+                out[q] = out.get(q, 0) + 1
+            return out
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p
@@ -88,6 +97,47 @@ def factorize(n: int) -> dict[int, int]:
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
+
+
+def _large_factors(m: int) -> list[int]:
+    """The prime factors of m, with multiplicity, when m has none below
+    ``_TRIAL_LIMIT``."""
+    if is_prime(m):
+        return [m]
+    d = _pollard_brent(m)
+    return _large_factors(d) + _large_factors(m // d)
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the composite n, which has no factor below
+    ``_TRIAL_LIMIT`` (R. P. Brent, "An improved Monte Carlo factorization
+    algorithm", BIT 20 (1980)).  The walks y -> y^2 + c start at 2 and try
+    c = 1, 2, ... in turn, so the factor found is always the same."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: step again one at a time from its start
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def int_valuation(n: int, p: int) -> int | None:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, Sequence
 
-from .checker import InstanceCheck, confirm
+from .checker import InstanceCheck
 from .convex import ConvexCut, hsub, sorts
 from .errors import PreconditionError
 from .formulas import (
@@ -219,12 +219,13 @@ def verify(
     ``solve`` in every row subset and path through it: its congruences are
     normalized and its own slot classes solved once, each path's slots are
     merged from its instances' records, and no path is built as one
-    conjunction.  ``solve`` accepts a path's SAT witness with the literal
-    evaluator of ``formulas``; ``verify`` then confirms it with the
-    reference evaluator of ``checker``, which shares no evaluation helper
-    with that one, against one ``InstanceCheck`` per instance, built once
-    beside its ``Part``, the checks sharing their per-(modulus, cut)
-    tables.
+    conjunction.  Each ``Part`` carries the ``InstanceCheck`` of its
+    instance, built here once by the reference evaluator of ``checker``,
+    which shares no evaluation helper with the solver, the checks sharing
+    their per-(modulus, cut) tables.  ``solve`` accepts a SAT witness only
+    through the checks of its arguments, so ``PathResult.confirmed`` records
+    that the reference evaluator accepted the path's witness inside
+    ``solve``, and it is true exactly on the SAT paths.
     When a cross-check radius is given, every UNSAT row verdict is also
     corroborated by the brute-force oracle finding no witness in the
     conjunction of the subset.  A budget or radius that is not an integer
@@ -241,7 +242,9 @@ def verify(
         for i, row in enumerate(pattern.rows)
     ]
     tables: dict = {}  # the reference checks' per-(modulus, cut) tables
-    checks = [[InstanceCheck(part.conj, tables) for part in row] for row in inst]
+    for row in inst:
+        for part in row:
+            part.check = InstanceCheck(part.conj, tables)
     rows = []
     for i, row in enumerate(pattern.rows):
         verdict, pairs, cross_ok = _solve_k_subsets(inst[i], row.k, cross_check_radius)
@@ -273,15 +276,10 @@ def verify(
     for eta in etas:
         path = [inst[i][j] for i, j in enumerate(eta)]
         res = solve(*path)
-        confirmed = False
-        if res.status is SolveStatus.SAT:
-            confirmed = confirm(
-                [checks[i][j] for i, j in enumerate(eta)], res.witness
-            )
-        elif res.status is SolveStatus.UNKNOWN:
+        if res.status is SolveStatus.UNKNOWN:
             unknowns.append(f"path {eta} undecided: {res.reason}")
         path_results.append(
-            PathResult(eta, res.status.value, res.witness, confirmed)
+            PathResult(eta, res.status.value, res.witness, res.status is SolveStatus.SAT)
         )
 
     return VerificationReport(

@@ -1,9 +1,9 @@
 """Consistency of one-variable literal conjunctions over a concrete group.
 
 The procedure is three-valued.  SAT answers always come with a witness that
-has been checked by the literal evaluator; UNSAT answers always come with a
-certificate.  Anything the procedure cannot settle is reported UNKNOWN,
-never guessed.
+the reference evaluator of ``checker`` has accepted; UNSAT answers always
+come with a certificate.  Anything the procedure cannot settle is reported
+UNKNOWN, never guessed.
 
 Shape of the decision: ``solve`` decides the conjunction of its arguments,
 numbering their literals as ``formulas.conjoin`` numbers those of the
@@ -72,8 +72,12 @@ record, and a phase that settles the answer raises ``_Decided``.
     puts the slot residues under the descent's values; with live negated
     literals the escape points follow, which step the placement through its
     gap and move the free coordinates.  Each candidate has every live
-    slot's residue, and the first one the evaluator accepts is the witness.
-    If there is none the answer is UNKNOWN, with the reason.
+    slot's residue, and the first one that every argument's reference check
+    (``checker.InstanceCheck``; a ``Part`` keeps its own, a plain
+    conjunction's is built at the first candidate) accepts is the witness.
+    If there is none the answer is UNKNOWN, with the reason.  The same
+    checks decide a forced x in ``_decide_pinned``, and list the literals
+    it fails.
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, NamedTuple, NoReturn
 
+from .checker import InstanceCheck, _nonzero, confirm
 from .errors import NotReducibleError, PreconditionError
 from .formulas import (
     _CMP_FLIP,
@@ -223,7 +228,8 @@ class Part:
     ``solve``'s literals.  Once all its literals are read, ``_derive_slots``
     fills in its congruences' (cut, prime, exponent) ``reach``, its own
     ``slots`` and their ``tolerance``; ``clashes`` keeps ``_clashes`` with
-    each part that followed it in a call."""
+    each part that followed it in a call.  ``check`` is the conjunction's
+    reference check, set by its owner or built at its first candidate."""
 
     conj: Conjunction
     memo: dict[int, dict[int, tuple[_Cong, ...]]] = field(
@@ -235,6 +241,7 @@ class Part:
         default_factory=dict, repr=False
     )
     clashes: dict[Part, tuple[int, ...]] = field(default_factory=dict, repr=False)
+    check: InstanceCheck | None = field(default=None, init=False, repr=False)
 
 
 @dataclass
@@ -253,6 +260,23 @@ class _Problem:
     coord_pins: dict[int, tuple[object, int]] = field(default_factory=dict)
     negs: list[int] = field(default_factory=list)  # live negated literals
     false_lit: int | None = None  # the first literal that holds at no x
+    # solve's arguments; not a field, so that the record of a call of Parts
+    # equals that of the call of their conjunction
+    args = ()
+
+    @functools.cached_property
+    def checks(self) -> list[InstanceCheck]:
+        """Each argument's reference check, built at the first candidate:
+        a ``Part``'s own, kept in it, or one for this call."""
+        checks = []
+        for arg in self.args:
+            if type(arg) is Part:
+                if arg.check is None:
+                    arg.check = InstanceCheck(arg.conj)
+                checks.append(arg.check)
+            else:
+                checks.append(InstanceCheck(arg))
+        return checks
 
 
 def solve(*parts: Conjunction | Part) -> SolveResult:
@@ -322,6 +346,7 @@ def _normalize(*parts: Conjunction | Part) -> _Problem:
     if group is None:
         raise PreconditionError("solve needs at least one conjunction")
     prob = _Problem(group, literals, values)
+    prob.args = parts
     if len(owned) == len(reads):
         prob.parts = owned
     for part, conj, memo, offset in reads:
@@ -431,23 +456,23 @@ def _congs_of(group: GroupSpec, lit, t: Element, bank, idx: int) -> tuple[_Cong,
 
 
 def _satisfies(prob: _Problem, x: Element) -> bool:
-    """Whether x satisfies every literal, by the one evaluator's rule."""
-    return all(map(_holds, prob.literals, itertools.repeat(x), prob.values))
+    """Whether x satisfies every literal, by the reference checks of
+    ``checker``: the one way a SAT answer leaves ``solve``."""
+    return confirm(prob.checks, x)
 
 
 def _decide_pinned(
     prob: _Problem, x: Element, cited: tuple[int, ...] | None, note: str
 ) -> NoReturn:
     """x is forced: SAT if it satisfies the conjunction, otherwise UNSAT
-    citing `cited`, or the literals x fails when `cited` is None."""
+    citing `cited`, or the literals x fails by the same checks when `cited`
+    is None."""
     if _satisfies(prob, x):
         raise _Decided(SolveResult(SolveStatus.SAT, witness=x))
     if cited is None:
-        cited = tuple(
-            i
-            for i, (lit, t) in enumerate(zip(prob.literals, prob.values))
-            if not _holds(lit, x, t)
-        )
+        nonzero = _nonzero(x)
+        literals = (c for inst in prob.checks for c in inst.checks)
+        cited = tuple(i for i, c in enumerate(literals) if not c.holds(x, nonzero))
     _refute("pin-refuted", cited, note)
 
 

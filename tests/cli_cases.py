@@ -13,6 +13,8 @@ The table holds one JSON object per line, one row per case:
   text, so ``true`` does not match ``1``.
 - ``stdout`` (optional): the exact lines of stdout.
 - ``stderr`` (optional): a substring of stderr.
+- ``seconds`` (optional): a bound on the case's wall time, for inputs that
+  must not make the program spin.
 
 A row with any other key, or a path that the output lacks, fails.
 
@@ -32,9 +34,10 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 TABLE = Path(__file__).with_name("cli_cases.json")
-KEYS = {"test", "argv", "code", "json", "stdout", "stderr"}
+KEYS = {"test", "argv", "code", "json", "stdout", "stderr", "seconds"}
 
 
 def load_rows() -> list[dict]:
@@ -56,6 +59,13 @@ def run_in_process(argv: list[str]) -> tuple[int, str, str]:
 def run_command(prefix: list[str], argv: list[str]) -> tuple[int, str, str]:
     proc = subprocess.run([*prefix, *argv], capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def timed(run, *args) -> tuple:
+    """run(*args), the (code, stdout, stderr) of a case, with its wall
+    seconds appended."""
+    start = perf_counter()
+    return (*run(*args), perf_counter() - start)
 
 
 def _values(data, path: str) -> list:
@@ -81,9 +91,9 @@ def _text(value) -> str:
     return json.dumps(value, sort_keys=True)
 
 
-def check(row: dict, code: int, out: str, err: str) -> list[str]:
-    """What the output (code, stdout, stderr) misses of the row; empty when
-    the row passes."""
+def check(row: dict, code: int, out: str, err: str, seconds: float = 0.0) -> list[str]:
+    """What the output (code, stdout, stderr) and the wall time miss of the
+    row; empty when the row passes."""
     problems = [f"unknown key {k!r}" for k in sorted(row.keys() - KEYS)]
     if problems:
         return problems
@@ -107,6 +117,8 @@ def check(row: dict, code: int, out: str, err: str) -> list[str]:
         problems.append(f"stdout lines {out.splitlines()!r}, expected {row['stdout']!r}")
     if "stderr" in row and row["stderr"] not in err:
         problems.append(f"stderr {err!r} lacks {row['stderr']!r}")
+    if "seconds" in row and seconds > row["seconds"]:
+        problems.append(f"took {seconds:.2f} s, bound {row['seconds']} s")
     return problems
 
 
@@ -114,7 +126,7 @@ def main(prefix: list[str]) -> int:
     rows = load_rows()
     failed = 0
     for row in rows:
-        problems = check(row, *run_command(prefix, row["argv"]))
+        problems = check(row, *timed(run_command, prefix, row["argv"]))
         if problems:
             failed += 1
             print(f"FAIL {row['test']} {row['argv']}: " + "; ".join(problems))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cli_cases import check, load_rows, run_in_process
+from cli_cases import check, load_rows, run_in_process, timed
 from oag import SolveResult, SolveStatus
 
 
@@ -16,7 +16,7 @@ def _table_test(entries):
     assert all(ids) or not any(ids), rows[0]["test"]
 
     def run_row(row):
-        assert check(row, *run_in_process(row["argv"])) == []
+        assert check(row, *timed(run_in_process, row["argv"])) == []
 
     if all(ids):
         return pytest.mark.parametrize("row", rows, ids=ids)(run_row)
@@ -47,14 +47,18 @@ for _name, _entries in _groups.items():
         ({"json": {"c.2": 2}}, "c.2: the output has no '2' there"),
         ({"json": {"c.*": 1}}, "c.*: 2, expected 1"),
         ({"json": {"d": 1}}, "d: true, expected 1"),
+        ({"seconds": 0.5}, "took 0.75 s, bound 0.5 s"),
     ],
-    ids=["unknown-key", "absent-key", "absent-index", "every-element", "true-is-not-1"],
+    ids=[
+        "unknown-key", "absent-key", "absent-index", "every-element", "true-is-not-1",
+        "over-time",
+    ],
 )
 def test_cli_case_runner_fails_a_bad_row(bad, problem):
     out = '{"a": 1, "c": [1, 2], "d": true}'
     good = {"test": "t", "argv": [], "code": 0, "json": {"a": 1, "c.#": 2, "c.1": 2, "d": True}}
-    assert check(good, 0, out, "") == []
-    assert check({**good, **bad}, 0, out, "") == [problem]
+    assert check(good, 0, out, "", 0.75) == []
+    assert check({**good, **bad}, 0, out, "", 0.75) == [problem]
 
 
 def test_pattern_with_a_sat_row_pair_exits_1(monkeypatch):

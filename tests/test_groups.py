@@ -503,6 +503,17 @@ def test_factorize_matches_trial_division():
     for p, q in ((101, 103), (9973, 9967), (65537, 65537), (2, 999983), (7919, 104729)):
         assert is_prime(p) and is_prime(q)
         assert factorize(p * q) == _factorize_reference(p * q)
+    # past trial division: a 25-digit prime, and semiprimes split by
+    # Pollard-Brent, primes ascending whatever order they are found in
+    big = 10**24 + 7
+    assert is_prime(big) and factorize(big) == {big: 1}
+    for p, q in ((1000003, 1000033), (1000000007, 1000000009)):
+        assert is_prime(p) and is_prime(q)
+        assert list(factorize(12 * p * q).items()) == [(2, 2), (3, 1), (p, 1), (q, 1)]
+    assert factorize(1031**3 * 1021) == {1021: 1, 1031: 3}
+    # a cofactor at or above the primality bound is not guessed at
+    with pytest.raises(ValueError, match="primality is decided only below"):
+        factorize(numutil._MR_BOUND)
     # memoized: a repeated modulus returns the same dict
     assert factorize(360) is factorize(360)
     with pytest.raises(ValueError):

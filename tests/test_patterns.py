@@ -361,7 +361,8 @@ def _path_work(monkeypatch, width):
     """verify chain(2, 3, width) over every path, counting the _solve_slot
     calls of all path solves, the instance records derived and the pairs of
     records compared over the whole call, every literal evaluation by
-    _holds, and every instance check by the reference evaluator."""
+    _holds, and every instance check by the reference evaluator, which is
+    how solve accepts a witness."""
     import oag.checker
     import oag.formulas
     import oag.patterns
@@ -422,66 +423,72 @@ def test_path_work_does_not_grow_with_K(monkeypatch):
     # on one coordinate; its record is derived once per verify, and each
     # pair of records is compared once: the width*(width-1)/2 row pairs of
     # each row and the width^2 pairs of each two rows on the paths.  No
-    # path solves a slot: each path merges its instances' records.  Each of
-    # a SAT path's 3 literals is evaluated once by _holds, in the solver's
-    # accept check, and each of its 3 instances is checked once by the
-    # reference evaluator, in verify's confirmation
+    # path solves a slot: each path merges its instances' records.  _holds
+    # evaluates no literal, and each of a SAT path's 3 instances is checked
+    # once by the reference evaluator, in the solver's accept check, the
+    # only evaluation of the witness
     for width in (2, 4):
         with monkeypatch.context() as mp:
             slot_calls, derived, compared, evals, checks, sat = _path_work(mp, width)
         assert slot_calls == 0
         assert derived == 3 * width
         assert compared == 3 * width * (width - 1) // 2 + 3 * width**2
-        assert evals == 3 * sat
+        assert evals == 0
         assert checks == 3 * sat
 
 
-def _stub_second_path(monkeypatch):
-    """Make every one-instance path of a depth-1 pattern SAT with the
-    witness of path (0,), which fails the instance of path (1,)."""
-    import oag.patterns
+def _reject_second_path(monkeypatch):
+    """Make the reference check reject every x on the instance of path (1,)
+    of chain(2, 1, 2), the one whose term value is column 1's."""
+    import oag.checker
 
-    real = oag.patterns.solve
-    first = {}
+    rejected = gen_chain_pattern(2, 1, 2).pattern.instantiate(0, 1).term_values[0]
+    real = oag.checker.InstanceCheck.holds
 
-    def stub(*parts):
-        res = real(*parts)
-        if len(parts) == 1:
-            first.setdefault("witness", res.witness)
-            return SolveResult(SolveStatus.SAT, witness=first["witness"])
-        return res
+    def stub(self, x, nonzero):
+        return self.checks[0].t != rejected and real(self, x, nonzero)
 
-    monkeypatch.setattr(oag.patterns, "solve", stub)
+    monkeypatch.setattr(oag.checker.InstanceCheck, "holds", stub)
 
 
 def test_an_unconfirmed_witness_fails_the_path_and_the_report(monkeypatch):
-    _stub_second_path(monkeypatch)
+    # solve accepts a witness only through the reference check, so a path
+    # whose check rejects every candidate is not SAT, and not confirmed
+    _reject_second_path(monkeypatch)
     rep = verify(gen_chain_pattern(2, 1, 2).pattern, 100)
     assert [(p.eta, p.status, p.confirmed) for p in rep.paths] == [
         ((0,), "SAT", True),
-        ((1,), "SAT", False),
+        ((1,), "UNKNOWN", False),
     ]
-    assert rep.paths[0].witness == rep.paths[1].witness
-    assert all(r.verdict == "true" for r in rep.rows) and not rep.unknowns
+    assert rep.paths[1].witness is None
+    assert all(r.verdict == "true" for r in rep.rows)
+    assert rep.unknowns == (
+        "path (1,) undecided: witness assembly failed outside the complete fragment",
+    )
     assert not rep.verified
 
 
-def test_an_unconfirmed_witness_exits_1_and_names_the_path(monkeypatch, capsys):
+def test_an_unconfirmed_witness_exits_3_and_names_the_path(monkeypatch, capsys):
+    # the rejected path is UNKNOWN, not SAT, and an unknown outranks a
+    # failed check in the exit code
     from oag.cli import main
 
     argv = ["pattern", "chain", "--p", "2", "--depth", "1", "--width", "2", "--verify"]
     assert main(argv) == 0
     assert "paths: 2/2 SAT, 2/2 confirmed" in capsys.readouterr().out.splitlines()
-    _stub_second_path(monkeypatch)
-    assert main(argv) == 1
+    _reject_second_path(monkeypatch)
+    assert main(argv) == 3
     lines = capsys.readouterr().out.splitlines()
     assert "verified: False" in lines
+    assert "paths: 1/2 SAT, 1/2 confirmed" in lines
     assert (
-        "paths: 2/2 SAT, 1/2 confirmed; first unconfirmed: path (1,)" in lines
+        "unknown: path (1,) undecided: witness assembly failed outside the complete fragment"
+        in lines
     )
-    assert main(argv + ["--json"]) == 1
+    assert main(argv + ["--json"]) == 3
     report = json.loads(capsys.readouterr().out)["report"]
     assert [p["confirmed"] for p in report["paths"]] == [True, False]
+    assert [p["status"] for p in report["paths"]] == ["SAT", "UNKNOWN"]
     assert report["verified"] is False
 
 

@@ -930,6 +930,39 @@ def test_solve_needs_conjunctions_over_one_group():
         solve()
 
 
+def test_no_sat_answer_leaves_solve_without_the_reference_check(monkeypatch):
+    # every SAT return site of solve, _decide_pinned's among them, accepts
+    # through the reference evaluator of checker: with its literal check
+    # rejecting every x, no solve is SAT, on plain conjunctions, on the
+    # paths of a pattern passed as Parts and on conjunctions whose pins
+    # force x
+    import oag.checker
+
+    chain = gen_chain_pattern(2, 3, 2).pattern
+    inst = [[solver.Part(chain.instantiate(i, j)) for j in range(2)] for i in range(3)]
+    paths = [
+        tuple(inst[i][j] for i, j in enumerate(eta))
+        for eta in itertools.product(range(2), repeat=3)
+    ]
+    z = parse_spec("lex(Z)")
+    pinned = [
+        conj_of(z, "1x = 1*a0 & 1x > 0", "(2)"),  # the equality pin
+        conj_of(z, "2x >= 1*a0 & 2x <= 1*a0", "(2)"),  # equal bounds
+        conj_of(z, "ing[cut1](1x, 1*a0) & !1x = 0", "(2)"),  # every coordinate
+    ]
+    calls = [(c,) for seed in (5, 77) for c in random_conjunctions(seed, 300)]
+    calls += paths + [(c,) for c in pinned]
+    before = [solve(*args).status for args in calls]
+    assert before.count(SolveStatus.SAT) > 200
+    assert before[-len(paths) - 3 :] == [SolveStatus.SAT] * (len(paths) + 3)
+    monkeypatch.setattr(oag.checker._LiteralCheck, "holds", lambda self, x, nonzero: False)
+    after = [solve(*args) for args in calls]
+    assert [r for r in after if r.status is SolveStatus.SAT] == []
+    # a forced x that the checks reject is refuted citing what they reject
+    assert [r.certificate[0].literals for r in after[-3:]] == [(0, 1), (0, 1), (0, 1)]
+    assert {r.certificate[0].kind for r in after[-3:]} == {"pin-refuted"}
+
+
 # parts to conjoin with the part P below, which asks for x = 2 mod 8 on its
 # Z coordinate: there they ask for residue 0 mod 2, 2, 8, 16 and 3, the cut
 # of "equal, cut0" passes no coordinate, and the last, live on P's Z
