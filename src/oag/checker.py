@@ -26,8 +26,9 @@ A check reads each literal once and then decides it at any x from x's
 nonzero coordinates, which ``confirm`` lists once for all the literals.
 ``verify`` builds one ``InstanceCheck`` per (row, column) instance, all of
 them sharing one dict of per-(modulus, cut) tables, and attaches it to the
-instance's ``solver.Part``; ``solve`` builds the check of a plain
-conjunction itself, at its first candidate.
+instance's ``solver.Part``; ``solve`` builds the check of a ``Part``
+that has none, such as the fresh one it wraps a plain conjunction in, at
+its first candidate, and keeps it in the part.
 """
 
 from __future__ import annotations

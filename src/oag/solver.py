@@ -7,12 +7,13 @@ UNKNOWN, never guessed.
 
 Shape of the decision: ``solve`` decides the conjunction of its arguments,
 numbering their literals as ``formulas.conjoin`` numbers those of the
-conjunction it builds, so the certificates cite the same indices.  An
-argument is a ``Conjunction`` or a ``Part``, the record of what phases 1
-and 3 derive from its conjunction, so that ``verify``, which passes each
-(row, column) instance as one ``Part`` on every path through it, derives
-it once.  The phases below run in order over one ``_Problem``
-record, and a phase that settles the answer raises ``_Decided``.
+conjunction it builds, so the certificates cite the same indices.  Every
+argument is read as a ``Part``, the record of what phases 1 and 3 derive
+from its conjunction: ``solve`` wraps a plain ``Conjunction`` in a fresh
+one, and ``verify``, which passes each (row, column) instance as one
+``Part`` on every path through it, derives it once.  The phases below run
+in order over one ``_Problem`` record, and a phase that settles the answer
+raises ``_Decided``.
 
 1.  ``_normalize`` sorts the literals by role.  Positive congruence literals
     are rewritten to coefficient 1 and prime-power modulus (one already in
@@ -41,16 +42,16 @@ record, and a phase that settles the answer raises ``_Decided``.
     powers of the congruences on the coordinate, is the same on every basis,
     so each live coordinate keeps (M, its residues as a block value), which
     ``_assemble`` places as it is; on any other coordinate ``_solve_slot``
-    gives (M, 0).  A pinned coordinate has no slot; ``_missed`` checks that
-    its pin has the ``block_residues`` of every congruence value there.
-    When every argument is a ``Part``, each one's own slot entries, solved
-    alone, are derived once (``_derive_slots``) and a coordinate takes the
-    entry of the part live there unless a pair of the parts clashes on it
-    (``_merge_slots``, by Ore's pairwise rule): the other parts ask there
-    only for residue 0 modulo their own prime powers.  A clash, or a part
-    conflicting on its own, leaves the coordinate to ``_solve_slot`` over
-    all its congruences, so a refutation and its certificate are those of
-    the conjoined conjunction.
+    gives (M, 0).  Each part's own slot entries, its congruences solved
+    alone, are derived at its first phase 3 (``_derive_slots``), and a
+    coordinate takes the entry of the part live there unless a pair of the
+    parts clashes on it (``_merge_slots``, by Ore's pairwise rule): the
+    other parts ask there only for residue 0 modulo their own prime powers.
+    A clash, or a part conflicting on its own, leaves the coordinate to
+    ``_solve_slot`` over all its congruences, so a refutation and its
+    certificate are those of the conjoined conjunction.  A pinned coordinate
+    takes no slot; ``_missed`` checks that its pin has the
+    ``block_residues`` of every congruence value there.
 4.  ``_intersect_bounds``: the tightest bounds are intersected in the
     divisible hull by comparing their hull points.  An empty interval is
     UNSAT; equal bounds force x to their hull point, UNSAT off the group
@@ -72,9 +73,8 @@ record, and a phase that settles the answer raises ``_Decided``.
     puts the slot residues under the descent's values; with live negated
     literals the escape points follow, which step the placement through its
     gap and move the free coordinates.  Each candidate has every live
-    slot's residue, and the first one that every argument's reference check
-    (``checker.InstanceCheck``; a ``Part`` keeps its own, a plain
-    conjunction's is built at the first candidate) accepts is the witness.
+    slot's residue, and the first one that every part's reference check
+    (``checker.InstanceCheck``, kept in the part) accepts is the witness.
     If there is none the answer is UNKNOWN, with the reason.  The same
     checks decide a forced x in ``_decide_pinned``, and list the literals
     it fails.
@@ -223,36 +223,60 @@ _Slots = dict[int, tuple[int, object]]
 @dataclass(eq=False)
 class Part:
     """A conjunction passed to ``solve``, with what phases 1 and 3 derive
-    from it, kept as long as the record is.  ``memo`` holds, per literal
-    offset, its literals' normalized congruences by their index among
-    ``solve``'s literals.  Once all its literals are read, ``_derive_slots``
-    fills in its congruences' (cut, prime, exponent) ``reach``, its own
-    ``slots`` and their ``tolerance``; ``clashes`` keeps ``_clashes`` with
-    each part that followed it in a call.  ``check`` is the conjunction's
-    reference check, set by its owner or built at its first candidate."""
+    from it, kept as long as the record is; ``solve`` wraps a plain
+    conjunction in a fresh one.  ``memo`` holds, per literal offset, its
+    literals' normalized congruences by their index among ``solve``'s
+    literals, and ``congs`` those of its first complete reading.  Its first
+    ``_merge_slots`` fills in its own ``slots`` (``_derive_slots``), and its
+    first ``_clashes`` their ``tolerance``, which a call of one part never
+    reads; ``clashes`` keeps ``_clashes`` with each part that followed it in
+    a call.  ``check`` is the conjunction's reference check, set by its
+    owner or built at its first candidate."""
 
     conj: Conjunction
     memo: dict[int, dict[int, tuple[_Cong, ...]]] = field(
-        default_factory=dict, repr=False
+        default_factory=dict, init=False, repr=False
     )
-    reach: tuple[tuple[int, int, int], ...] = field(default=(), repr=False)
-    slots: dict[int, tuple | None] | None = field(default=None, repr=False)
-    tolerance: dict[int, tuple[dict[int, int], float]] = field(
-        default_factory=dict, repr=False
+    congs: list[_Cong] | None = field(default=None, init=False, repr=False)
+    slots: dict[int, tuple | None] | None = field(default=None, init=False, repr=False)
+    clashes: dict[Part, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False
     )
-    clashes: dict[Part, tuple[int, ...]] = field(default_factory=dict, repr=False)
     check: InstanceCheck | None = field(default=None, init=False, repr=False)
+
+    @functools.cached_property
+    def tolerance(self) -> dict[int, tuple[dict[int, int], float]]:
+        """Per coordinate where the part is live: per prime p, the largest
+        t up to the top exponent with every residue of its slot entry
+        divisible by p^t, and a default for the primes it has no congruence
+        of there: 0 on a Z block, which carries every prime, and no bound on
+        another block, which carries its own prime only.  Where its
+        congruences conflict, the tolerance is 0 for every prime."""
+        group, tolerance = self.conj.group, {}
+        for i, slot in self.slots.items():
+            if slot is None:
+                # every part that reaches here clashes with it
+                tolerance[i] = ({}, 0)
+                continue
+            kind = group.blocks[i].kind
+            residues = [r for _, r in slot[1]] if kind == "GP" else [slot[1]]
+            tol: dict[int, int] = {}
+            for c in _carriers(group, self.congs, i):
+                tol[c.p] = max(tol.get(c.p, 0), c.e)
+            for p, e in tol.items():
+                tol[p] = min([e] + [int_valuation(r, p) for r in residues if r])
+            tolerance[i] = (tol, 0 if kind == "Z" else math.inf)
+        return tolerance
 
 
 @dataclass
 class _Problem:
-    """The literals of ``solve``'s arguments, numbered in order, sorted by
-    role (see ``_normalize``)."""
+    """The literals of ``solve``'s parts, numbered in order, sorted by role
+    (see ``_normalize``)."""
 
     group: GroupSpec
-    literals: tuple = ()  # every argument's, in order
-    values: tuple[Element, ...] = ()  # their term values
-    parts: list[Part] | None = None  # the arguments, when every one is a Part
+    values: tuple[Element, ...]  # every part's term values, in order
+    parts: tuple[Part, ...]
     congs: list[_Cong] = field(default_factory=list)
     low: _Bound | None = None  # the tightest lower bound read so far
     high: _Bound | None = None  # the tightest upper bound read so far
@@ -260,23 +284,7 @@ class _Problem:
     coord_pins: dict[int, tuple[object, int]] = field(default_factory=dict)
     negs: list[int] = field(default_factory=list)  # live negated literals
     false_lit: int | None = None  # the first literal that holds at no x
-    # solve's arguments; not a field, so that the record of a call of Parts
-    # equals that of the call of their conjunction
-    args = ()
-
-    @functools.cached_property
-    def checks(self) -> list[InstanceCheck]:
-        """Each argument's reference check, built at the first candidate:
-        a ``Part``'s own, kept in it, or one for this call."""
-        checks = []
-        for arg in self.args:
-            if type(arg) is Part:
-                if arg.check is None:
-                    arg.check = InstanceCheck(arg.conj)
-                checks.append(arg.check)
-            else:
-                checks.append(InstanceCheck(arg))
-        return checks
+    checks: list[InstanceCheck] = field(default_factory=list)  # see _satisfies
 
 
 def solve(*parts: Conjunction | Part) -> SolveResult:
@@ -286,7 +294,7 @@ def solve(*parts: Conjunction | Part) -> SolveResult:
     indices it cites.  No argument, or two groups, is a PreconditionError.
     See the module docstring for the procedure."""
     try:
-        prob = _normalize(*parts)
+        prob = _normalize(*[p if type(p) is Part else Part(p) for p in parts])
         if prob.pin is not None:
             _decide_pinned(
                 prob, prob.pin[0], None, "the equality literal determines x uniquely"
@@ -319,49 +327,35 @@ def solve(*parts: Conjunction | Part) -> SolveResult:
     return SolveResult(SolveStatus.UNKNOWN, reason=why)
 
 
-def _normalize(*parts: Conjunction | Part) -> _Problem:
+def _normalize(*parts: Part) -> _Problem:
     """Phase 1: sort the literals by role, refuting those no x satisfies.
-    A ``Part``'s congruences are kept in its memo for its offset, so the
-    parts ``verify`` passes path after path are normalized once."""
-    group = None
-    literals = values = ()
-    reads = []  # per argument: (it, its conjunction, its memo, its first index)
-    owned = []  # the Part arguments
-    for part in parts:
-        offset = len(literals)
-        if type(part) is Part:
-            conj, memo = part.conj, part.memo.get(offset)
-            if memo is None:
-                memo = part.memo[offset] = {}
-            owned.append(part)
-        else:
-            conj, memo = part, None
-        if group is None:
-            group = conj.group
-        elif conj.group is not group and conj.group != group:
-            raise PreconditionError("conjunctions over different group specs")
-        reads.append((part, conj, memo, offset))
-        literals += conj.literals
-        values += conj.term_values
-    if group is None:
+    A part's congruences are kept in its memo for its offset, so the parts
+    ``verify`` passes path after path are normalized once."""
+    if not parts:
         raise PreconditionError("solve needs at least one conjunction")
-    prob = _Problem(group, literals, values)
-    prob.args = parts
-    if len(owned) == len(reads):
-        prob.parts = owned
-    for part, conj, memo, offset in reads:
-        if memo is not None and len(memo) == len(conj.literals):
+    group = parts[0].conj.group
+    values = ()
+    for part in parts:
+        if part.conj.group is not group and part.conj.group != group:
+            raise PreconditionError("conjunctions over different group specs")
+        values += part.conj.term_values
+    prob = _Problem(group, values, parts)
+    offset = 0
+    for part in parts:
+        conj, first = part.conj, offset
+        offset += len(conj.literals)
+        memo = part.memo.setdefault(first, {})
+        if len(memo) == len(conj.literals):
             # only congruences, each normalized at this offset before
             for congs in memo.values():
                 prob.congs += congs
             continue
-        for idx, lit, t in zip(itertools.count(offset), conj.literals, conj.term_values):
+        start = len(prob.congs)
+        for idx, lit, t in zip(itertools.count(first), conj.literals, conj.term_values):
             if lit.kind is LitKind.CONG:
-                congs = None if memo is None else memo.get(idx)
+                congs = memo.get(idx)
                 if congs is None:
-                    congs = _congs_of(group, lit, t, conj.params, idx)
-                    if memo is not None:
-                        memo[idx] = congs
+                    congs = memo[idx] = _congs_of(group, lit, t, conj.params, idx)
                 prob.congs += congs
             elif lit.kind is LitKind.ORD:
                 k, cmp = lit.k, lit.cmp
@@ -415,9 +409,8 @@ def _normalize(*parts: Conjunction | Part) -> _Problem:
                     prob.negs.append(idx)
                 elif not truth and prob.false_lit is None:
                     prob.false_lit = idx
-        if memo is not None and part.slots is None:
-            # every literal of the part read: its congruences are all here
-            _derive_slots(group, part, [c for cs in memo.values() for c in cs])
+        if part.congs is None:
+            part.congs = prob.congs[start:]
     return prob
 
 
@@ -457,7 +450,14 @@ def _congs_of(group: GroupSpec, lit, t: Element, bank, idx: int) -> tuple[_Cong,
 
 def _satisfies(prob: _Problem, x: Element) -> bool:
     """Whether x satisfies every literal, by the reference checks of
-    ``checker``: the one way a SAT answer leaves ``solve``."""
+    ``checker``: the one way a SAT answer leaves ``solve``.  At the first
+    candidate each part's check is listed, built first if the part has
+    none and kept in it."""
+    if not prob.checks:
+        for part in prob.parts:
+            if part.check is None:
+                part.check = InstanceCheck(part.conj)
+            prob.checks.append(part.check)
     return confirm(prob.checks, x)
 
 
@@ -476,28 +476,23 @@ def _decide_pinned(
     _refute("pin-refuted", cited, note)
 
 
-def _carriers(prob: _Problem, i: int) -> list[_Cong]:
+def _carriers(group: GroupSpec, congs: list[_Cong], i: int) -> list[_Cong]:
     """The congruences that constrain coordinate i: those reaching it whose
     prime the block carries residues for (block modulus above 1)."""
-    block = prob.group.blocks[i]
+    block = group.blocks[i]
     z, bp = block.kind == "Z", block.p
     # block_modulus(block, p) != 1 for a prime p: Z, or the block's own prime
-    return [c for c in prob.congs if c.alpha_s > i and (z or c.p == bp)]
+    return [c for c in congs if c.alpha_s > i and (z or c.p == bp)]
 
 
 def _solve_slots(prob: _Problem) -> _Slots:
     """Phase 3: the residue class of every live slot, in coordinate then
-    basis order; pins are checked and slots refuted in that order too.
-    When every argument is a ``Part``, a coordinate takes the slot entry
-    ``_merge_slots`` finds for it, if any; every other coordinate is
-    solved with all the congruences there."""
-    live = None
-    if prob.parts is None:
-        live = _live(prob.congs)
-        merged = dict.fromkeys(live)
-    else:
-        merged = _merge_slots(prob.parts)
+    basis order; pins are checked and slots refuted in that order too.  A
+    coordinate takes the slot entry ``_merge_slots`` finds for it, if any;
+    every other coordinate is solved with all the congruences there."""
+    merged = _merge_slots(prob.parts) if prob.congs else {}
     slots: _Slots = {}
+    live = None
     for i in sorted(merged.keys() | prob.coord_pins.keys()):
         if i in prob.coord_pins:
             pin, src = prob.coord_pins[i]
@@ -513,7 +508,7 @@ def _solve_slots(prob: _Problem) -> _Slots:
         slot = merged[i]
         if slot is None:
             live = live or _live(prob.congs)
-            slot = _slot(i, live[i], _carriers(prob, i))
+            slot = _slot(i, live[i], _carriers(prob.group, prob.congs, i))
         slots[i] = slot
     return slots
 
@@ -538,34 +533,16 @@ def _slot(i: int, bases, congs: list[_Cong]) -> tuple[int, object]:
     return m, r if b is None else tuple(pairs)
 
 
-def _derive_slots(group: GroupSpec, part: Part, congs: list[_Cong]) -> None:
-    """Fill the part's ``reach``, ``slots`` and ``tolerance`` from its
-    congruences.  On a coordinate where the part is live, its slot entry is
-    its congruences there solved alone, or None when they conflict; its
-    tolerance is, per prime p, the largest t up to the top exponent with
-    every residue divisible by p^t, and a default for the primes it has no
-    congruence of there: 0 on a Z block, which carries every prime, and no
-    bound on another block, which carries its own prime only.  Where its
-    congruences conflict, the tolerance is 0 for every prime."""
-    part.reach = tuple((c.alpha_s, c.p, c.e) for c in congs)
-    own = _Problem(group, congs=congs)
-    part.slots, part.tolerance = {}, {}
+def _derive_slots(part: Part) -> None:
+    """Fill the part's ``slots``: on each coordinate where it is live, its
+    congruences there solved alone, or None when they conflict."""
+    group, congs, slots = part.conj.group, part.congs, {}
     for i, bases in _live(congs).items():
-        here = _carriers(own, i)
-        default = 0 if group.blocks[i].kind == "Z" else math.inf
         try:
-            slot = _slot(i, bases, here)
+            slots[i] = _slot(i, bases, _carriers(group, congs, i))
         except _Decided:
-            # no tolerance: every part that reaches here clashes with it
-            part.slots[i], part.tolerance[i] = None, ({}, 0)
-            continue
-        residues = [slot[1]] if None in bases else [r for _, r in slot[1]]
-        tol: dict[int, int] = {}
-        for c in here:
-            tol[c.p] = max(tol.get(c.p, 0), c.e)
-        for p, e in tol.items():
-            tol[p] = min([e] + [int_valuation(r, p) for r in residues if r])
-        part.slots[i], part.tolerance[i] = slot, (tol, default)
+            slots[i] = None
+    part.slots = slots
 
 
 def _clashes(a: Part, b: Part) -> tuple[int, ...]:
@@ -580,11 +557,11 @@ def _clashes(a: Part, b: Part) -> tuple[int, ...]:
         i
         for x, y in ((a, b), (b, a))
         for i, (tol, default) in x.tolerance.items()
-        if any(s > i and e > tol.get(p, default) for s, p, e in y.reach)
+        if any(c.alpha_s > i and c.e > tol.get(c.p, default) for c in y.congs)
     )
 
 
-def _merge_slots(parts: list[Part]) -> dict[int, tuple | None]:
+def _merge_slots(parts: tuple[Part, ...]) -> dict[int, tuple | None]:
     """The slot entry of each coordinate where a part is live, by the Ore
     merge of the parts' own classes; None where it must be solved in full.
     Congruences on one slot are solvable together exactly when every two
@@ -592,21 +569,22 @@ def _merge_slots(parts: list[Part]) -> dict[int, tuple | None]:
     congruence of another part that reaches it is zero there, so it asks
     for residue 0 modulo its own prime power; the lone part's class meets
     that, with modulus and residues unchanged, exactly when the exponent is
-    at most the part's tolerance for its prime.  So the path keeps each
+    at most the part's tolerance for its prime.  So the call keeps each
     part's own entry unless a pair of its parts clashes there (``_clashes``,
     kept per pair in ``Part.clashes``).  A clash or a part conflicting on
     its own leaves the coordinate to ``_slot`` over ``_carriers``, whose
     refutation is the canonical one."""
     merged: dict[int, tuple | None] = {}
     for a in parts:
+        if a.slots is None:
+            _derive_slots(a)
         merged.update(a.slots)
-    for n, a in enumerate(parts):
-        for b in parts[n + 1 :]:
-            clash = a.clashes.get(b)
-            if clash is None:
-                clash = a.clashes[b] = _clashes(a, b)
-            for i in clash:
-                merged[i] = None
+    for a, b in itertools.combinations(parts, 2):
+        clash = a.clashes.get(b)
+        if clash is None:
+            clash = a.clashes[b] = _clashes(a, b)
+        for i in clash:
+            merged[i] = None
     return merged
 
 
@@ -733,8 +711,8 @@ def _candidates(prob: _Problem, slots: _Slots, walk) -> Iterator[Element]:
             if group.blocks[i].kind == "GP":
                 support = (b for t in prob.values for b, _ in t.coords[i])
                 basis = max(support, default=0) + 1
-            m = (slots.get(i) or _solve_slot(i, None, _carriers(prob, i)))[0]
-            shifts.append((i, basis, m))
+            m = slots.get(i) or _solve_slot(i, None, _carriers(group, prob.congs, i))
+            shifts.append((i, basis, m[0]))
     seen = {descent}
     placed = pins
     for n in range(1, len(prob.negs) + 2):
@@ -816,7 +794,7 @@ def _descend(prob: _Problem, slots: _Slots):
             elif fits_hi:
                 pins[j], low = (hi, None), None
             else:
-                here = _carriers(prob, j)
+                here = _carriers(group, prob.congs, j)
                 _refute(
                     "order-gap-off-class",
                     tuple(sorted({low.src, high.src} | {c.src for c in here})),
@@ -836,7 +814,7 @@ def _gap_points(prob: _Problem, slots: _Slots, j: int, lo, hi) -> Iterator:
     slot residues; the real value of those and of the bounds is enclosed
     numerically, and the candidate is still checked exactly."""
     block = prob.group.blocks[j]
-    m, r = slots.get(j) or _solve_slot(j, None, _carriers(prob, j))
+    m, r = slots.get(j) or _solve_slot(j, None, _carriers(prob.group, prob.congs, j))
     fixed: SpanPairs = ()
     if block.kind == "GP":
         # the b0 residue, and the pairs above it; r is 0 off the live slots

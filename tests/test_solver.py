@@ -255,7 +255,7 @@ def test_escape_points_step_the_free_coordinates():
     # free coordinate, and each disequality rules out at most one of them
     g = parse_spec("lex(Z)")
     c = conj_of(g, "!1x = 0 & !1x = 1*a0 & cong[2, cut1](1x, 0)", "(2)")
-    prob = solver._normalize(c)
+    prob = solver._normalize(solver.Part(c))
     assert prob.negs == [0, 1]
     slots = solver._solve_slots(prob)
     got = list(solver._candidates(prob, slots, solver._descend(prob, slots)))
@@ -642,7 +642,7 @@ def _every_coordinate_expanded(prob):
     blocks = prob.group.blocks
     return {
         i: live.get(i) or (
-            solver._solve_slot(i, None, solver._carriers(prob, i))[0],
+            solver._solve_slot(i, None, solver._carriers(prob.group, prob.congs, i))[0],
             () if blocks[i].kind == "GP" else 0,
         )
         for i in dict.fromkeys(i for i, _ in _every_slot_key(prob))
@@ -673,7 +673,7 @@ def _chain_paths(p, depth, width, row_pairs):
 
 
 def _alone(conjs):
-    return [(c,) for c in conjs]
+    return [(solver.Part(c),) for c in conjs]
 
 
 # K <= 3 conjunctions of every literal kind; the K = 28 Gp(2) spans of the
@@ -833,20 +833,28 @@ def _merge_cases(parts, seen):
     seen["full"] += None in solver._merge_slots(prob.parts).values()
 
 
+def _whole(*conjs):
+    """One fresh Part of the conjunction of the conjunctions."""
+    return solver.Part(conjoin(*conjs))
+
+
 @pytest.mark.parametrize("seed", [3, 4])
 def test_solve_of_parts_matches_solve_of_their_conjunction(seed):
     # solve(*parts) numbers the literals as conjoin does, reads each Part's
     # congruences from its memo for its offset and merges the parts' own
     # slot entries.  Part records shared across calls, 1-3 of them at
     # several offsets, in both orders and one of them twice in a call, give
-    # what solve of the conjoined conjunction gives, rewritten congruences
-    # and refutations (cited by their index in the whole) included; so does
-    # every path of two generated patterns, its parts shared by all the
-    # paths, which are taken in a seeded order, and every row pair, each
-    # UNSAT, the congruence rows' by a slot conflict; and so do 2-4 shared
-    # parts of one or two literals where the merge solves coordinates in
-    # full: two parts live on a coordinate, a conflict between parts or
-    # within one, two primes on a Z coordinate (CRT), a pin
+    # what solve of one fresh Part of the conjoined conjunction gives,
+    # rewritten congruences and refutations (cited by their index in the
+    # whole) included; so does every path of two generated patterns, its
+    # parts shared by all the paths, which are taken in a seeded order, and
+    # every row pair, each UNSAT, the congruence rows' by a slot conflict;
+    # so do 2-4 shared parts of one or two literals where the merge solves
+    # coordinates in full: two parts live on a coordinate, a conflict
+    # between parts or within one, two primes on a Z coordinate (CRT), a
+    # pin; and so does a conjunction split at literal boundaries into 1-3
+    # fresh Parts over its whole bank, against the unsplit conjunction of
+    # its literals in the same order, in both orders of the pieces
     rng = random.Random(seed)
     by_spec = {}
     for c in order_gap_conjunctions(seed, 300) + random_conjunctions(seed, 300):
@@ -860,8 +868,9 @@ def test_solve_of_parts_matches_solve_of_their_conjunction(seed):
                 merged = conjoin(*(conjs[n] for n in order))
                 args = [parts[n] for n in order]
                 got = _normalized(*args)
-                assert got == _normalized(merged)
-                assert solve(*args).to_json_dict() == solve(merged).to_json_dict()
+                assert got == _normalized(solver.Part(merged))
+                want = solve(solver.Part(merged)).to_json_dict()
+                assert solve(*args).to_json_dict() == want
                 seen["rewritten"] += any(
                     lit.kind is LitKind.CONG and lit.k != 1 for lit in merged.literals
                 ) and not isinstance(got, SolveResult)
@@ -885,13 +894,13 @@ def test_solve_of_parts_matches_solve_of_their_conjunction(seed):
         rng.shuffle(etas)
         for eta in etas:
             got = solve(*(parts[i][j] for i, j in enumerate(eta)))
-            want = solve(conjoin(*(inst[i][j] for i, j in enumerate(eta))))
+            want = solve(_whole(*(inst[i][j] for i, j in enumerate(eta))))
             assert got.to_json_dict() == want.to_json_dict()
             assert got.status is SolveStatus.SAT
         for i, row in enumerate(inst):
             for a, b in itertools.combinations(range(len(row)), 2):
                 got = solve(parts[i][a], parts[i][b])
-                assert got.to_json_dict() == solve(conjoin(row[a], row[b])).to_json_dict()
+                assert got.to_json_dict() == solve(_whole(row[a], row[b])).to_json_dict()
                 assert got.status is SolveStatus.UNSAT
                 seen["row conflicts"] += got.certificate[0].kind == "congruence-conflict"
     assert seen["rewritten"] > 500 and seen["later refuted"] > 50, seen
@@ -906,10 +915,23 @@ def test_solve_of_parts_matches_solve_of_their_conjunction(seed):
             for order in (chosen, chosen[::-1]):
                 args = [parts[n] for n in order]
                 got = solve(*args)
-                want = solve(conjoin(*(conjs[n] for n in order)))
+                want = solve(_whole(*(conjs[n] for n in order)))
                 assert got.to_json_dict() == want.to_json_dict()
                 _merge_cases(args, merges)
     assert min(merges.values()) > 20, merges
+    splits = dict.fromkeys(("split", "SAT", "UNSAT", "UNKNOWN"), 0)
+    for conj in random_conjunctions(seed, 300):
+        n = len(conj.literals)
+        cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 2))))
+        pieces = [conj.literals[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        for order in (pieces, pieces[::-1]):
+            parts = [solver.Part(Conjunction(conj.group, p, conj.params)) for p in order]
+            unsplit = Conjunction(conj.group, sum(order, ()), conj.params)
+            got = solve(*parts).to_json_dict()
+            assert got == solve(unsplit).to_json_dict(), (conj, cuts)
+            splits[got["status"]] += 1
+        splits["split"] += len(pieces) > 1
+    assert min(splits["split"], splits["SAT"], splits["UNSAT"]) > 50, splits
 
 
 def test_solve_needs_conjunctions_over_one_group():
@@ -1033,6 +1055,35 @@ def test_merge_keeps_a_lone_parts_slot_within_its_tolerance(monkeypatch, reverse
         assert res.certificate[0].literals == (0, 1)
 
 
+def test_tolerances_are_computed_only_where_parts_are_compared(monkeypatch):
+    # only _clashes reads a part's tolerances, and only a call of two or
+    # more parts compares parts: a one-argument solve, plain or one Part,
+    # derives the part's slots but computes no tolerance and calls _clashes
+    # 0 times; on the paths of chain(2, 3, 2), whose parts are shared, each
+    # part computes its tolerance once and each pair from two rows is
+    # compared once
+    computed, compared = [], []
+    real_tolerance, real_clashes = solver.Part.tolerance.func, solver._clashes
+    tolerance = functools.cached_property(
+        lambda part: computed.append(part) or real_tolerance(part)
+    )
+    tolerance.__set_name__(solver.Part, "tolerance")
+    monkeypatch.setattr(solver.Part, "tolerance", tolerance)
+    monkeypatch.setattr(
+        solver, "_clashes", lambda a, b: compared.append((a, b)) or real_clashes(a, b)
+    )
+    conjs = random_conjunctions(5, 300) + order_gap_conjunctions(5, 300)
+    parts = [solver.Part(c) for c in conjs]
+    for c, part in zip(conjs, parts):
+        assert solve(c).to_json_dict() == solve(part).to_json_dict()
+    assert computed == [] and compared == []
+    assert sum(bool(p.slots) for p in parts if p.slots is not None) > 80
+    for path in _chain_paths(2, 3, 2, row_pairs=False):
+        assert solve(*path).status is SolveStatus.SAT
+    assert len(computed) == len(set(map(id, computed))) == 3 * 2
+    assert len(compared) == len(set((id(a), id(b)) for a, b in compared)) == 3 * 2 * 2
+
+
 def test_a_part_conflicting_on_its_own_clashes_where_it_is_live():
     # A asks for 1 and 0 mod 2 on basis b0 of its Gp(2) coordinate, so it
     # has no slot entry there; B, live there too with residue 0 mod 4,
@@ -1057,9 +1108,10 @@ def test_carrier_rule_matches_block_modulus():
     for text, q in itertools.product(blocks, (2, 3, 5, 7, 11, 13)):
         g = parse_spec(f"lex({text})")
         a0 = "(b0)" if text.startswith("Gp") else "(1)"
-        prob = solver._normalize(conj_of(g, f"cong[{q}, cut1](1x, 1*a0)", a0))
+        conj = conj_of(g, f"cong[{q}, cut1](1x, 1*a0)", a0)
+        prob = solver._normalize(solver.Part(conj))
         carries = block_modulus(g.blocks[0], q) != 1
-        assert bool(solver._carriers(prob, 0)) is carries, (text, q)
+        assert bool(solver._carriers(g, prob.congs, 0)) is carries, (text, q)
         assert bool(prob.congs[0].live) is carries, (text, q)
         assert len(solver._solve_slots(prob)) == carries, (text, q)
 
@@ -1108,7 +1160,7 @@ def test_placement_reads_the_zero_slot_modulus():
     # coordinate 0 is not live (the congruence value is zero there), yet the
     # placement above the bound must land on a multiple of 4, not of 1
     c = conj_of(parse_spec("lex(Z, Q)"), "cong[4, cut1](1x, 0) & 1x > 1*a0", "(5 | 0)")
-    prob = solver._normalize(c)
+    prob = solver._normalize(solver.Part(c))
     assert solver._solve_slots(prob) == {}
     pins, _, free = solver._descend(prob, {})
     assert pins == {0: (8, None)} and free == 1
@@ -1166,7 +1218,7 @@ def test_no_slack_at_coordinate_0_descends_to_the_next(
     monkeypatch.setattr(solver, "span_enclosure", None)
     g = parse_spec(spec)
     c = conj_of(g, "1x > 1*a0 & 1x < 1*a1", params)
-    prob = solver._normalize(c)
+    prob = solver._normalize(solver.Part(c))
     pins, _, free = solver._descend(prob, solver._solve_slots(prob))
     want = parse_element(g, witness)
     assert {i: v for i, (v, _) in pins.items()} == dict(enumerate(want.coords))
@@ -1394,7 +1446,7 @@ _BOUND_KS = [k for a in range(1, 7) for k in (a, -a)]
 
 def _bound_of(spec, lit, t):
     """The order bound ``_normalize`` makes of one literal on its own."""
-    prob = solver._normalize(Conjunction(spec, (lit,), (t,)))
+    prob = solver._normalize(solver.Part(Conjunction(spec, (lit,), (t,))))
     return prob.low or prob.high
 
 
@@ -1467,7 +1519,7 @@ def test_normalize_keeps_the_tightest_bound_per_side(seed, shapes):
         # k*x > t bounds x from below exactly when k > 0
         (lows if (k > 0) == (cmp[0] == ">") else highs).append(b)
     lits = tuple(ord_lit(k, cmp, Term.of({i: 1})) for i, (k, cmp, _) in enumerate(shapes))
-    prob = solver._normalize(Conjunction(spec, lits, terms))
+    prob = solver._normalize(solver.Part(Conjunction(spec, lits, terms)))
     assert (prob.low, prob.high) == _reference_tightest(lows, highs)
 
 
@@ -1627,7 +1679,7 @@ def test_coordinate_pins_form_a_prefix(seed):
     pinned = 0
     for conj in random_conjunctions(seed, 1500):
         try:
-            prob = solver._normalize(conj)
+            prob = solver._normalize(solver.Part(conj))
         except solver._Decided:
             continue
         cuts = [lit.alpha.s for lit in conj.literals if lit.kind is LitKind.INGRP]
