@@ -42,16 +42,18 @@ raises ``_Decided``.
     powers of the congruences on the coordinate, is the same on every basis,
     so each live coordinate keeps (M, its residues as a block value), which
     ``_assemble`` places as it is; on any other coordinate ``_solve_slot``
-    gives (M, 0).  Each part's own slot entries, its congruences solved
-    alone, are derived at its first phase 3 (``_derive_slots``), and a
-    coordinate takes the entry of the part live there unless a pair of the
-    parts clashes on it (``_merge_slots``, by Ore's pairwise rule): the
-    other parts ask there only for residue 0 modulo their own prime powers.
-    A clash, or a part conflicting on its own, leaves the coordinate to
-    ``_solve_slot`` over all its congruences, so a refutation and its
-    certificate are those of the conjoined conjunction.  A pinned coordinate
-    takes no slot; ``_missed`` checks that its pin has the
-    ``block_residues`` of every congruence value there.
+    gives (M, 0).  One rule, ``_meets``, says whether every value of a
+    class (M, residues) meets a congruence on the coordinate.  Each part's
+    own slot entries, its congruences solved alone, are derived at its
+    first phase 3 (``_derive_slots``), and a coordinate takes the entry of
+    a part live there unless a pair of the parts clashes on it
+    (``_merge_slots``, by Ore's pairwise rule): one part's entry fails to
+    meet a congruence of the other there.  A clash, or a part conflicting
+    on its own, leaves the coordinate to ``_solve_slot`` over all its
+    congruences, so a refutation and its certificate are those of the
+    conjoined conjunction.  A pinned coordinate takes no slot; ``_missed``
+    checks that its pin, the class of one value, meets every congruence
+    there.
 4.  ``_intersect_bounds``: the tightest bounds are intersected in the
     divisible hull by comparing their hull points.  An empty interval is
     UNSAT; equal bounds force x to their hull point, UNSAT off the group
@@ -84,7 +86,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -113,8 +114,8 @@ from .groups import (
     _norm_block_value,
     _quotient,
     _raw_element,
+    _span_add,
     block_divide,
-    block_residues,
     block_sign,
     compare,
     neg,
@@ -129,7 +130,6 @@ from .numutil import (
     factorize,
     int_above,
     int_below,
-    int_valuation,
     residue_mod,
 )
 
@@ -150,14 +150,15 @@ class CertEntry:
     coordinate: int | None = None
     basis: int | None = None
     modulus: int | None = None
-    excluded: tuple[int, ...] | None = None
+    excluded: range | None = None
     literals: tuple[int, ...] = ()
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        """The fields that differ from their defaults, tuples as lists."""
+        """The fields that differ from their defaults, tuples and ranges as
+        lists."""
         return {
-            f.name: list(v) if type(v) is tuple else v
+            f.name: list(v) if type(v) in (tuple, range) else v
             for f in fields(self)
             if (v := getattr(self, f.name)) != f.default
         }
@@ -227,11 +228,10 @@ class Part:
     conjunction in a fresh one.  ``memo`` holds, per literal offset, its
     literals' normalized congruences by their index among ``solve``'s
     literals, and ``congs`` those of its first complete reading.  Its first
-    ``_merge_slots`` fills in its own ``slots`` (``_derive_slots``), and its
-    first ``_clashes`` their ``tolerance``, which a call of one part never
-    reads; ``clashes`` keeps ``_clashes`` with each part that followed it in
-    a call.  ``check`` is the conjunction's reference check, set by its
-    owner or built at its first candidate."""
+    ``_merge_slots`` fills in its own ``slots`` (``_derive_slots``), and
+    ``clashes`` keeps ``_clashes`` with each part that followed it in a
+    call; a call of one part compares none.  ``check`` is the conjunction's
+    reference check, set by its owner or built at its first candidate."""
 
     conj: Conjunction
     memo: dict[int, dict[int, tuple[_Cong, ...]]] = field(
@@ -244,30 +244,6 @@ class Part:
     )
     check: InstanceCheck | None = field(default=None, init=False, repr=False)
 
-    @functools.cached_property
-    def tolerance(self) -> dict[int, tuple[dict[int, int], float]]:
-        """Per coordinate where the part is live: per prime p, the largest
-        t up to the top exponent with every residue of its slot entry
-        divisible by p^t, and a default for the primes it has no congruence
-        of there: 0 on a Z block, which carries every prime, and no bound on
-        another block, which carries its own prime only.  Where its
-        congruences conflict, the tolerance is 0 for every prime."""
-        group, tolerance = self.conj.group, {}
-        for i, slot in self.slots.items():
-            if slot is None:
-                # every part that reaches here clashes with it
-                tolerance[i] = ({}, 0)
-                continue
-            kind = group.blocks[i].kind
-            residues = [r for _, r in slot[1]] if kind == "GP" else [slot[1]]
-            tol: dict[int, int] = {}
-            for c in _carriers(group, self.congs, i):
-                tol[c.p] = max(tol.get(c.p, 0), c.e)
-            for p, e in tol.items():
-                tol[p] = min([e] + [int_valuation(r, p) for r in residues if r])
-            tolerance[i] = (tol, 0 if kind == "Z" else math.inf)
-        return tolerance
-
 
 @dataclass
 class _Problem:
@@ -275,7 +251,6 @@ class _Problem:
     (see ``_normalize``)."""
 
     group: GroupSpec
-    values: tuple[Element, ...]  # every part's term values, in order
     parts: tuple[Part, ...]
     congs: list[_Cong] = field(default_factory=list)
     low: _Bound | None = None  # the tightest lower bound read so far
@@ -334,12 +309,10 @@ def _normalize(*parts: Part) -> _Problem:
     if not parts:
         raise PreconditionError("solve needs at least one conjunction")
     group = parts[0].conj.group
-    values = ()
     for part in parts:
         if part.conj.group is not group and part.conj.group != group:
             raise PreconditionError("conjunctions over different group specs")
-        values += part.conj.term_values
-    prob = _Problem(group, values, parts)
+    prob = _Problem(group, parts)
     offset = 0
     for part in parts:
         conj, first = part.conj, offset
@@ -545,35 +518,49 @@ def _derive_slots(part: Part) -> None:
     part.slots = slots
 
 
+def _meets(entry: tuple[int, object], c: _Cong, i: int) -> bool:
+    """Whether every value of the slot class ``entry = (modulus, residues)``
+    on coordinate i meets the congruence c, a carrier there: p^e divides the
+    modulus and each residue agrees with c's value mod p^e.  A single value
+    is the class of modulus 0."""
+    m, r = entry
+    q = c.p**c.e
+    if m % q:
+        return False
+    v = c.value.coords[i]
+    if type(v) is tuple:  # a span block: every basis coefficient agrees
+        return not any(residue_mod(d, q) for _, d in _span_add(r, v, -1))
+    return not residue_mod(r - v, q)
+
+
 def _clashes(a: Part, b: Part) -> tuple[int, ...]:
-    """The coordinates (one may come twice) where one of the two parts is
-    live and a congruence of the other reaches with an exponent above the
-    live part's tolerance for its prime, so that the live part's own slot
-    entry may not be the pair's.  Usually none, and the empty tuple is
-    shared.  Where both parts are live, neither clashes only when both
-    classes are 0 modulo the same prime powers, and then their entries are
-    equal."""
+    """The coordinates (one may come twice) where one part's own slot entry
+    fails to meet a congruence of the other (``_meets``), so that it is not
+    the pair's entry.  Usually none, and the empty tuple is shared.  A part
+    conflicting on its own has no entry there, and every part with one
+    clashes with it, as no class meets all its congruences."""
+    group = a.conj.group
     return tuple(
         i
         for x, y in ((a, b), (b, a))
-        for i, (tol, default) in x.tolerance.items()
-        if any(c.alpha_s > i and c.e > tol.get(c.p, default) for c in y.congs)
+        for i, entry in x.slots.items()
+        if entry is not None
+        and not all(_meets(entry, c, i) for c in _carriers(group, y.congs, i))
     )
 
 
 def _merge_slots(parts: tuple[Part, ...]) -> dict[int, tuple | None]:
-    """The slot entry of each coordinate where a part is live, by the Ore
-    merge of the parts' own classes; None where it must be solved in full.
-    Congruences on one slot are solvable together exactly when every two
-    are (O. Ore, 1952).  On a coordinate where one part alone is live, each
-    congruence of another part that reaches it is zero there, so it asks
-    for residue 0 modulo its own prime power; the lone part's class meets
-    that, with modulus and residues unchanged, exactly when the exponent is
-    at most the part's tolerance for its prime.  So the call keeps each
-    part's own entry unless a pair of its parts clashes there (``_clashes``,
-    kept per pair in ``Part.clashes``).  A clash or a part conflicting on
-    its own leaves the coordinate to ``_slot`` over ``_carriers``, whose
-    refutation is the canonical one."""
+    """The slot entry of each coordinate where a part is live, from the
+    parts' own classes; None where it must be solved in full.  Congruences
+    on one slot are solvable together exactly when every two are (O. Ore,
+    1952), and a part's own class is the call's on a coordinate exactly
+    when it meets every congruence of every other part there, zero or not;
+    where two parts are live and each meets the other's, their classes, and
+    so their entries, are equal.  So the call keeps each part's own entry
+    unless a pair of its parts clashes there (``_clashes``, kept per pair in
+    ``Part.clashes``).  A clash or a part conflicting on its own leaves the
+    coordinate to ``_slot`` over ``_carriers``, whose refutation is the
+    canonical one."""
     merged: dict[int, tuple | None] = {}
     for a in parts:
         if a.slots is None:
@@ -589,16 +576,10 @@ def _merge_slots(parts: tuple[Part, ...]) -> dict[int, tuple | None]:
 
 
 def _missed(prob: _Problem, i: int, value) -> _Cong | None:
-    """The first congruence reaching coordinate i whose value there has other
-    ``block_residues`` than `value`, a value of the block; None if none."""
-    block = prob.group.blocks[i]
-    for c in prob.congs:
-        m = c.p**c.e
-        if c.alpha_s > i and block_residues(block, value, m) != block_residues(
-            block, c.value.coords[i], m
-        ):
-            return c
-    return None
+    """The first congruence on coordinate i that `value`, a value of the
+    block, does not meet (``_meets``); None if none."""
+    carriers = _carriers(prob.group, prob.congs, i)
+    return next((c for c in carriers if not _meets((0, value), c, i)), None)
 
 
 def _in_block(block: BlockKind, value) -> bool:
@@ -655,10 +636,16 @@ def _solve_slot(coord: int, basis: int | None, congs: list[_Cong]) -> tuple[int,
                 coordinate=coord,
                 basis=basis,
                 modulus=mp,
-                excluded=tuple(range(mp)) if mp <= _CERT_ENUM_CAP else None,
+                excluded=range(mp) if mp <= _CERT_ENUM_CAP else None,
             )
         r, m = (rp, mp) if m == 1 else (crt_pair(r, m, rp, mp), m * mp)
     return m, r
+
+
+def _entry(prob: _Problem, slots: _Slots, i: int) -> tuple[int, object]:
+    """Coordinate i's slot entry: the live one, else (M, 0) by solving its
+    carriers."""
+    return slots.get(i) or _solve_slot(i, None, _carriers(prob.group, prob.congs, i))
 
 
 def _intersect_bounds(prob: _Problem) -> None:
@@ -709,10 +696,12 @@ def _candidates(prob: _Problem, slots: _Slots, walk) -> Iterator[Element]:
         if i not in pins:
             basis = None
             if group.blocks[i].kind == "GP":
-                support = (b for t in prob.values for b, _ in t.coords[i])
+                support = (
+                    b for part in prob.parts
+                    for t in part.conj.term_values for b, _ in t.coords[i]
+                )
                 basis = max(support, default=0) + 1
-            m = slots.get(i) or _solve_slot(i, None, _carriers(group, prob.congs, i))
-            shifts.append((i, basis, m[0]))
+            shifts.append((i, basis, _entry(prob, slots, i)[0]))
     seen = {descent}
     placed = pins
     for n in range(1, len(prob.negs) + 2):
@@ -801,7 +790,7 @@ def _descend(prob: _Problem, slots: _Slots):
                     f"no {'integer' if block.kind == 'Z' else 'value'} of the slot's "
                     "class lies between the order bounds",
                     coordinate=j,
-                    modulus=(slots.get(j) or _solve_slot(j, None, here))[0],
+                    modulus=_entry(prob, slots, j)[0],
                 )
     return pins, iter(()), group.K
 
@@ -814,7 +803,7 @@ def _gap_points(prob: _Problem, slots: _Slots, j: int, lo, hi) -> Iterator:
     slot residues; the real value of those and of the bounds is enclosed
     numerically, and the candidate is still checked exactly."""
     block = prob.group.blocks[j]
-    m, r = slots.get(j) or _solve_slot(j, None, _carriers(prob.group, prob.congs, j))
+    m, r = _entry(prob, slots, j)
     fixed: SpanPairs = ()
     if block.kind == "GP":
         # the b0 residue, and the pairs above it; r is 0 off the live slots
@@ -910,8 +899,9 @@ def oracle_search(
     generators up to p^2) with coefficients bounded by the radius and
     support bounded by max_support, in a fixed deterministic order, at most
     candidate_budget of them.  Returns the first combination that satisfies
-    the conjunction, or None.  It shares the literal decider with solve but
-    neither its candidates nor their order.
+    the conjunction, or None.  It decides literals with ``formulas._holds``,
+    not with the reference check of ``checker`` through which solve
+    accepts, and shares neither solve's candidates nor their order.
     A candidate is a prefix sum plus one last scaled generator.  Literal
     truth depends on x only through k*x - t, so the last generator is tested
     against each term value shifted by k times the prefix sum, made once per

@@ -119,7 +119,7 @@ def test_criterion_3_optimal_pattern(optimal_run):
             entry = res.certificate[0]
             assert entry.kind == "congruence-conflict"
             assert entry.modulus in (2, 4)
-            assert entry.excluded == tuple(range(entry.modulus))
+            assert entry.excluded == range(entry.modulus)
     # all 27 paths SAT with evaluator-confirmed closed-form witnesses
     assert len(report.paths) == 27 and not report.sampled
     for p in report.paths:

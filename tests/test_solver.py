@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -79,7 +78,7 @@ _PAIR = "cong[{0}, cut{2}](1x, 1*a0) & cong[{1}, cut{2}](1x, 1*a1)"
         pytest.param(
             "lex(Q, Gp(2), Gp(2))", _PAIR.format(2, 2, 2),
             "(0 | b0 | 0) ; (0 | 0 | 0)", None,
-            dict(coordinate=1, basis=0, modulus=2, excluded=(0, 1)),
+            dict(coordinate=1, basis=0, modulus=2, excluded=range(2)),
             id="gp-basis-slot",
         ),
         # Z: classes at distinct primes combine by CRT
@@ -90,12 +89,12 @@ _PAIR = "cong[{0}, cut{2}](1x, 1*a0) & cong[{1}, cut{2}](1x, 1*a1)"
         # Z: a class mod 4 against a class mod 2 of the same prime
         pytest.param(
             "lex(Z)", _PAIR.format(4, 2, 1), "(1) ; (0)", None,
-            dict(coordinate=0, basis=None, modulus=4, excluded=(0, 1, 2, 3)),
+            dict(coordinate=0, basis=None, modulus=4, excluded=range(4)),
             id="z-prime-power",
         ),
         pytest.param(
             "lex(Zloc(2))", _PAIR.format(2, 2, 1), "(1) ; (0)", None,
-            dict(coordinate=0, basis=None, modulus=2, excluded=(0, 1)),
+            dict(coordinate=0, basis=None, modulus=2, excluded=range(2)),
             id="zloc-own-prime",
         ),
         # Zloc(p) at a foreign prime and Q are divisible: vacuous slots, so
@@ -593,7 +592,8 @@ def _every_slot_key(prob):
     """Every slot key, pinned coordinates skipped: on a span block one per
     basis of the term supports plus a fresh one."""
     group = prob.group
-    terms = prob.values + tuple(c.value for c in prob.congs)
+    terms = [t for part in prob.parts for t in part.conj.term_values]
+    terms += [c.value for c in prob.congs]
     for i, block in enumerate(group.blocks):
         if i in prob.coord_pins:
             continue
@@ -751,7 +751,7 @@ def _solve_slot_reference(coord, basis, congs):
                 coordinate=coord,
                 basis=basis,
                 modulus=mp,
-                excluded=tuple(range(mp)) if mp <= solver._CERT_ENUM_CAP else None,
+                excluded=range(mp) if mp <= solver._CERT_ENUM_CAP else None,
                 literals=tuple(sorted({src for _, _, src in targets})),
                 note="no residue satisfies all congruences on this slot",
             )
@@ -1001,18 +1001,18 @@ _OTHER_PARTS = {
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-def test_merge_keeps_a_lone_parts_slot_within_its_tolerance(monkeypatch, reverse):
+def test_merge_keeps_a_lone_parts_slot_where_it_meets_the_others(monkeypatch, reverse):
     # phase 3 keeps the slot entry of a coordinate on which one Part passed
-    # to solve alone is live, as the part solved it on its own, when every
-    # other part's exponent there is at most the part's tolerance: P's
-    # residue 2 mod 8 on its Z coordinate is divisible by 2^1, so it
-    # tolerates 0 mod 2 and nothing above.  Shared Part records, first used
-    # in either order, give what records made fresh for each call give: a
-    # part that stays within the tolerance, or does not reach the
-    # coordinate, costs no _solve_slot call, and every other one (a larger
-    # exponent, another prime, a part live there too) has the coordinate,
-    # and only it, solved anew with all its congruences, so a refutation is
-    # the one the full solve gives
+    # to solve alone is live, as the part solved it on its own, when its
+    # class meets every congruence of the other parts there: P's class
+    # 2 mod 8 on its Z coordinate is 0 mod 2 but not 0 mod 4, and 8 is
+    # prime to 3.  Shared Part records, first used in either order, give
+    # what records made fresh for each call give: a part whose congruences
+    # P's class meets, or that does not reach the coordinate, costs no
+    # _solve_slot call, and every other one (a larger exponent, another
+    # prime, a part live there too) clashes with P there, and only there, so
+    # the coordinate is solved anew with all its congruences and a
+    # refutation is the one the full solve gives
     g = parse_spec("lex(Z, Gp(2))")
     texts = {"P": ("cong[8, cut2](1x, 1*a0)", "(2 | 2*b0 + 6*b1)"), **_OTHER_PARTS}
 
@@ -1032,7 +1032,6 @@ def test_merge_keeps_a_lone_parts_slot_within_its_tolerance(monkeypatch, reverse
     shared = parts()
     run(shared["P"])  # P's own entries, derived once
     assert shared["P"].slots == {0: (8, 2), 1: (8, ((0, 2), (1, 6)))}
-    assert shared["P"].tolerance == {0: ({2: 1}, 0), 1: ({2: 1}, math.inf)}
     within = {"smaller", "smaller again", "equal, cut0"}
     names = sorted(_OTHER_PARTS, reverse=reverse)
     got = {}
@@ -1044,8 +1043,9 @@ def test_merge_keeps_a_lone_parts_slot_within_its_tolerance(monkeypatch, reverse
             got[order] = run(*(shared[n] for n in order))
             assert got[order] == want, order
             assert {c[0] for c in calls} == (set() if name in within else {0}), order
-        clashes = set(solver._clashes(shared["P"], shared[name]))
-        assert clashes == (set() if name in within else {0}), name
+        clashes = set() if name in within else {0}
+        for pair in ((shared["P"], shared[name]), (shared[name], shared["P"])):
+            assert set(solver._clashes(*pair)) == clashes, name
     for name, slot in (("smaller", (8, 2)), ("equal, cut0", (8, 2)), ("other prime", (24, 18))):
         res, slots = got[(name, "P")]
         assert res.status is SolveStatus.SAT and slots[0] == (0, slot)
@@ -1055,20 +1055,13 @@ def test_merge_keeps_a_lone_parts_slot_within_its_tolerance(monkeypatch, reverse
         assert res.certificate[0].literals == (0, 1)
 
 
-def test_tolerances_are_computed_only_where_parts_are_compared(monkeypatch):
-    # only _clashes reads a part's tolerances, and only a call of two or
-    # more parts compares parts: a one-argument solve, plain or one Part,
-    # derives the part's slots but computes no tolerance and calls _clashes
+def test_one_part_calls_compare_nothing_and_each_pair_is_compared_once(monkeypatch):
+    # only a call of two or more parts compares parts: a one-argument
+    # solve, plain or one Part, derives the part's slots but calls _clashes
     # 0 times; on the paths of chain(2, 3, 2), whose parts are shared, each
-    # part computes its tolerance once and each pair from two rows is
-    # compared once
-    computed, compared = [], []
-    real_tolerance, real_clashes = solver.Part.tolerance.func, solver._clashes
-    tolerance = functools.cached_property(
-        lambda part: computed.append(part) or real_tolerance(part)
-    )
-    tolerance.__set_name__(solver.Part, "tolerance")
-    monkeypatch.setattr(solver.Part, "tolerance", tolerance)
+    # pair from two rows is compared once
+    compared = []
+    real_clashes = solver._clashes
     monkeypatch.setattr(
         solver, "_clashes", lambda a, b: compared.append((a, b)) or real_clashes(a, b)
     )
@@ -1076,19 +1069,19 @@ def test_tolerances_are_computed_only_where_parts_are_compared(monkeypatch):
     parts = [solver.Part(c) for c in conjs]
     for c, part in zip(conjs, parts):
         assert solve(c).to_json_dict() == solve(part).to_json_dict()
-    assert computed == [] and compared == []
+    assert compared == []
     assert sum(bool(p.slots) for p in parts if p.slots is not None) > 80
     for path in _chain_paths(2, 3, 2, row_pairs=False):
         assert solve(*path).status is SolveStatus.SAT
-    assert len(computed) == len(set(map(id, computed))) == 3 * 2
     assert len(compared) == len(set((id(a), id(b)) for a, b in compared)) == 3 * 2 * 2
 
 
 def test_a_part_conflicting_on_its_own_clashes_where_it_is_live():
     # A asks for 1 and 0 mod 2 on basis b0 of its Gp(2) coordinate, so it
     # has no slot entry there; B, live there too with residue 0 mod 4,
-    # tolerates A's exponents.  In either order the coordinate is solved in
-    # full and refuted as the conjoined conjunction is
+    # meets A's second congruence but not its first.  In either order the
+    # coordinate is solved in full and refuted as the conjoined conjunction
+    # is
     g = parse_spec("lex(Gp(2))")
     a = conj_of(g, "cong[2, cut1](1x, 1*a0) & cong[2, cut1](1x, 1*a1)", "(b0) ; (0)")
     b = conj_of(g, "cong[4, cut1](1x, 1*a0)", "(4*b0)")
@@ -1098,6 +1091,83 @@ def test_a_part_conflicting_on_its_own_clashes_where_it_is_live():
         assert got.to_json_dict() == solve(conjoin(*order)).to_json_dict()
         assert [e.kind for e in got.certificate] == ["congruence-conflict"]
         assert set(solver._clashes(*parts)) == {0}
+
+
+def test_parts_live_on_a_coordinate_with_equal_classes_do_not_clash(monkeypatch):
+    # A and B ask for 2 and 6 mod 4 on the Z coordinate and for 2*b1 mod 4
+    # on the Gp(2) one: equal classes on both, so their pair keeps both
+    # entries and solves no slot anew, and answers as their conjunction
+    g = parse_spec("lex(Z, Gp(2))")
+    conjs = [
+        conj_of(g, "cong[4, cut2](1x, 1*a0)", a0) for a0 in ("(2 | 2*b1)", "(6 | 2*b1)")
+    ]
+    parts = [solver.Part(c) for c in conjs]
+    for part in parts:
+        assert solve(part).status is SolveStatus.SAT
+    assert [p.slots for p in parts] == [{0: (4, 2), 1: (4, ((1, 2),))}] * 2
+    want = solve(conjoin(*conjs))
+    assert want.status is SolveStatus.SAT
+    calls = []
+    real_slot = solver._solve_slot
+    monkeypatch.setattr(
+        solver, "_solve_slot", lambda *args: calls.append(args) or real_slot(*args)
+    )
+    assert solve(*parts).to_json_dict() == want.to_json_dict()
+    assert calls == [] and solver._clashes(*parts) == ()
+
+
+def _own_part(conj):
+    """A fresh Part of the conjunction with its own slot entries derived,
+    or None where phase 1 refutes it."""
+    part = solver.Part(conj)
+    try:
+        solver._normalize(part)
+    except solver._Decided:
+        return None
+    solver._derive_slots(part)
+    return part
+
+
+def _pair_clashes(a, b):
+    """Reference for solver._clashes: the coordinates where a part's own
+    slot entry differs from _slot over both parts' carriers there, a
+    refuted _slot included."""
+    group, congs = a.conj.group, a.congs + b.congs
+    live = solver._live(congs)
+    differs = set()
+    for part in (a, b):
+        for i, entry in part.slots.items():
+            if entry is None:
+                continue
+            try:
+                joint = solver._slot(i, live[i], solver._carriers(group, congs, i))
+            except solver._Decided:
+                joint = None
+            if joint != entry:
+                differs.add(i)
+    return differs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_clashes_are_where_an_own_entry_is_not_the_pairs(seed):
+    # two parts clash exactly where one part's own slot entry is not what
+    # _slot gives over the congruences of both: pairs of random
+    # conjunctions split at a literal boundary, and pairs of a merge pool,
+    # whose parts are often live on one coordinate or conflict on their own
+    rng = random.Random(seed)
+    pairs = [
+        (Conjunction(c.group, c.literals[:cut], c.params),
+         Conjunction(c.group, c.literals[cut:], c.params))
+        for c in random_conjunctions(seed, 10)
+        for cut in range(1, len(c.literals))
+    ]
+    pool = _merge_pool(rng, rng.choice(_MERGE_SPECS))
+    pairs += [rng.sample(pool, 2) for _ in range(10)]
+    for conjs in pairs:
+        a, b = map(_own_part, conjs)
+        if a is not None and b is not None:
+            assert set(solver._clashes(a, b)) == _pair_clashes(a, b)
 
 
 def test_carrier_rule_matches_block_modulus():
@@ -1279,7 +1349,10 @@ def _appends_a_fresh_basis(x, slots, prob) -> bool:
     span coordinate whose residues it keeps below that basis."""
     for i, (m, v) in slots.items():
         if type(v) is tuple and v and x.coords[i][:-1] == v:
-            support = (b for t in prob.values for b, _ in t.coords[i])
+            support = (
+                b for part in prob.parts
+                for t in part.conj.term_values for b, _ in t.coords[i]
+            )
             if x.coords[i][-1][0] > max(support, default=-1):
                 return True
     return False
